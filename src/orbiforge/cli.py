@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, PresentationError, KeyError) as exc:
+    except (ParseError, PresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CosetLimitError as exc:

@@ -12,9 +12,11 @@ through column 2(g-1)+1.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .fpgroup import Presentation, Word
 
@@ -183,8 +185,10 @@ def _standardize(rows: list[list[int]]) -> list[list[int]]:
     n = len(rows)
     order: dict[int, int] = {0: 0}
     queue = [0]
-    while queue:
-        c = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        c = queue[head]
+        head += 1
         for x in range(len(rows[0])):
             t = rows[c][x]
             if t not in order:
@@ -256,43 +260,77 @@ class CosetTable:
     # -- Schreier machinery --------------------------------------------------
 
     @cached_property
-    def _transversal(self) -> tuple[tuple[tuple[int, ...], ...], set[tuple[int, int]]]:
-        """(coset -> representative word letters, set of tree edges (coset, letter)).
+    def schreier_vector(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(parent, letter, order): the BFS spanning tree of the coset graph.
 
-        BFS from coset 0 trying generators in declared order, then inverses, so
-        representatives have minimal length with a deterministic tie-break.
+        BFS runs from coset 0 trying generators in declared order, then
+        inverses, so representatives have minimal length with a deterministic
+        tie-break.  Coset c != 0 was reached as parent[c] * letter[c]; coset 0
+        has parent -1 and letter 0.  `order` lists the cosets in discovery
+        order, so every parent precedes its children.
         """
         n = self.index
-        reps: list[tuple[int, ...] | None] = [None] * n
-        reps[0] = ()
-        tree: set[tuple[int, int]] = set()
-        letters = list(range(1, self.parent.ngens + 1)) + \
-            [-g for g in range(1, self.parent.ngens + 1)]
-        queue = [0]
-        while queue:
-            c = queue.pop(0)
-            for letter in letters:
-                t = self.rows[c][_col(letter)]
-                if reps[t] is None:
-                    reps[t] = reps[c] + (letter,)
-                    tree.add((c, letter))
-                    queue.append(t)
-        return tuple(reps), tree  # type: ignore[return-value]
+        parent = [-1] * n
+        letter_of = [0] * n
+        letters = [(g, _col(g)) for g in range(1, self.parent.ngens + 1)] + \
+            [(-g, _col(-g)) for g in range(1, self.parent.ngens + 1)]
+        seen = [False] * n
+        seen[0] = True
+        order = [0]
+        head = 0
+        while head < len(order):
+            c = order[head]
+            head += 1
+            row = self.rows[c]
+            for letter, col in letters:
+                t = row[col]
+                if not seen[t]:
+                    seen[t] = True
+                    parent[t] = c
+                    letter_of[t] = letter
+                    order.append(t)
+        return tuple(parent), tuple(letter_of), tuple(order)
+
+    def _climb(self, c: int) -> list[int]:
+        """Tree letters from coset c up to coset 0: r(c) read backwards."""
+        parent, letter_of, _ = self.schreier_vector
+        out = []
+        while c:
+            out.append(letter_of[c])
+            c = parent[c]
+        return out
 
     def transversal(self) -> list[Word]:
-        return [Word(r) for r in self._transversal[0]]
+        return [Word(tuple(reversed(self._climb(c)))) for c in range(self.index)]
+
+    def schreier_edges(self) -> Iterator[tuple[int, int, int]]:
+        """(c, g, cg) for every coset c and generator g whose Schreier word
+        r(c)*g*r(cg)^-1 is not freely trivial.
+
+        BFS representatives are freely reduced, so the word can only cancel
+        at its two junctions, and does so exactly when (c, g) is a tree edge
+        in either direction; those pairs are skipped.
+        """
+        parent, letter_of, _ = self.schreier_vector
+        for c in range(self.index):
+            row = self.rows[c]
+            for g in range(1, self.parent.ngens + 1):
+                t = row[_col(g)]
+                if (parent[t] == c and letter_of[t] == g) or \
+                        (parent[c] == t and letter_of[c] == -g):
+                    continue
+                yield c, g, t
 
     def schreier_pairs(self) -> list[tuple[int, int, Word]]:
         """(coset, generator, word) for every Schreier generator that survives
         free reduction (tree edges reduce to the empty word and are dropped)."""
-        reps = self._transversal[0]
         out = []
-        for c in range(self.index):
-            for g in range(1, self.parent.ngens + 1):
-                t = self.rows[c][_col(g)]
-                w = Word(reps[c] + (g,) + tuple(-x for x in reversed(reps[t])))
-                if not w.is_empty():
-                    out.append((c, g, w))
+        for c, g, t in self.schreier_edges():
+            letters = self._climb(c)
+            letters.reverse()
+            letters.append(g)
+            letters.extend(map(operator.neg, self._climb(t)))
+            out.append((c, g, Word(tuple(letters))))
         return out
 
     def schreier_generators(self) -> list[Word]:

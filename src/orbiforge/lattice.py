@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .exactgeom import Mat2, QuadNum, Vec2, mat, vec
@@ -38,9 +39,13 @@ class Lattice2:
     def basis_matrix(self) -> Mat2:
         return Mat2(self.b1.x, self.b2.x, self.b1.y, self.b2.y)
 
+    @cached_property
+    def _inverse_basis(self) -> Mat2:
+        return self.basis_matrix().inverse()
+
     def coords(self, v: Vec2) -> tuple[QuadNum, QuadNum]:
         """Exact coordinates of v in this basis."""
-        w = self.basis_matrix().inverse() * v
+        w = self._inverse_basis * v
         return w.x, w.y
 
     def contains(self, v: Vec2) -> bool:

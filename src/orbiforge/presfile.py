@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .cosetenum import InvariantError
 from .fpgroup import Presentation, Word
 
 
@@ -70,7 +71,9 @@ class _WordParser:
 
     def _parse_term(self) -> list[int]:
         tok = self._peek()
-        assert tok is not None
+        if tok is None:
+            # parse_word checks for the end of input before every term
+            raise InvariantError("term parser called at the end of input")
         text, col = tok
         if text == "(":
             self.pos += 1

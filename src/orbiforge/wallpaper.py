@@ -194,20 +194,35 @@ class ModelGroup:
     def image(self, gen_index: int) -> Isometry:
         return self.rep[gen_index - 1]
 
+    # The cached properties below are filled on first use, so building a
+    # model does no work it did not do before.
+
+    @cached_property
+    def inverse_rep(self) -> tuple[Isometry, ...]:
+        """The inverse of each generator image."""
+        return tuple(g.inverse() for g in self.rep)
+
     def evaluate(self, w: Word) -> Isometry:
         out = Isometry.identity()
         for letter in w.letters:
-            g = self.rep[abs(letter) - 1]
-            out = out * (g if letter > 0 else g.inverse())
+            out = out * (self.rep[letter - 1] if letter > 0
+                         else self.inverse_rep[-letter - 1])
         return out
 
+    @cached_property
+    def _lattice(self) -> Lattice2:
+        return Lattice2(*(self.evaluate(w).trans for w in self.translation_words))
+
     def translation_images(self) -> tuple[Vec2, Vec2]:
-        return (self.evaluate(self.translation_words[0]).trans,
-                self.evaluate(self.translation_words[1]).trans)
+        return self._lattice.b1, self._lattice.b2
 
     def lattice(self) -> Lattice2:
-        v1, v2 = self.translation_images()
-        return Lattice2(v1, v2)
+        return self._lattice
+
+    @cached_property
+    def point_group(self) -> tuple[Mat2, ...]:
+        """Closure of the generator linear parts."""
+        return _linear_closure(iso.linear for iso in self.rep)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -419,24 +434,36 @@ class SubgroupHandle:
 
     @cached_property
     def schreier_images(self) -> tuple[Isometry, ...]:
-        return tuple(self.model.evaluate(w) for w in self.table.schreier_generators())
+        """Images of `table.schreier_generators()`, in the same order.
+
+        One isometry img[c] (and its inverse) per coset is built along the
+        Schreier vector; the image of the Schreier word r(c)*g*r(cg)^-1 is then
+        img[c]*g*img[cg]^-1.  Coset 0 has the identity and is never multiplied.
+        """
+        parent, letter_of, order = self.table.schreier_vector
+        gens, invs = self.model.rep, self.model.inverse_rep
+        img: list[Isometry | None] = [None] * self.index
+        img_inv: list[Isometry | None] = [None] * self.index
+        for c in order[1:]:
+            p, letter = parent[c], letter_of[c]
+            g, g_inv = (gens[letter - 1], invs[letter - 1]) if letter > 0 else \
+                (invs[-letter - 1], gens[-letter - 1])
+            img[c] = g if p == 0 else img[p] * g
+            img_inv[c] = g_inv if p == 0 else g_inv * img_inv[p]
+        out = []
+        for c, g, t in self.table.schreier_edges():
+            x = gens[g - 1]
+            if c:
+                x = img[c] * x
+            if t:
+                x = x * img_inv[t]
+            out.append(x)
+        return tuple(out)
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
         """Closure of the linear parts of the subgroup generators."""
-        seen: dict[Mat2, None] = {IDENTITY_MAT: None}
-        frontier = [IDENTITY_MAT]
-        gens = [iso.linear for iso in self.schreier_images]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = m * g
-                    if prod not in seen:
-                        seen[prod] = None
-                        nxt.append(prod)
-            frontier = nxt
-        out = tuple(seen)
+        out = _linear_closure(iso.linear for iso in self.schreier_images)
         if len(out) > 12:
             raise InvariantError("point group larger than 12")
         return out
@@ -460,7 +487,9 @@ class SubgroupHandle:
         items: dict[tuple[Mat2, Vec2], None] = {}
         identity = (IDENTITY_MAT, lat.reduce_mod(vec(0, 0)))
         items[identity] = None
-        gens = [(iso.linear, lat.reduce_mod(iso.trans)) for iso in self.schreier_images]
+        # repeats dropped as in _linear_closure; the discovery order is kept
+        gens = list(dict.fromkeys((iso.linear, lat.reduce_mod(iso.trans))
+                                  for iso in self.schreier_images))
         frontier = list(items)
         for g in gens:
             if g not in items:
@@ -510,19 +539,34 @@ def sign_kernel(model_group: ModelGroup,
 def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     """Lattice of the translations lying in the subgroup.
 
-    Membership of t1^i t2^j is tested through the coset table for
-    0 <= i, j <= index; the found exponent pairs generate the full exponent
-    sublattice because its index divides the coset count.
+    t1 and t2 act on the cosets by commuting permutations, so Z^2 acts, and
+    t1^i t2^j lies in the subgroup exactly when (i, j) fixes coset 0.  A BFS
+    over the orbit of coset 0 keeps one exponent pair per reached coset (a
+    Schreier vector over Z^2); every non-tree edge closes a stabilizer
+    element, and by Schreier's lemma those generate the whole stabilizer.
     """
+    table = handle.table
     k = handle.index
     t1, t2 = handle.model.translation_words
+    perm1 = [table.trace(t1, c) for c in range(k)]
+    perm2 = [table.trace(t2, c) for c in range(k)]
+    if any(perm1[perm2[c]] != perm2[perm1[c]] for c in range(k)):
+        raise InvariantError("translation words act by non-commuting permutations")
+    exponents: dict[int, tuple[int, int]] = {0: (0, 0)}
+    queue = [0]
     found = []
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if (i or j) and handle.table.contains(t1 ** i * t2 ** j):
-                found.append((i, j))
+    for c in queue:
+        i, j = exponents[c]
+        for d, e in ((perm1[c], (i + 1, j)), (perm2[c], (i, j + 1))):
+            seen = exponents.get(d)
+            if seen is None:
+                exponents[d] = e
+                queue.append(d)
+            elif seen != e:
+                found.append((e[0] - seen[0], e[1] - seen[1]))
     (a, b), (zero, g) = integer_lattice_basis(found)
-    assert zero == 0
+    if zero != 0:
+        raise InvariantError("lattice basis is not in Hermite form")
     v1, v2 = handle.model.translation_images()
     basis1 = v1.scale(a) + v2.scale(b)
     basis2 = v2.scale(g)
@@ -697,11 +741,13 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
     raise InvariantError(f"impossible rotation order {n}")
 
 
-def model_point_group(model_group: ModelGroup) -> tuple[Mat2, ...]:
-    """Point group of the whole model: closure of the generator linear parts."""
+def _linear_closure(gens: Iterable[Mat2]) -> tuple[Mat2, ...]:
+    """Identity first, then every product in BFS discovery order."""
+    # a repeated generator only yields products already seen, so dropping
+    # repeats keeps the discovery order
+    gens = list(dict.fromkeys(gens))
     seen: dict[Mat2, None] = {IDENTITY_MAT: None}
     frontier = [IDENTITY_MAT]
-    gens = [iso.linear for iso in model_group.rep]
     while frontier:
         nxt = []
         for m in frontier:
@@ -712,6 +758,11 @@ def model_point_group(model_group: ModelGroup) -> tuple[Mat2, ...]:
                     nxt.append(prod)
         frontier = nxt
     return tuple(seen)
+
+
+def model_point_group(model_group: ModelGroup) -> tuple[Mat2, ...]:
+    """Point group of the whole model: closure of the generator linear parts."""
+    return model_group.point_group
 
 
 def classify(handle: SubgroupHandle) -> OrbifoldSignature:

@@ -54,6 +54,13 @@ class TestParser:
         assert rendered == "group t\ngens a b\nrel a b a b\nrel a^3\n"
         assert parse_presentation(rendered) == p
 
+    def test_term_parser_at_end_of_input_is_internal(self):
+        from orbiforge.cosetenum import InvariantError
+        from orbiforge.presfile import _WordParser
+
+        with pytest.raises(InvariantError):
+            _WordParser([], {}, 1)._parse_term()
+
     def test_parse_word_against_presentation(self):
         p = parse_presentation(fixture_text("p6"))
         assert parse_word("b a^-2", p).letters == (2, -1, -1)
@@ -122,6 +129,17 @@ class TestExitCodes:
 
     def test_invalid_sign_is_input_error(self, capsys):
         assert main(["classify", "p6", "--sign", "b=-1"]) == 2
+
+    def test_internal_key_error_is_not_an_input_error(self, capsys, monkeypatch):
+        from orbiforge import verify
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(verify, "run_verification", broken)
+        assert main(["verify-paper", "--only", "no-such-check"]) == 2
+        with pytest.raises(KeyError):
+            main(["verify-paper", "--only", "rigid-index"])
 
 
 class TestVerifyRunner:

@@ -1,0 +1,217 @@
+"""The Schreier-vector transversal, the per-coset Schreier images and the
+translation lattice from coset permutations, each checked against the
+direct computation it replaces (kept here as the oracle), plus the linear
+growth of classification in the index."""
+import random
+from dataclasses import replace
+
+import pytest
+
+from orbiforge import cosetenum, exactgeom, wallpaper
+from orbiforge.cosetenum import InvariantError, _col
+from orbiforge.fpgroup import Word, sign_homs
+from orbiforge.lattice import Lattice2, integer_lattice_basis
+from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, classify, model,
+                                 subgroup, translation_lattice)
+
+
+# -- oracles: the direct computations ---------------------------------------
+
+def reference_transversal(table):
+    """BFS from coset 0, generators in declared order then inverses; each
+    representative is its parent's plus one letter."""
+    ngens = table.parent.ngens
+    reps = [None] * table.index
+    reps[0] = ()
+    letters = list(range(1, ngens + 1)) + [-g for g in range(1, ngens + 1)]
+    queue = [0]
+    while queue:
+        c = queue.pop(0)
+        for letter in letters:
+            t = table.rows[c][_col(letter)]
+            if reps[t] is None:
+                reps[t] = reps[c] + (letter,)
+                queue.append(t)
+    return reps
+
+
+def reference_schreier_pairs(table):
+    """(c, g, word) for every r(c)*g*r(cg)^-1 that does not freely reduce to
+    the empty word."""
+    reps = reference_transversal(table)
+    out = []
+    for c in range(table.index):
+        for g in range(1, table.parent.ngens + 1):
+            t = table.rows[c][_col(g)]
+            w = Word(reps[c] + (g,) + tuple(-x for x in reversed(reps[t])))
+            if not w.is_empty():
+                out.append((c, g, w))
+    return out
+
+
+def reference_translation_lattice(handle):
+    """Membership of t1^i t2^j for 0 <= i, j <= index; the found exponent
+    pairs generate the exponent sublattice because its index divides the
+    coset count."""
+    k = handle.index
+    t1, t2 = handle.model.translation_words
+    found = [(i, j) for i in range(k + 1) for j in range(k + 1)
+             if (i or j) and handle.table.contains(t1 ** i * t2 ** j)]
+    (a, b), (_, g) = integer_lattice_basis(found)
+    v1, v2 = handle.model.translation_images()
+    return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
+
+
+# -- corpus ------------------------------------------------------------------
+
+def _rotation_words(m):
+    """The first generator or product of two generators whose image is a
+    nontrivial rotation."""
+    ngens = m.presentation.ngens
+    candidates = [Word((i,)) for i in range(1, ngens + 1)] + \
+        [Word((i, j)) for i in range(1, ngens + 1) for j in range(i + 1, ngens + 1)]
+    out = []
+    for w in candidates:
+        linear = m.evaluate(w).linear
+        if linear.det() == exactgeom.QuadNum.of(1) and not linear.is_identity():
+            out.append(w)
+    return out[:1]
+
+
+def corpus():
+    """(label, model name, subgroup words) over all 17 models: the whole group,
+    sign kernels, translation sublattices, rotation subgroups, and the
+    same rotation subgroups with conjugated generators.  Kernels are capped
+    at three per model to keep the suite quick."""
+    rng = random.Random(11)
+    out = []
+    for name in MODEL_NAMES:
+        m = model(name)
+        ngens = m.presentation.ngens
+        t1, t2 = m.translation_words
+        out.append((f"{name} whole", name, [Word((i,)) for i in range(1, ngens + 1)]))
+        for hom in sign_homs(m.presentation)[:3]:
+            out.append((f"{name} kernel {hom.signs}", name, list(hom.kernel_words())))
+        for a, b, c in ((1, 0, 2), (2, 1, 1)):
+            out.append((f"{name} T2 {a},{b},{c}", name, [t1 ** a * t2 ** b, t2 ** c]))
+        for g in _rotation_words(m):
+            words = [g, t1 ** 2, t2 ** 2]
+            out.append((f"{name} rot {g.letters}", name, words))
+            by = Word(tuple(rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(3)))
+            out.append((f"{name} rot {g.letters} conj {by.letters}", name,
+                        [w.conjugate(by) for w in words]))
+    return out
+
+
+CORPUS = corpus()
+HANDLES = {label: subgroup(model(name), words) for label, name, words in CORPUS}
+
+
+def test_corpus_covers_every_model_and_family():
+    assert {name for _, name, _ in CORPUS} == set(MODEL_NAMES)
+    for family in ("whole", "kernel", "T2", "rot", "conj"):
+        assert any(family in label for label, _, _ in CORPUS), family
+    assert max(h.index for h in HANDLES.values()) >= 24
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_transversal_matches_reference_bfs(label):
+    table = HANDLES[label].table
+    assert table.transversal() == [Word(r) for r in reference_transversal(table)]
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_schreier_words_match_reference(label):
+    table = HANDLES[label].table
+    pairs = reference_schreier_pairs(table)
+    assert table.schreier_pairs() == pairs
+    assert table.schreier_generators() == [w for _, _, w in pairs]
+    assert [(c, g, table.rows[c][_col(g)]) for c, g, _ in pairs] == \
+        list(table.schreier_edges())
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_schreier_images_match_word_evaluation(label):
+    handle = HANDLES[label]
+    assert handle.schreier_images == \
+        tuple(handle.model.evaluate(w) for w in handle.table.schreier_generators())
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_translation_lattice_matches_membership_search(label):
+    handle = HANDLES[label]
+    assert translation_lattice(handle) == reference_translation_lattice(handle)
+
+
+def test_schreier_vector_is_a_bfs_tree():
+    table = HANDLES["p6m whole"].table
+    parent, letter_of, order = table.schreier_vector
+    assert (parent[0], letter_of[0], order[0]) == (-1, 0, 0)
+    position = {c: i for i, c in enumerate(order)}
+    assert sorted(order) == list(range(table.index))
+    for c in order[1:]:
+        assert position[parent[c]] < position[c]
+        assert table.rows[parent[c]][_col(letter_of[c])] == c
+
+
+def test_non_commuting_translation_words_are_rejected():
+    # the mirrors a and b of p6m generate a dihedral group of order 12, which
+    # acts on the cosets of the translation subgroup without commuting
+    p6m = model("p6m")
+    table = subgroup(p6m, p6m.translation_words).table
+    fake = replace(p6m, translation_words=(Word((1,)), Word((2,))))
+    with pytest.raises(InvariantError, match="non-commuting"):
+        translation_lattice(SubgroupHandle(fake, table))
+
+
+def test_lattice_basis_shape_is_checked(monkeypatch):
+    monkeypatch.setattr(wallpaper, "integer_lattice_basis",
+                        lambda pairs: ((1, 0), (1, 1)))
+    with pytest.raises(InvariantError):
+        translation_lattice(wallpaper.whole_group(model("p6")))
+
+
+def test_lazy_model_data_is_cached():
+    m = model("p4g")
+    assert m.lattice() is m.lattice()
+    assert m.translation_images() == (m.lattice().b1, m.lattice().b2)
+    assert m.translation_images() == tuple(m.evaluate(w).trans
+                                           for w in m.translation_words)
+    assert wallpaper.model_point_group(m) is wallpaper.model_point_group(m)
+    assert len(m.inverse_rep) == m.presentation.ngens
+    for g, g_inv in zip(m.rep, m.inverse_rep):
+        assert (g * g_inv).is_identity()
+
+
+# -- growth in the index -----------------------------------------------------
+
+def _classify_counts(monkeypatch, n):
+    counts = {"mul": 0, "trace": 0}
+    mul, trace = exactgeom.Isometry.__mul__, cosetenum.CosetTable.trace
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_trace(self, *args, **kwargs):
+        counts["trace"] += 1
+        return trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactgeom.Isometry, "__mul__", counted_mul)
+    monkeypatch.setattr(cosetenum.CosetTable, "trace", counted_trace)
+    p6 = model("p6")
+    t1, t2 = p6.translation_words
+    handle = subgroup(p6, [t1 ** n, t2 ** n])
+    sig = classify(handle)
+    monkeypatch.undo()
+    return handle, sig, counts
+
+
+def test_classification_work_grows_linearly_in_the_index(monkeypatch):
+    small, sig_small, at_96 = _classify_counts(monkeypatch, 4)
+    large, sig_large, at_384 = _classify_counts(monkeypatch, 8)
+    assert (small.index, large.index) == (96, 384)
+    assert sig_small.names.crystallographic == sig_large.names.crystallographic == "p1"
+    assert large.lattice_index == 64
+    for key in ("mul", "trace"):
+        assert at_384[key] <= 4.5 * at_96[key], (key, at_96, at_384)
