@@ -32,6 +32,24 @@ class InputError(ValueError):
     pass
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --max-cosets: anything but a positive integer exits 2."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _allowance(args) -> int:
+    """The coset allowance in force: --max-cosets, else the environment's."""
+    try:
+        return getattr(args, "max_cosets", None) or default_max_cosets()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _read_presentation(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -200,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--subgroup", default="",
                    help="semicolon-separated subgroup words, e.g. 'b a^-2; b^-1 a^2'")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_positive_int, default=None)
     p.set_defaults(fn=_cmd_cosets)
 
     p = sub.add_parser("classify", help="classify a model group or a sign-map kernel")
@@ -239,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        allowance = _allowance(args)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -247,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CosetLimitError as exc:
-        print(f"resource limit: {exc} "
-              f"(current allowance {default_max_cosets()})", file=sys.stderr)
+        print(f"resource limit: {exc} (current allowance {allowance})",
+              file=sys.stderr)
         return EXIT_RESOURCE
 
 

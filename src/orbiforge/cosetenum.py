@@ -165,42 +165,26 @@ class _Enumerator:
                         self.define(alpha, x)
             alpha += 1
 
-    def live_rows(self) -> list[list[int]]:
-        live = [i for i in range(len(self.table)) if self.p[i] == i]
-        renum = {old: new for new, old in enumerate(live)}
-        out = []
-        for old in live:
+    def standardized_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The live rows in standard form: cosets renumbered in the order a BFS
+        from coset 0, over the columns in order, first reaches them."""
+        order: dict[int, int] = {0: 0}
+        queue = [0]
+        targets = []
+        for c in queue:
             row = []
-            for x in range(self.ncols):
-                e = self.table[old][x]
+            for e in self.table[c]:
                 if e is None:
                     raise InvariantError("incomplete row after enumeration")
-                row.append(renum[self.rep(e)])
-            out.append(row)
-        return out
-
-
-def _standardize(rows: list[list[int]]) -> list[list[int]]:
-    # BFS from coset 0 over columns in order gives the canonical numbering
-    n = len(rows)
-    order: dict[int, int] = {0: 0}
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for x in range(len(rows[0])):
-            t = rows[c][x]
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    if len(order) != n:
-        raise InvariantError("coset action is not transitive")
-    out = [[0] * len(rows[0]) for _ in range(n)]
-    for old, new in order.items():
-        for x in range(len(rows[0])):
-            out[new][x] = order[rows[old][x]]
-    return out
+                t = self.rep(e)
+                if t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
+                row.append(t)
+            targets.append(row)
+        if len(order) != sum(1 for i, r in enumerate(self.p) if i == r):
+            raise InvariantError("coset action is not transitive")
+        return tuple(tuple(order[t] for t in row) for row in targets)
 
 
 @dataclass(frozen=True)
@@ -354,8 +338,7 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
     enum = _Enumerator(p.ngens, limit)
     enum.run([tuple(_col(x) for x in w.letters) for w in sub],
              [tuple(_col(x) for x in r.letters) for r in p.relators])
-    rows = _standardize(enum.live_rows())
-    table = CosetTable(p, sub, tuple(tuple(r) for r in rows))
+    table = CosetTable(p, sub, enum.standardized_rows())
     table.validate()
     return table
 
@@ -457,17 +440,11 @@ def reidemeister_schreier(table: CosetTable, name: str | None = None) -> Subgrou
                     changed = True
                     break
 
+    # the loop above leaves relators that are non-empty, distinct and over
+    # alive letters only, and renum is a bijection, so they stay that way
     renum = {old: i + 1 for i, old in enumerate(alive)}
-    final_relators = []
-    seen = set()
-    for r in relators:
-        w = Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
-        if w.is_empty():
-            continue
-        key = min(w.letters, w.inverse().letters)
-        if key not in seen:
-            seen.add(key)
-            final_relators.append(w)
+    final_relators = [Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
+                      for r in relators]
     gen_names = tuple(f"x{i + 1}" for i in range(len(alive)))
     pres = Presentation(name or f"{table.parent.name}.sub", gen_names,
                         tuple(final_relators))

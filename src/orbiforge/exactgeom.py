@@ -101,25 +101,10 @@ class QuadNum:
     def __rtruediv__(self, other) -> "QuadNum":
         return QuadNum.of(other) * self.inverse()
 
-    def __pow__(self, k: int) -> "QuadNum":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuadNum(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- order and size -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def is_integer(self) -> bool:
         return self.b == 0 and self.a.denominator == 1
@@ -315,18 +300,6 @@ class Mat2:
         if d.is_zero():
             raise ZeroDivisionError("singular matrix")
         return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
-
-    def __pow__(self, k: int) -> "Mat2":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Mat2.identity()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_identity(self) -> bool:
         return self == Mat2.identity()

@@ -372,19 +372,13 @@ class AbelianGroup:
 
 def relator_matrix(p: Presentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    rows = [w.exponent_sums(p.ngens) for w in p.relators]
-    if not rows:
-        rows = []
-    flat = [x for row in rows for x in row]
+    flat = [x for w in p.relators for x in w.exponent_sums(p.ngens)]
     return IntMatrix(len(p.relators), p.ngens, flat)
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
     """Abelian invariants of the presented group, via Smith normal form."""
-    a = relator_matrix(p)
-    if a.rows == 0:
-        return AbelianGroup(p.ngens)
-    _, d, _ = smith_normal_form(a)
+    _, d, _ = smith_normal_form(relator_matrix(p))
     diag = diagonal_of(d)
     nonzero = [x for x in diag if x]
     return AbelianGroup(p.ngens - len(nonzero),

@@ -13,11 +13,13 @@ import random
 from dataclasses import dataclass
 
 from .cosetenum import todd_coxeter
-from .exactgeom import QuadNum
+from .exactgeom import QuadNum, rotation_order
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word,
                       abelianization, quotient)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
-                        classify, model, sign_kernel, signature_by_name)
+                        _class_has_reflection, classify, model,
+                        orientation_double_cover, sign_kernel,
+                        signature_by_name, whole_group)
 
 
 class AmalgamError(ValueError):
@@ -101,6 +103,20 @@ class CollapseResult:
     abelian: AbelianGroup
 
 
+def _certify_order_two(p: Presentation, extras: list[Word], name: str,
+                       max_cosets: int | None = None) -> AbelianGroup:
+    """Certify by coset enumeration that p modulo the normal closure of the
+    extras has order exactly 2; returns its abelianization, checked to be Z/2."""
+    q = quotient(p, extras, name=name)
+    order = todd_coxeter(q, (), max_cosets).index
+    ab = abelianization(q)
+    if order != 2 or ab != AbelianGroup(0, (2,)):
+        raise TheoremCheckError(
+            f"quotient {name} has order {order} and abelianization {ab}, "
+            "not order 2 with abelianization Z/2")
+    return ab
+
+
 def collapse_236(p: Presentation, max_cosets: int | None = None) -> CollapseResult:
     """Quotient of a p6-cusped amalgam by b, both cusp translations, and all
     meridians; certifies by coset enumeration that the quotient has order
@@ -109,13 +125,8 @@ def collapse_236(p: Presentation, max_cosets: int | None = None) -> CollapseResu
     t1, t2 = cusp.translation_words
     b = Word((cusp.presentation.gen_index("b"),))
     extras = [b, t1, t2] + _knot_letters(p, cusp.presentation.ngens)
-    q = quotient(p, extras, name=f"{p.name}.collapse")
-    order = todd_coxeter(q, (), max_cosets).index
-    ab = abelianization(q)
-    if order != 2 or ab != AbelianGroup(0, (2,)):
-        raise TheoremCheckError(
-            f"expected the order-2 collapse, got order {order}, abelianization {ab}")
-    return CollapseResult(order, ab)
+    ab = _certify_order_two(p, extras, f"{p.name}.collapse", max_cosets)
+    return CollapseResult(2, ab)
 
 
 def h_map_244(p: Presentation, max_cosets: int | None = None) -> tuple[SignHom, AbelianGroup]:
@@ -135,13 +146,7 @@ def h_map_244(p: Presentation, max_cosets: int | None = None) -> tuple[SignHom, 
     d = Word((cp.gen_index("d"),))
     t1, t2 = cusp.translation_words
     extras = [d, c * c, t1, t2] + _knot_letters(p, cp.ngens)
-    q = quotient(p, extras, name=f"{p.name}.h")
-    order = todd_coxeter(q, (), max_cosets).index
-    ab = abelianization(q)
-    if order != 2 or ab != AbelianGroup(0, (2,)):
-        raise TheoremCheckError(
-            f"expected the order-2 quotient, got order {order}, abelianization {ab}")
-    return hom, ab
+    return hom, _certify_order_two(p, extras, f"{p.name}.h", max_cosets)
 
 
 def double_cover_cusp_244() -> OrbifoldSignature:
@@ -165,9 +170,6 @@ def peripheral_order_profile(group: ModelGroup) -> frozenset[int]:
     orientation-reversing class contributes 2 exactly when it contains a true
     reflection (glides have infinite order).
     """
-    from .exactgeom import rotation_order
-    from .wallpaper import whole_group, _class_has_reflection
-
     handle = whole_group(group)
     orders: set[int] = set()
     for (m, v) in handle.classes:
@@ -230,8 +232,6 @@ REFLECTION_EXCLUDED = ("pmm", "cmm", "pmg", "pm", "cm")
 
 
 def _four_torsion_checks(cryst: str) -> tuple[CheckRecord, ...]:
-    from .wallpaper import orientation_double_cover
-
     checks = []
     sig244 = SIGNATURES["p4"]
     if cryst != "p4":

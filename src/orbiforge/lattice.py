@@ -109,13 +109,11 @@ def symmetry_order(lattice: Lattice2) -> int:
 def is_rotationally_rhombic(lattice: Lattice2) -> bool:
     """Whether the lattice is spanned by two equal-length vectors mapped to
     each other by a rotation of order 3, 4 or 6 (angle pi/2, pi/3 or 2pi/3).
+
+    That is the reduced Gram condition under which `symmetry_order` finds
+    rotations of order 4 or 6.
     """
-    reduced = gauss_reduce(lattice)
-    a, b, c = reduced.gram()
-    if a != c:
-        return False
-    twice = abs(b) * 2
-    return b.is_zero() or twice == a
+    return symmetry_order(lattice) != 2
 
 
 class Ring(enum.Enum):

@@ -15,13 +15,15 @@ from typing import Callable
 
 from . import knotcusp as kc
 from .cosetenum import CosetLimitError, todd_coxeter
-from .exactgeom import (QuadNum, Translation, classify_isometry,
+from .exactgeom import (QuadNum, Translation, Vec2, classify_isometry,
                         rotation_matrix, vec)
 from .fixtures import load_fixture
-from .fpgroup import AbelianGroup, Word, abelianization, quotient, sign_homs
+from .fpgroup import (AbelianGroup, Presentation, Word, abelianization,
+                      sign_homs)
 from .lattice import (Lattice2, QuadInt, Ring, is_rotationally_rhombic,
                       multiplication_matrix, rigid_abelian_index,
                       standard_ring_lattice, sublattice_index, symmetry_order)
+from .presfile import render_word
 from .wallpaper import (MODEL_NAMES, SIGNATURES, classify,
                         euler_characteristic, model, model_point_group,
                         orientation_double_cover, sign_kernel, whole_group)
@@ -34,13 +36,7 @@ class Check:
     id: str
     anchor: str
     kind: str  # "machine" | "cited"
-    fn: Callable[["Context"], tuple[bool, str]] | None = None
-
-
-@dataclass
-class Context:
-    seed: int
-    rng: random.Random
+    fn: Callable[[int], tuple[bool, str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -78,37 +74,35 @@ def _expect(condition: bool, message: str, failures: list[str]) -> None:
 # -- individual checks -------------------------------------------------------
 
 
-def _check_rep_236(ctx: Context) -> tuple[bool, str]:
-    p6 = model("p6")
+def _check_rep(name: str, images: tuple[Vec2, Vec2], summary: str) -> tuple[bool, str]:
+    """Relators of the model act trivially, and its translation words map to
+    translations by the expected vectors."""
+    group = model(name)
+    pres = group.presentation
     fails: list[str] = []
-    for rel in p6.presentation.relators:
-        _expect(p6.evaluate(rel).is_identity(),
-                f"relator {p6.presentation.spell(rel)} not trivial", fails)
-    t1 = classify_isometry(p6.evaluate(p6.translation_words[0]))
-    t2 = classify_isometry(p6.evaluate(p6.translation_words[1]))
+    for rel in pres.relators:
+        _expect(group.evaluate(rel).is_identity(),
+                f"relator {pres.spell(rel)} not trivial", fails)
+    for w, v in zip(group.translation_words, images):
+        t = classify_isometry(group.evaluate(w))
+        _expect(t == Translation(v), f"{render_word(w, pres)} image is {t}", fails)
+    return not fails, "; ".join(fails) or summary
+
+
+def _check_rep_236(seed: int) -> tuple[bool, str]:
     half = Fraction(1, 2)
-    _expect(t1 == Translation(vec(half, QuadNum(0, half))),
-            f"b a^-2 image is {t1}", fails)
-    _expect(t2 == Translation(vec(1, 0)), f"b^-1 a^2 image is {t2}", fails)
-    return not fails, "; ".join(fails) or \
-        "a^6 = b^3 = (ab)^2 = 1 exactly; b a^-2 -> (x+1/2, y+rt3/2); b^-1 a^2 -> (x+1, y)"
+    return _check_rep(
+        "p6", (vec(half, QuadNum(0, half)), vec(1, 0)),
+        "a^6 = b^3 = (ab)^2 = 1 exactly; b a^-2 -> (x+1/2, y+rt3/2); b^-1 a^2 -> (x+1, y)")
 
 
-def _check_rep_244(ctx: Context) -> tuple[bool, str]:
-    p4 = model("p4")
-    fails: list[str] = []
-    for rel in p4.presentation.relators:
-        _expect(p4.evaluate(rel).is_identity(),
-                f"relator {p4.presentation.spell(rel)} not trivial", fails)
-    t1 = classify_isometry(p4.evaluate(p4.translation_words[0]))
-    t2 = classify_isometry(p4.evaluate(p4.translation_words[1]))
-    _expect(t1 == Translation(vec(1, 0)), f"c^2 d^-1 image is {t1}", fails)
-    _expect(t2 == Translation(vec(0, 1)), f"c d^-1 c image is {t2}", fails)
-    return not fails, "; ".join(fails) or \
-        "c^4 = d^2 = (cd)^4 = 1 exactly; c^2 d^-1 -> (x+1, y); c d^-1 c -> (x, y+1)"
+def _check_rep_244(seed: int) -> tuple[bool, str]:
+    return _check_rep(
+        "p4", (vec(1, 0), vec(0, 1)),
+        "c^4 = d^2 = (cd)^4 = 1 exactly; c^2 d^-1 -> (x+1, y); c d^-1 c -> (x, y+1)")
 
 
-def _check_rigid_index(ctx: Context) -> tuple[bool, str]:
+def _check_rigid_index(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     p6 = model("p6")
     p4 = model("p4")
@@ -127,28 +121,32 @@ def _check_rigid_index(ctx: Context) -> tuple[bool, str]:
          "4*(n1^2+n2^2) at z=1 (hexagonal form taken on Z[rt-3], not the maximal order)")
 
 
-def _check_collapse_236(ctx: Context) -> tuple[bool, str]:
+def _sample_amalgams(cusp: str, certify: Callable[[Presentation], object],
+                     seed: int) -> None:
+    """Run the certificate on AMALGAM_SAMPLES seeded random amalgams with the
+    given cusp model; a failure names the sample it happened on."""
+    rng = random.Random(seed)
+    for i in range(AMALGAM_SAMPLES):
+        spec = kc.random_amalgam(rng, cusp)
+        try:
+            certify(kc.build_amalgam(spec))
+        except kc.TheoremCheckError as exc:
+            raise kc.TheoremCheckError(f"random amalgam #{i}: {exc}") from exc
+
+
+def _check_collapse_236(seed: int) -> tuple[bool, str]:
     p6 = model("p6")
     t1, t2 = p6.translation_words
-    bare = quotient(p6.presentation, [t1, t2, Word((2,))])
-    order = todd_coxeter(bare, ()).index
-    if order != 2:
-        return False, f"bare collapse order {order}"
+    kc._certify_order_two(p6.presentation, [t1, t2, Word((2,))], "p6.collapse")
     minimal = kc.build_amalgam(
         kc.AmalgamSpec("p6", kc._minimal_knot(), kc._trivial_gluings("p6")))
     kc.collapse_236(minimal)
-    rng = random.Random(ctx.seed)
-    for i in range(AMALGAM_SAMPLES):
-        spec = kc.random_amalgam(rng, "p6")
-        try:
-            kc.collapse_236(kc.build_amalgam(spec))
-        except kc.TheoremCheckError as exc:
-            return False, f"random amalgam #{i}: {exc}"
+    _sample_amalgams("p6", kc.collapse_236, seed)
     return True, (f"order-2 collapse certified for the bare group, the minimal "
-                  f"amalgam, and {AMALGAM_SAMPLES} random amalgams (seed {ctx.seed})")
+                  f"amalgam, and {AMALGAM_SAMPLES} random amalgams (seed {seed})")
 
 
-def _check_double_cover_236(ctx: Context) -> tuple[bool, str]:
+def _check_double_cover_236(seed: int) -> tuple[bool, str]:
     p6 = model("p6")
     handle = sign_kernel(p6, {"a": -1})
     sig = classify(handle)
@@ -161,27 +159,16 @@ def _check_double_cover_236(ctx: Context) -> tuple[bool, str]:
         "kernel of a -> -1 has index 2, contains both translations, cusp S2(3,3,3)"
 
 
-def _check_h_map_244(ctx: Context) -> tuple[bool, str]:
+def _check_h_map_244(seed: int) -> tuple[bool, str]:
     p4 = model("p4")
-    bare = quotient(p4.presentation, [Word((2,)), Word((1, 1))])
-    order = todd_coxeter(bare, ()).index
-    if order != 2:
-        return False, f"bare quotient by d, c^2 has order {order}"
-    sig = kc.double_cover_cusp_244()
-    if sig != SIGNATURES["p2"]:
-        return False, f"double cover cusp {sig}"
-    rng = random.Random(ctx.seed + 1)
-    for i in range(AMALGAM_SAMPLES):
-        spec = kc.random_amalgam(rng, "p4")
-        try:
-            kc.h_map_244(kc.build_amalgam(spec))
-        except kc.TheoremCheckError as exc:
-            return False, f"random amalgam #{i}: {exc}"
+    kc._certify_order_two(p4.presentation, [Word((2,)), Word((1, 1))], "p4.h")
+    kc.double_cover_cusp_244()  # raises unless the cover's cusp is S2(2,2,2,2)
+    _sample_amalgams("p4", kc.h_map_244, seed + 1)
     return True, (f"|quotient by d, c^2| = 2; kernel cusp S2(2,2,2,2); sign map valid "
-                  f"on {AMALGAM_SAMPLES} random amalgams (seed {ctx.seed + 1})")
+                  f"on {AMALGAM_SAMPLES} random amalgams (seed {seed + 1})")
 
 
-def _check_census(ctx: Context) -> tuple[bool, str]:
+def _check_census(seed: int) -> tuple[bool, str]:
     gamma = load_fixture("tetrahedral")
     fails: list[str] = []
     ab = abelianization(gamma)
@@ -209,7 +196,7 @@ _COVER_EXPECTATION = [
 ]
 
 
-def _check_orientation_covers(ctx: Context) -> tuple[bool, str]:
+def _check_orientation_covers(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     for name, target in _COVER_EXPECTATION:
         handle, sig = orientation_double_cover(model(name))
@@ -221,7 +208,7 @@ def _check_orientation_covers(ctx: Context) -> tuple[bool, str]:
         "p4m, p4g -> S2(2,4,4); pg -> T2; pgg -> S2(2,2,2,2); p6m -> S2(2,3,6); p3m1, p31m -> S2(3,3,3)"
 
 
-def _check_verdicts(ctx: Context) -> tuple[bool, str]:
+def _check_verdicts(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     table = kc.verdict_table(run_checks=False)
     _expect(len(table) == 17, "verdict table is not total", fails)
@@ -252,7 +239,7 @@ def _check_verdicts(ctx: Context) -> tuple[bool, str]:
          "peripheral orders in {2}")
 
 
-def _check_roundtrip(ctx: Context) -> tuple[bool, str]:
+def _check_roundtrip(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     for name in MODEL_NAMES:
         m = model(name)
@@ -268,9 +255,9 @@ def _check_roundtrip(ctx: Context) -> tuple[bool, str]:
         "all 17 models classify to their own signatures; chi = 0; index identity holds"
 
 
-def _check_lattice_identities(ctx: Context) -> tuple[bool, str]:
+def _check_lattice_identities(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
-    rng = random.Random(ctx.seed + 2)
+    rng = random.Random(seed + 2)
     r4 = rotation_matrix(4)
     square = standard_ring_lattice(Ring.GAUSSIAN)
     hexagonal = Lattice2(vec(1, 0), vec(Fraction(1, 2), QuadNum(0, Fraction(1, 2))))
@@ -305,7 +292,7 @@ def _check_lattice_identities(ctx: Context) -> tuple[bool, str]:
          "square/hexagonal/rectangular verdicts correct")
 
 
-def _check_degree_metadata(ctx: Context) -> tuple[bool, str]:
+def _check_degree_metadata(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     v = kc.verdict("S2(2,3,6)", run_checks=False)
     _expect(v.degree_allowed(24), "degree 24 rejected", fails)
@@ -373,7 +360,6 @@ def run_verification(selection: list[str] | None = None, seed: int = 0) -> Repor
         chosen = [c for c in CHECKS if c.id in selection]
     else:
         chosen = list(CHECKS)
-    ctx = Context(seed, random.Random(seed))
     outcomes = []
     for check in chosen:
         start = time.perf_counter()
@@ -381,7 +367,7 @@ def run_verification(selection: list[str] | None = None, seed: int = 0) -> Repor
             status, detail = "cited", "recorded assumption; not machine-checked"
         else:
             try:
-                ok, detail = check.fn(ctx)  # type: ignore[misc]
+                ok, detail = check.fn(seed)  # type: ignore[misc]
                 status = "pass" if ok else "fail"
             except CosetLimitError:
                 raise  # resource exhaustion aborts the run (exit code 3)

@@ -8,10 +8,12 @@ translation lattice; all of that is machine-checked at construction time.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from math import gcd
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .cosetenum import CosetTable, InvariantError, todd_coxeter
 from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
@@ -19,6 +21,9 @@ from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
                         rotation_order, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import Lattice2, integer_lattice_basis
+
+
+T = TypeVar("T")
 
 
 class UnknownModelError(LookupError):
@@ -149,13 +154,10 @@ def crystallographic_name(name: str) -> str:
 
 _H = Fraction(1, 2)
 _RT3_H = QuadNum(0, _H)          # sqrt3/2
-_RT3 = QuadNum(0, 1)
 
-ROT_CCW_60 = mat(_H, -_RT3_H, _RT3_H, _H)
 ROT_CW_60 = mat(_H, _RT3_H, -_RT3_H, _H)
 ROT_CCW_90 = mat(0, -1, 1, 0)
 ROT_CW_90 = mat(0, 1, -1, 0)
-ROT_CCW_120 = mat(-_H, -_RT3_H, _RT3_H, -_H)
 ROT_CW_120 = mat(-_H, _RT3_H, -_RT3_H, -_H)
 ROT_180 = mat(-1, 0, 0, -1)
 
@@ -222,7 +224,7 @@ class ModelGroup:
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
         """Closure of the generator linear parts."""
-        return _linear_closure(iso.linear for iso in self.rep)
+        return _closure((iso.linear for iso in self.rep), IDENTITY_MAT, operator.mul)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -463,7 +465,8 @@ class SubgroupHandle:
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
         """Closure of the linear parts of the subgroup generators."""
-        out = _linear_closure(iso.linear for iso in self.schreier_images)
+        out = _closure((iso.linear for iso in self.schreier_images),
+                       IDENTITY_MAT, operator.mul)
         if len(out) > 12:
             raise InvariantError("point group larger than 12")
         return out
@@ -484,27 +487,14 @@ class SubgroupHandle:
         for m in self.point_group:
             if not (lat.contains(m * lat.b1) and lat.contains(m * lat.b2)):
                 raise InvariantError("point group does not preserve the lattice")
-        items: dict[tuple[Mat2, Vec2], None] = {}
-        identity = (IDENTITY_MAT, lat.reduce_mod(vec(0, 0)))
-        items[identity] = None
-        # repeats dropped as in _linear_closure; the discovery order is kept
-        gens = list(dict.fromkeys((iso.linear, lat.reduce_mod(iso.trans))
-                                  for iso in self.schreier_images))
-        frontier = list(items)
-        for g in gens:
-            if g not in items:
-                items[g] = None
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for (m1, v1) in frontier:
-                for (m2, v2) in gens:
-                    prod = (m1 * m2, lat.reduce_mod(m1 * v2 + v1))
-                    if prod not in items:
-                        items[prod] = None
-                        nxt.append(prod)
-            frontier = nxt
-        out = tuple(items)
+
+        def mul(x: tuple[Mat2, Vec2], y: tuple[Mat2, Vec2]) -> tuple[Mat2, Vec2]:
+            (m1, v1), (m2, v2) = x, y
+            return m1 * m2, lat.reduce_mod(m1 * v2 + v1)
+
+        out = _closure(((iso.linear, lat.reduce_mod(iso.trans))
+                        for iso in self.schreier_images),
+                       (IDENTITY_MAT, lat.reduce_mod(vec(0, 0))), mul)
         if len(out) != len(self.point_group):
             raise InvariantError("affine class count differs from point group order")
         return out
@@ -576,10 +566,6 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     return lat
 
 
-def point_group(handle: SubgroupHandle) -> tuple[Mat2, ...]:
-    return handle.point_group
-
-
 # --------------------------------------------------------------------------
 # classification
 
@@ -593,8 +579,6 @@ def _scalar_along(v: Vec2, u: Vec2) -> QuadNum:
 
 def _primitive_lattice_vector_along(lat: Lattice2, direction: Vec2) -> Vec2:
     """Primitive vector of the rank-1 group (lattice intersect R*direction)."""
-    from math import gcd
-
     c1 = lat.b1.cross(direction)
     c2 = lat.b2.cross(direction)
     # solve i*c1 + j*c2 = 0 over the rational coordinates of Q(sqrt3)
@@ -633,7 +617,6 @@ def _class_has_reflection(m: Mat2, v: Vec2, lat: Lattice2) -> bool:
         if not c.is_integer():
             raise InvariantError("lattice image is not an integer multiple")
         coeffs.append(int(c.a))
-    from math import gcd
     g = gcd(coeffs[0], coeffs[1])
     if g == 0:
         return False
@@ -698,6 +681,9 @@ def _centers_of_order(handle: SubgroupHandle, order: int) -> list[Vec2]:
     return out
 
 
+_CENTRES_ON_MIRRORS = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")}
+
+
 def crystallographic_type(handle: SubgroupHandle) -> str:
     """Crystallographic type of the subgroup, via the standard decision tree."""
     lat = handle.lattice
@@ -709,50 +695,36 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
     if not neg:
         return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
     mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v, lat)]
+    if n not in (1, 2, 3, 4, 6):
+        raise InvariantError(f"impossible rotation order {n}")
+    if not mirrors:
+        if n > 2:
+            raise InvariantError(f"{n}-fold group with glides but no mirrors")
+        return "pg" if n == 1 else "pgg"
     if n == 1:
-        if not mirrors:
-            return "pg"
         return "cm" if _exists_glide_off_mirrors(neg, lat) else "pm"
-    if n == 2:
-        if not mirrors:
-            return "pgg"
-        directions = {reflection_axis_direction(m) for (m, _) in mirrors}
-        if len(directions) == 1:
-            return "pmg"
-        centers = _centers_of_order(handle, 2)
-        all_on = all(_point_on_some_mirror(c, neg, lat) for c in centers)
-        return "pmm" if all_on else "cmm"
-    if n == 3:
-        if not mirrors:
-            raise InvariantError("3-fold group with glides but no mirrors")
-        centers = _centers_of_order(handle, 3)
-        all_on = all(_point_on_some_mirror(c, neg, lat) for c in centers)
-        return "p3m1" if all_on else "p31m"
-    if n == 4:
-        if not mirrors:
-            raise InvariantError("4-fold group with glides but no mirrors")
-        centers = _centers_of_order(handle, 4)
-        all_on = all(_point_on_some_mirror(c, neg, lat) for c in centers)
-        return "p4m" if all_on else "p4g"
     if n == 6:
-        if not mirrors:
-            raise InvariantError("6-fold group with glides but no mirrors")
         return "p6m"
-    raise InvariantError(f"impossible rotation order {n}")
+    if n == 2 and len({reflection_axis_direction(m) for (m, _) in mirrors}) == 1:
+        return "pmg"
+    # whether every rotation centre of the top order lies on a mirror
+    on, off = _CENTRES_ON_MIRRORS[n]
+    centers = _centers_of_order(handle, n)
+    return on if all(_point_on_some_mirror(c, neg, lat) for c in centers) else off
 
 
-def _linear_closure(gens: Iterable[Mat2]) -> tuple[Mat2, ...]:
+def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:
     """Identity first, then every product in BFS discovery order."""
     # a repeated generator only yields products already seen, so dropping
     # repeats keeps the discovery order
     gens = list(dict.fromkeys(gens))
-    seen: dict[Mat2, None] = {IDENTITY_MAT: None}
-    frontier = [IDENTITY_MAT]
+    seen: dict[T, None] = {identity: None}
+    frontier = [identity]
     while frontier:
         nxt = []
-        for m in frontier:
+        for x in frontier:
             for g in gens:
-                prod = m * g
+                prod = mul(x, g)
                 if prod not in seen:
                     seen[prod] = None
                     nxt.append(prod)

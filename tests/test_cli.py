@@ -1,4 +1,5 @@
 """CLI behaviour: parsing, exit codes, schema stability."""
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,30 @@ class TestExitCodes:
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")
         assert main(["cosets", p6_file, "--subgroup", "b a^-2; b^-1 a^2"]) == 3
 
+    def test_resource_limit_quotes_the_allowance_in_force(self, p6_file, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")
+        assert main(["cosets", p6_file, "--subgroup", "b a^-2"]) == 3
+        assert "(current allowance 2)" in capsys.readouterr().err
+        assert main(["cosets", p6_file, "--subgroup", "b a^-2", "--max-cosets", "5"]) == 3
+        assert "(current allowance 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_allowance_environment_is_input_error(self, value, p6_file, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", value)
+        assert main(["cosets", p6_file]) == 2
+        assert main(["classify", "p6"]) == 2
+        assert main(["verify-paper", "--only", "rigid-index"]) == 2
+        assert "ORBIFORGE_MAX_COSETS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_max_cosets_flag_is_input_error(self, value, p6_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cosets", p6_file, "--max-cosets", value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_invalid_sign_is_input_error(self, capsys):
         assert main(["classify", "p6", "--sign", "b=-1"]) == 2
 
@@ -161,6 +186,15 @@ class TestVerifyRunner:
         assert payload["summary"]["fail"] == 0
         assert all(set(c) == {"id", "anchor", "status", "detail", "wall_time_ms"}
                    for c in payload["checks"])
+
+    def test_full_report_is_byte_stable(self):
+        # the hash of the seed-0 report as first published; any change to a
+        # verdict, a detail text or the JSON layout shows up here
+        from orbiforge import verify
+
+        text = verify.report_json(verify.run_verification(seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b211b0928ef92206e7bd11fe4c0d0d59870b4bd6a3b3005c48fc834e5d327e88"
 
     def test_cited_checks_reported(self, capsys):
         assert main(["verify-paper", "--only", "cited-ab-upgrade"]) == 0

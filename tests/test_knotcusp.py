@@ -5,14 +5,16 @@ import pytest
 
 from orbiforge.cosetenum import todd_coxeter
 from orbiforge.fixtures import load_fixture
-from orbiforge.fpgroup import AbelianGroup, Word, abelianization, quotient
+from orbiforge.fpgroup import (AbelianGroup, Presentation, Word,
+                               abelianization, quotient)
 from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
                                 FOUR_TORSION_EXCLUDED, REFLECTION_EXCLUDED,
-                                build_amalgam, collapse_236,
+                                TheoremCheckError, build_amalgam, collapse_236,
                                 double_cover_cusp_244, h_map_244,
                                 peripheral_order_profile, random_amalgam,
                                 random_knot_presentation, verdict,
-                                verdict_table, _minimal_knot, _trivial_gluings)
+                                verdict_table, _certify_order_two,
+                                _minimal_knot, _trivial_gluings)
 from orbiforge.wallpaper import SIGNATURES, model
 
 HARNESS_SAMPLES = 100
@@ -188,3 +190,54 @@ class TestVerdicts:
     def test_unconstrained_degrees(self):
         v = verdict("T2", run_checks=False)
         assert v.degree_allowed(5) and not v.degree_allowed(0)
+
+
+class TestOrderTwoCertificate:
+    def test_rejects_a_quotient_of_order_six(self):
+        # p6 modulo its translations is the point group Z/6
+        p6 = model("p6")
+        with pytest.raises(TheoremCheckError, match=r"p6\.T has order 6"):
+            _certify_order_two(p6.presentation, list(p6.translation_words), "p6.T")
+
+    def test_collapse_236_propagates_a_failure(self):
+        # a relator killing a leaves a trivial collapse
+        p = Presentation("a-killed", ("a", "b"), (Word((1,)),))
+        with pytest.raises(TheoremCheckError, match=r"a-killed\.collapse has order 1"):
+            collapse_236(p)
+
+    def test_h_map_244_propagates_a_failure(self, monkeypatch):
+        # with the sign map valid the quotient has order 2, so c is killed
+        # behind its back to make the certificate see order 1
+        from orbiforge import knotcusp
+
+        real = knotcusp.quotient
+        monkeypatch.setattr(knotcusp, "quotient",
+                            lambda p, extras, name: real(p, extras + [Word((1,))], name))
+        p = build_amalgam(AmalgamSpec("p4", _minimal_knot(), _trivial_gluings("p4")))
+        with pytest.raises(TheoremCheckError, match=r"\.h has order 1"):
+            h_map_244(p)
+
+    def test_failing_certificate_is_a_failed_check(self, monkeypatch):
+        from orbiforge import knotcusp, verify
+
+        def failing(p, extras, name, max_cosets=None):
+            raise TheoremCheckError(f"quotient {name} has order 1")
+
+        monkeypatch.setattr(knotcusp, "_certify_order_two", failing)
+        report = verify.run_verification(["collapse-236", "h-map-244"])
+        assert [o.status for o in report.outcomes] == ["fail", "fail"]
+        assert "p6.collapse" in report.outcomes[0].detail
+        assert "p4.h" in report.outcomes[1].detail
+
+    def test_failing_sample_is_named(self):
+        from orbiforge import verify
+
+        seen = []
+
+        def certify(p):
+            seen.append(p)
+            if len(seen) == 3:
+                raise TheoremCheckError("boom")
+
+        with pytest.raises(TheoremCheckError, match="random amalgam #2: boom"):
+            verify._sample_amalgams("p6", certify, 0)

@@ -17,3 +17,46 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# the public API as published; a change here is a change to the contract
+PUBLIC_API = [
+    "AbelianGroup", "AmalgamSpec", "CosetTable", "CuspVerdict", "GluingDatum",
+    "IntMatrix", "Isometry", "Lattice2", "Mat2", "MODEL_NAMES",
+    "OrbifoldSignature", "Presentation", "QuadInt", "QuadNum", "Ring",
+    "SIGNATURES", "SignHom", "Vec2", "Word", "abelianization",
+    "build_amalgam", "classify", "classify_isometry", "collapse_236",
+    "compose", "double_cover_cusp_244", "euler_characteristic",
+    "fixed_point", "free_reduce", "gauss_reduce", "h_map_244",
+    "is_rotationally_rhombic", "model", "orientation_double_cover",
+    "peripheral_order_profile", "quotient", "reconstruct",
+    "reidemeister_schreier", "rigid_abelian_index", "sign_homs",
+    "sign_kernel", "signature_by_name", "smith_normal_form", "subgroup",
+    "sublattice_index", "symmetry_order", "todd_coxeter", "verdict",
+    "verdict_table", "whole_group",
+]
+
+
+def test_public_api_is_pinned():
+    assert orbiforge.__all__ == PUBLIC_API
+    missing = [name for name in PUBLIC_API if not hasattr(orbiforge, name)]
+    assert missing == []
+
+
+def test_no_unused_module_imports():
+    # `__init__.py` imports to re-export, so it is exempt
+    sources = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert sources, "package source not found"
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {bound}")
+    assert unused == []
