@@ -184,7 +184,7 @@ def _cmd_verdict(args) -> int:
     record["checks"] = [
         {"name": c.name, "pass": c.passed, "detail": c.detail} for c in v.checks]
     print(json.dumps(record, indent=2))
-    return EXIT_OK
+    return EXIT_OK if all(c.passed for c in v.checks) else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:

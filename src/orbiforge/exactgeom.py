@@ -142,15 +142,19 @@ class QuadNum:
         return float(self.a) + float(self.b) * math.sqrt(3.0)
 
     def floor(self) -> int:
-        """Largest integer <= self, computed exactly."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        n = math.floor(float(self))
-        while QuadNum(n) > self:
-            n -= 1
-        while QuadNum(n + 1) <= self:
-            n += 1
-        return n
+        """Largest integer <= self, computed exactly.
+
+        Over a common denominator q, self = (p + r*sqrt3)/q.  For r != 0,
+        r*sqrt3 is irrational and s = isqrt(3 r^2) = floor(|r|*sqrt3), so
+        r*sqrt3 lies strictly between s and s + 1 (r > 0) or between -s - 1
+        and -s (r < 0)."""
+        a, b = self.a, self.b
+        q = math.lcm(a.denominator, b.denominator)
+        p, r = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        if r == 0:
+            return p // q
+        s = math.isqrt(3 * r * r)
+        return (p + s) // q if r > 0 else (p - s - 1) // q
 
     def round_nearest(self) -> int:
         return (self + Fraction(1, 2)).floor()

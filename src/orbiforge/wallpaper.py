@@ -5,6 +5,10 @@ decision tree, orientation double covers, and orbifold Euler characteristics.
 Each model carries a presentation, a faithful representation of its
 generators by exact isometries, and a pair of words whose images span the
 translation lattice; all of that is machine-checked at construction time.
+
+A subgroup's affine classes and the decision tree that names its type run in
+the basis of the subgroup's own translation lattice, where that lattice is
+Z^2 and linear parts are integer matrices.
 """
 from __future__ import annotations
 
@@ -16,9 +20,8 @@ from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .cosetenum import CosetTable, InvariantError, todd_coxeter
-from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
-                        classify_isometry, mat, reflection_axis_direction,
-                        rotation_order, Translation, vec)
+from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2, ZERO_VEC,
+                        classify_isometry, mat, rotation_order, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import Lattice2, integer_lattice_basis
 
@@ -482,19 +485,22 @@ class SubgroupHandle:
     @cached_property
     def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
         """The finite quotient (subgroup mod its translation lattice) as pairs
-        (linear part, canonical translation representative)."""
+        (linear part, canonical translation representative), both in the
+        basis of `lattice`: there the lattice is Z^2, every linear part is an
+        integer matrix and every translation has coordinates in [0, 1)."""
         lat = self.lattice
-        for m in self.point_group:
-            if not (lat.contains(m * lat.b1) and lat.contains(m * lat.b2)):
-                raise InvariantError("point group does not preserve the lattice")
+        basis, inverse = lat.basis_matrix(), lat._inverse_basis
+        conjugated = {m: inverse * m * basis for m in self.point_group}
+        if not all(_is_integral(m.m11, m.m12, m.m21, m.m22) for m in conjugated.values()):
+            raise InvariantError("point group does not preserve the lattice")
 
         def mul(x: tuple[Mat2, Vec2], y: tuple[Mat2, Vec2]) -> tuple[Mat2, Vec2]:
             (m1, v1), (m2, v2) = x, y
-            return m1 * m2, lat.reduce_mod(m1 * v2 + v1)
+            return m1 * m2, _reduce(m1 * v2 + v1)
 
-        out = _closure(((iso.linear, lat.reduce_mod(iso.trans))
+        out = _closure(((conjugated[iso.linear], _reduce(inverse * iso.trans))
                         for iso in self.schreier_images),
-                       (IDENTITY_MAT, lat.reduce_mod(vec(0, 0))), mul)
+                       (IDENTITY_MAT, ZERO_VEC), mul)
         if len(out) != len(self.point_group):
             raise InvariantError("affine class count differs from point group order")
         return out
@@ -570,61 +576,32 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
 # classification
 
 
-def _scalar_along(v: Vec2, u: Vec2) -> QuadNum:
-    # v = scalar * u for parallel vectors
-    if not u.x.is_zero():
-        return v.x / u.x
-    return v.y / u.y
+def _is_integral(*xs: QuadNum) -> bool:
+    return all(x.is_integer() for x in xs)
 
 
-def _primitive_lattice_vector_along(lat: Lattice2, direction: Vec2) -> Vec2:
-    """Primitive vector of the rank-1 group (lattice intersect R*direction)."""
-    c1 = lat.b1.cross(direction)
-    c2 = lat.b2.cross(direction)
-    # solve i*c1 + j*c2 = 0 over the rational coordinates of Q(sqrt3)
-    eqs = [(c1.a, c2.a), (c1.b, c2.b)]
-    eqs = [e for e in eqs if e != (0, 0)]
-    if not eqs:
-        raise InvariantError("direction parallel to both basis vectors")
-    x, y = eqs[0]
-    for (x2, y2) in eqs[1:]:
-        if x * y2 != y * x2:
-            raise InvariantError("no lattice vector along the axis direction")
-    num_i, num_j = -y, x
-    den = num_i.denominator * num_j.denominator
-    i0 = int(num_i * den)
-    j0 = int(num_j * den)
-    d = gcd(i0, j0)
-    i0, j0 = i0 // d, j0 // d
-    u0 = lat.b1.scale(i0) + lat.b2.scale(j0)
-    if u0.cross(direction) != QuadNum.of(0):
-        raise InvariantError("primitive vector computation failed")
-    return u0
+def _reduce(v: Vec2) -> Vec2:
+    """The representative of v modulo Z^2 with coordinates in [0, 1)."""
+    return Vec2(v.x - v.x.floor(), v.y - v.y.floor())
 
 
-def _class_has_reflection(m: Mat2, v: Vec2, lat: Lattice2) -> bool:
+# The helpers below take classes in the lattice basis (`SubgroupHandle.classes`).
+
+
+def _class_has_reflection(m: Mat2, v: Vec2) -> bool:
     """Whether some lattice translate of (m, v) is a true reflection, i.e.
-    (m + I)v lies in (m + I)Lattice."""
+    (m + I)v lies in (m + I)Z^2.  m + I is a rank-1 integer matrix a*n^T, n a
+    nonzero row divided by the gcd of its entries, so (m + I)Z^2 = Z*a and
+    (m + I)v = (n.v)*a: the test is whether n.v is an integer."""
     mi = m + IDENTITY_MAT
-    w = mi * v
-    if w.is_zero():
-        return True
-    direction = reflection_axis_direction(m)
-    u0 = _primitive_lattice_vector_along(lat, direction)
-    coeffs = []
-    for b in (lat.b1, lat.b2):
-        c = _scalar_along(mi * b, u0) if not (mi * b).is_zero() else QuadNum.of(0)
-        if not c.is_integer():
-            raise InvariantError("lattice image is not an integer multiple")
-        coeffs.append(int(c.a))
-    g = gcd(coeffs[0], coeffs[1])
-    if g == 0:
-        return False
-    gamma = _scalar_along(w, u0)
-    return (gamma / g).is_integer()
+    rows = [r for r in ((mi.m11, mi.m12), (mi.m21, mi.m22)) if not all(x.is_zero() for x in r)]
+    if not rows or not mi.det().is_zero() or not _is_integral(mi.m11, mi.m12, mi.m21, mi.m22):
+        raise InvariantError("m + I of a reflection class is not a nonzero rank-1 integer matrix")
+    x, y = rows[0]
+    return _is_integral((x * v.x + y * v.y) / gcd(int(x.a), int(y.a)))
 
 
-def _rotation_center_reps(m: Mat2, v: Vec2, lat: Lattice2) -> list[Vec2]:
+def _rotation_center_reps(m: Mat2, v: Vec2) -> list[Vec2]:
     """Centers of the rotations (m, v + lambda), one per lattice class; there
     are det(I - m) of them."""
     im = IDENTITY_MAT - m
@@ -637,8 +614,7 @@ def _rotation_center_reps(m: Mat2, v: Vec2, lat: Lattice2) -> list[Vec2]:
     seen: set[Vec2] = set()
     for i in range(count):
         for j in range(count):
-            lam = lat.b1.scale(i) + lat.b2.scale(j)
-            center = lat.reduce_mod(inv * (v + lam))
+            center = _reduce(inv * (v + vec(i, j)))
             if center not in seen:
                 seen.add(center)
                 reps.append(center)
@@ -647,37 +623,35 @@ def _rotation_center_reps(m: Mat2, v: Vec2, lat: Lattice2) -> list[Vec2]:
     return reps
 
 
-def _point_on_some_mirror(p: Vec2, neg_classes, lat: Lattice2) -> bool:
+def _point_on_some_mirror(p: Vec2, neg_classes) -> bool:
     # p is fixed by a reflection in the group iff some class admits a lattice
     # translate fixing p (a det -1 isometry with a fixed point is a reflection)
     for (m, v) in neg_classes:
-        if lat.contains((IDENTITY_MAT - m) * p - v):
+        w = (IDENTITY_MAT - m) * p - v
+        if _is_integral(w.x, w.y):
             return True
     return False
 
 
-def _exists_glide_off_mirrors(neg_classes, lat: Lattice2) -> bool:
+def _exists_glide_off_mirrors(neg_classes) -> bool:
     for (m, v) in neg_classes:
         mi = m + IDENTITY_MAT
         for i in range(2):
             for j in range(2):
-                t = v + lat.b1.scale(i) + lat.b2.scale(j)
+                t = v + vec(i, j)
                 if (mi * t).is_zero():
                     continue  # a reflection, not a glide
                 axis_point = ((IDENTITY_MAT - m) * t).scale(Fraction(1, 4))
-                on_mirror = any(
-                    m2 == m and lat.contains((IDENTITY_MAT - m) * axis_point - v2)
-                    for (m2, v2) in neg_classes)
-                if not on_mirror:
+                if not _point_on_some_mirror(axis_point, [c for c in neg_classes if c[0] == m]):
                     return True
     return False
 
 
-def _centers_of_order(handle: SubgroupHandle, order: int) -> list[Vec2]:
+def _centers_of_order(classes, order: int) -> list[Vec2]:
     out = []
-    for (m, v) in handle.classes:
+    for (m, v) in classes:
         if m.det() == QuadNum.of(1) and not m.is_identity() and rotation_order(m) == order:
-            out.extend(_rotation_center_reps(m, v, handle.lattice))
+            out.extend(_rotation_center_reps(m, v))
     return out
 
 
@@ -685,16 +659,15 @@ _CENTRES_ON_MIRRORS = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")
 
 
 def crystallographic_type(handle: SubgroupHandle) -> str:
-    """Crystallographic type of the subgroup, via the standard decision tree."""
-    lat = handle.lattice
+    """Crystallographic type of the subgroup, via the standard decision tree
+    on its affine classes in the lattice basis."""
     classes = handle.classes
-    rotations = [m for m in handle.point_group
-                 if m.det() == QuadNum.of(1) and not m.is_identity()]
-    n = max((rotation_order(m) for m in rotations), default=1)
+    # the identity class is first, so the maximum is 1 when nothing rotates
+    n = max(rotation_order(m) for (m, _) in classes if m.det() == QuadNum.of(1))
     neg = [(m, v) for (m, v) in classes if m.det() == QuadNum.of(-1)]
     if not neg:
         return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
-    mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v, lat)]
+    mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v)]
     if n not in (1, 2, 3, 4, 6):
         raise InvariantError(f"impossible rotation order {n}")
     if not mirrors:
@@ -702,15 +675,16 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
             raise InvariantError(f"{n}-fold group with glides but no mirrors")
         return "pg" if n == 1 else "pgg"
     if n == 1:
-        return "cm" if _exists_glide_off_mirrors(neg, lat) else "pm"
+        return "cm" if _exists_glide_off_mirrors(neg) else "pm"
     if n == 6:
         return "p6m"
-    if n == 2 and len({reflection_axis_direction(m) for (m, _) in mirrors}) == 1:
+    # a reflection matrix is fixed by its axis, so one matrix means one axis
+    if n == 2 and len({m for (m, _) in mirrors}) == 1:
         return "pmg"
     # whether every rotation centre of the top order lies on a mirror
     on, off = _CENTRES_ON_MIRRORS[n]
-    centers = _centers_of_order(handle, n)
-    return on if all(_point_on_some_mirror(c, neg, lat) for c in centers) else off
+    centers = _centers_of_order(classes, n)
+    return on if all(_point_on_some_mirror(c, neg) for c in centers) else off
 
 
 def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:

@@ -95,6 +95,13 @@ class TestSubcommands:
         assert main(["rhombic", "2,0", "0,1"]) == 0
         assert "no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("v2", ["10000000000000000000000000000000000000000+rt3,1",
+                                    "1" + "0" * 400 + "+rt3,1"])
+    def test_rhombic_with_huge_components(self, v2, capsys):
+        # exceed float precision and float range respectively
+        assert main(["rhombic", "1,0", v2]) == 0
+        assert "no" in capsys.readouterr().out
+
     def test_verdict(self, capsys):
         assert main(["verdict", "S2(2,4,4)"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -107,6 +114,22 @@ class TestSubcommands:
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "realizable"
         assert "figure-eight" in record["witness"]
+
+
+    @pytest.mark.parametrize("signature, failing", [
+        ("S2(2,4,4)", ["h-map-order-2"]), ("S2(2,3,6)", ["collapse-order-2"])])
+    def test_failing_certificate_is_a_failed_verdict_check(self, signature, failing,
+                                                           capsys, monkeypatch):
+        from orbiforge import knotcusp
+
+        def broken(p, extras, name, max_cosets=None):
+            raise knotcusp.TheoremCheckError(f"quotient {name} has order 1")
+
+        monkeypatch.setattr(knotcusp, "_certify_order_two", broken)
+        assert main(["verdict", signature]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == failing
+        assert all("has order 1" in c["detail"] for c in checks if not c["pass"])
 
 
 class TestExitCodes:

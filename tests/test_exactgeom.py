@@ -55,6 +55,19 @@ class TestQuadNum:
         assert qn(Fraction(7, 2)).floor() == 3
         assert (qn(2) * QuadNum.sqrt3()).floor() == 3  # 2 sqrt3 = 3.46...
 
+    @pytest.mark.parametrize("x", [
+        qn(10 ** 40, 1),
+        qn(-10 ** 40, 1),
+        qn(10 ** 40, -1),
+        qn(Fraction(10 ** 400 + 1, 7), Fraction(-3, 10 ** 399)),
+        qn(Fraction(-10 ** 400, 3), Fraction(10 ** 200, 11)),
+        qn(Fraction(1, 10 ** 300), Fraction(-1, 10 ** 300)),
+    ])
+    def test_floor_of_huge_and_tiny_values_is_exact(self, x):
+        # far beyond float range or precision; checked by exact comparisons
+        n = x.floor()
+        assert qn(n) <= x < qn(n + 1)
+
     def test_ordering_consistent_with_float(self):
         values = [qn(0), QuadNum.sqrt3(), qn(1), qn(2, -1), qn(Fraction(-1, 2), 1)]
         assert sorted(values) == sorted(values, key=float)

@@ -1,0 +1,209 @@
+"""The affine classes and the crystallographic decision tree in the basis of
+the subgroup's translation lattice, checked against the Cartesian Q(sqrt3)
+computation they replace (kept here as the oracle)."""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from orbiforge import wallpaper
+from orbiforge.cosetenum import InvariantError
+from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
+                                 reflection_axis_direction, rotation_order, vec)
+from orbiforge.fpgroup import Word, sign_homs
+from orbiforge.lattice import Lattice2
+from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
+                                 _closure, _rotation_center_reps, classify,
+                                 crystallographic_type, model, subgroup)
+
+
+# -- oracle: the Cartesian computation ----------------------------------------
+
+def reference_classes(handle):
+    """(linear part, translation reduced modulo the lattice) in Cartesian
+    coordinates."""
+    lat = handle.lattice
+
+    def mul(x, y):
+        (m1, v1), (m2, v2) = x, y
+        return m1 * m2, lat.reduce_mod(m1 * v2 + v1)
+
+    return _closure(((iso.linear, lat.reduce_mod(iso.trans))
+                     for iso in handle.schreier_images),
+                    (IDENTITY_MAT, lat.reduce_mod(vec(0, 0))), mul)
+
+
+def reference_scalar_along(v, u):
+    # v = scalar * u for parallel vectors
+    if not u.x.is_zero():
+        return v.x / u.x
+    return v.y / u.y
+
+
+def reference_primitive_lattice_vector_along(lat, direction):
+    """Primitive vector of the rank-1 group (lattice intersect R*direction)."""
+    c1 = lat.b1.cross(direction)
+    c2 = lat.b2.cross(direction)
+    # solve i*c1 + j*c2 = 0 over the rational coordinates of Q(sqrt3)
+    eqs = [e for e in ((c1.a, c2.a), (c1.b, c2.b)) if e != (0, 0)]
+    x, y = eqs[0]
+    for (x2, y2) in eqs[1:]:
+        assert x * y2 == y * x2
+    num_i, num_j = -y, x
+    den = num_i.denominator * num_j.denominator
+    i0, j0 = int(num_i * den), int(num_j * den)
+    d = gcd(i0, j0)
+    u0 = lat.b1.scale(i0 // d) + lat.b2.scale(j0 // d)
+    assert u0.cross(direction).is_zero()
+    return u0
+
+
+def reference_class_has_reflection(m, v, lat):
+    """Whether (m + I)v lies in (m + I)Lattice, via the primitive lattice
+    vector along the mirror axis."""
+    mi = m + IDENTITY_MAT
+    w = mi * v
+    if w.is_zero():
+        return True
+    u0 = reference_primitive_lattice_vector_along(lat, reflection_axis_direction(m))
+    coeffs = []
+    for b in (lat.b1, lat.b2):
+        c = reference_scalar_along(mi * b, u0) if not (mi * b).is_zero() else QuadNum.of(0)
+        assert c.is_integer()
+        coeffs.append(int(c.a))
+    g = gcd(*coeffs)
+    if g == 0:
+        return False
+    return (reference_scalar_along(w, u0) / g).is_integer()
+
+
+def reference_rotation_center_reps(m, v, lat):
+    im = IDENTITY_MAT - m
+    count = int(im.det().a)
+    inv = im.inverse()
+    return {lat.reduce_mod(inv * (v + lat.b1.scale(i) + lat.b2.scale(j)))
+            for i in range(count) for j in range(count)}
+
+
+def reference_point_on_some_mirror(p, neg, lat):
+    return any(lat.contains((IDENTITY_MAT - m) * p - v) for (m, v) in neg)
+
+
+def reference_exists_glide_off_mirrors(neg, lat):
+    for (m, v) in neg:
+        for i in range(2):
+            for j in range(2):
+                t = v + lat.b1.scale(i) + lat.b2.scale(j)
+                if ((m + IDENTITY_MAT) * t).is_zero():
+                    continue
+                axis_point = ((IDENTITY_MAT - m) * t).scale(Fraction(1, 4))
+                if not reference_point_on_some_mirror(
+                        axis_point, [c for c in neg if c[0] == m], lat):
+                    return True
+    return False
+
+
+def reference_type(handle, classes):
+    """The decision tree on the Cartesian classes."""
+    lat = handle.lattice
+    one = QuadNum.of(1)
+    n = max(rotation_order(m) for (m, _) in classes if m.det() == one)
+    neg = [(m, v) for (m, v) in classes if m.det() != one]
+    if not neg:
+        return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
+    mirrors = [(m, v) for (m, v) in neg if reference_class_has_reflection(m, v, lat)]
+    if not mirrors:
+        return "pg" if n == 1 else "pgg"
+    if n == 1:
+        return "cm" if reference_exists_glide_off_mirrors(neg, lat) else "pm"
+    if n == 6:
+        return "p6m"
+    if n == 2 and len({reflection_axis_direction(m) for (m, _) in mirrors}) == 1:
+        return "pmg"
+    on, off = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")}[n]
+    centers = [c for (m, v) in classes
+               if m.det() == one and not m.is_identity() and rotation_order(m) == n
+               for c in reference_rotation_center_reps(m, v, lat)]
+    return on if all(reference_point_on_some_mirror(c, neg, lat) for c in centers) else off
+
+
+# -- corpus ------------------------------------------------------------------
+
+def corpus():
+    """(label, model name, subgroup words) over all 17 models: the whole group,
+    every sign kernel, a translation sublattice, and each generator with a
+    sublattice, plain and conjugated (rotations, mirrors and glides)."""
+    rng = random.Random(5)
+    out = []
+    for name in MODEL_NAMES:
+        m = model(name)
+        ngens = m.presentation.ngens
+        t1, t2 = m.translation_words
+        out.append((f"{name} whole", name, [Word((i,)) for i in range(1, ngens + 1)]))
+        for hom in sign_homs(m.presentation):
+            out.append((f"{name} kernel {hom.signs}", name, list(hom.kernel_words())))
+        out.append((f"{name} T2", name, [t1 * t2, t2 ** 2]))
+        for g in range(1, ngens + 1):
+            words = [Word((g,)), t1 ** 2, t2]
+            by = Word(tuple(rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(3)))
+            out.append((f"{name} gen {g}", name, words))
+            out.append((f"{name} gen {g} conj {by.letters}", name,
+                        [w.conjugate(by) for w in words]))
+    return out
+
+
+CORPUS = corpus()
+HANDLES = {label: subgroup(model(name), words) for label, name, words in CORPUS}
+
+
+def test_corpus_is_wide():
+    assert len(HANDLES) >= 200
+    assert {name for _, name, _ in CORPUS} == set(MODEL_NAMES)
+    kinds = {crystallographic_type(h) for h in HANDLES.values()}
+    assert kinds == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_lattice_basis_agrees_with_cartesian_tree(label):
+    handle = HANDLES[label]
+    lat = handle.lattice
+    basis, inverse = lat.basis_matrix(), lat._inverse_basis
+    reference = reference_classes(handle)
+    # the classes are the Cartesian ones, conjugated into the lattice basis
+    assert handle.classes == tuple((inverse * m * basis, inverse * v) for m, v in reference)
+    for (m, v), (m_ref, v_ref) in zip(handle.classes, reference):
+        assert all(x.is_integer() for x in (m.m11, m.m12, m.m21, m.m22))
+        for x in (v.x, v.y):
+            assert x.b == 0 and 0 <= x.a < 1
+        if m.det() == QuadNum.of(-1):
+            assert _class_has_reflection(m, v) == \
+                reference_class_has_reflection(m_ref, v_ref, lat)
+        elif not m.is_identity():
+            centers = _rotation_center_reps(m, v)
+            reference_centers = reference_rotation_center_reps(m_ref, v_ref, lat)
+            assert len(centers) == len(reference_centers)
+            assert set(centers) == {inverse * c for c in reference_centers}
+    cryst = reference_type(handle, reference)
+    assert crystallographic_type(handle) == cryst
+    assert classify(handle) == SIGNATURES[cryst]
+
+
+# -- the invariant checks of the lattice basis --------------------------------
+
+def test_point_group_must_preserve_the_lattice(monkeypatch):
+    # a rectangular lattice is not preserved by the quarter-turns of p4
+    monkeypatch.setattr(wallpaper, "translation_lattice",
+                        lambda handle: Lattice2(vec(1, 0), vec(0, 2)))
+    with pytest.raises(InvariantError, match="does not preserve the lattice"):
+        wallpaper.whole_group(model("p4")).classes
+
+
+@pytest.mark.parametrize("m", [
+    IDENTITY_MAT,                       # m + I = 2I has rank 2
+    mat(-1, 0, 0, -1),                  # m + I = 0
+    mat(1, Fraction(1, 2), 0, -1),      # m + I is not integral
+])
+def test_reflection_class_needs_a_rank_one_integer_matrix(m):
+    with pytest.raises(InvariantError, match="rank-1 integer matrix"):
+        _class_has_reflection(m, vec(0, 0))

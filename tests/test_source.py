@@ -60,3 +60,25 @@ def test_no_unused_module_imports():
                     if bound not in used:
                         unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {bound}")
     assert unused == []
+
+
+
+def test_no_float_outside_quadnum_float():
+    # results stay exact: the only float conversion in the package is
+    # QuadNum.__float__ itself
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources, "package source not found"
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "QuadNum":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__float__":
+                        allowed |= {id(node) for node in ast.walk(fn)}
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float" and id(node) not in allowed]
+    assert found == []
