@@ -110,10 +110,12 @@ class _Enumerator:
     # definitions and scanning ----------------------------------------------
 
     def define(self, a: int, x: int) -> int:
-        if len(self.table) >= self.max_cosets:
-            raise CosetLimitError(
-                f"coset allowance of {self.max_cosets} exhausted; index unknown")
         n = len(self.table)
+        if n >= self.max_cosets:
+            live = sum(1 for i, r in enumerate(self.p) if i == r)
+            raise CosetLimitError(
+                f"coset allowance of {self.max_cosets} exhausted after defining {n} "
+                f"rows, {live} still live; index unknown")
         self.table.append([None] * self.ncols)
         self.p.append(n)
         self.table[a][x] = n

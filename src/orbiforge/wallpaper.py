@@ -6,9 +6,15 @@ Each model carries a presentation, a faithful representation of its
 generators by exact isometries, and a pair of words whose images span the
 translation lattice; all of that is machine-checked at construction time.
 
-A subgroup's affine classes and the decision tree that names its type run in
-the basis of the subgroup's own translation lattice, where that lattice is
-Z^2 and linear parts are integer matrices.
+Classification runs in machine integers.  Each model's generators are
+rewritten once, on first use, as integer affine maps in the basis of the
+model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
+translation in (1/N)Z^2.  A subgroup's Schreier images, point group and
+lattice index are computed from those; its affine classes and the decision
+tree that names its type run in the basis of the subgroup's own translation
+lattice, where that lattice is Z^2 and linear parts are integer matrices.
+`ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
+independent check of the models.
 """
 from __future__ import annotations
 
@@ -16,17 +22,19 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .cosetenum import CosetTable, InvariantError, todd_coxeter
-from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2, ZERO_VEC,
+from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
                         classify_isometry, mat, rotation_order, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import Lattice2, integer_lattice_basis
 
 
 T = TypeVar("T")
+Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
+Affine = tuple[int, int, int, int, int, int]  # v |-> [[a, b], [c, d]] v + (x, y)/N
 
 
 class UnknownModelError(LookupError):
@@ -188,6 +196,39 @@ def _mirror_through(linear: Mat2, px, py) -> Isometry:
 # --------------------------------------------------------------------------
 # model groups
 
+_ID_LINEAR: Linear = (1, 0, 0, 1)
+
+
+def _mmul(p: Linear, q: Linear) -> Linear:
+    a, b, c, d = p
+    e, f, g, h = q
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _amul(p: Affine, q: Affine) -> Affine:
+    """Composition p o q of integer affine maps over the same N."""
+    a, b, c, d, x, y = p
+    e, f, g, h, u, v = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+            a * u + b * v + x, c * u + d * v + y)
+
+
+class AffineKernel(NamedTuple):
+    """A model's generators as integer affine maps in the basis B of its
+    translation lattice (`ModelGroup.kernel`)."""
+
+    basis: Mat2                       # B, columns v1 and v2
+    denominator: int                  # N
+    gens: tuple[Affine, ...]
+    invs: tuple[Affine, ...]
+    cartesian: Mapping[Linear, Mat2]  # B M B^-1 for each M of the point group
+
+    def isometry(self, f: Affine) -> Isometry:
+        """The Cartesian isometry v |-> L v + B (x, y)/N of f."""
+        n = self.denominator
+        trans = self.basis * vec(Fraction(f[4], n), Fraction(f[5], n))
+        return Isometry(self.cartesian[f[:4]], trans)
+
 
 @dataclass(frozen=True)
 class ModelGroup:
@@ -228,6 +269,45 @@ class ModelGroup:
     def point_group(self) -> tuple[Mat2, ...]:
         """Closure of the generator linear parts."""
         return _closure((iso.linear for iso in self.rep), IDENTITY_MAT, operator.mul)
+
+    @cached_property
+    def kernel(self) -> AffineKernel:
+        """The generators and their inverses as integer affine maps in the
+        basis B = (v1, v2) of `translation_images()`.
+
+        Each linear part L of the point group is conjugated to M = B^-1 L B,
+        which must be integral with determinant +-1 and keep the Gram matrix
+        G = B^T B (M^T G M = G); every translation must lie in (1/N)Z^2 for N
+        the lcm of the translation denominators."""
+        basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
+        gram = basis.transpose() * basis
+        cartesian: dict[Linear, Mat2] = {}
+        integer: dict[Mat2, Linear] = {}
+        for m in self.point_group:
+            c = inverse * m * basis
+            entries = (c.m11, c.m12, c.m21, c.m22)
+            if not _is_integral(*entries):
+                raise InvariantError(f"linear part {m} of {self.presentation.name} "
+                                     "is not integral in the lattice basis")
+            if c.det() not in (QuadNum.of(1), QuadNum.of(-1)):
+                raise InvariantError("lattice-basis linear part has determinant other than +-1")
+            if c.transpose() * gram * c != gram:
+                raise InvariantError("lattice-basis linear part does not keep the Gram matrix")
+            key = tuple(int(x.a) for x in entries)
+            cartesian[key] = m
+            integer[m] = key
+        isos = self.rep + self.inverse_rep
+        coords = [inverse * iso.trans for iso in isos]
+        n = lcm(*(x.a.denominator for v in coords for x in (v.x, v.y)))
+        affine = []
+        for iso, v in zip(isos, coords):
+            scaled = (v.x * n, v.y * n)
+            if not _is_integral(*scaled):
+                raise InvariantError(f"generator translation of {self.presentation.name} "
+                                     f"is not in (1/{n})Z^2 in the lattice basis")
+            affine.append(integer[iso.linear] + tuple(int(x.a) for x in scaled))
+        k = len(self.rep)
+        return AffineKernel(basis, n, tuple(affine[:k]), tuple(affine[k:]), cartesian)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -438,41 +518,59 @@ class SubgroupHandle:
         return self.table.index
 
     @cached_property
-    def schreier_images(self) -> tuple[Isometry, ...]:
-        """Images of `table.schreier_generators()`, in the same order.
+    def _affine_images(self) -> tuple[Affine, ...]:
+        """Images of `table.schreier_generators()` as integer affine maps of
+        the model's kernel, in the same order.
 
-        One isometry img[c] (and its inverse) per coset is built along the
+        One map img[c] (and its inverse) per coset is built along the
         Schreier vector; the image of the Schreier word r(c)*g*r(cg)^-1 is then
         img[c]*g*img[cg]^-1.  Coset 0 has the identity and is never multiplied.
         """
         parent, letter_of, order = self.table.schreier_vector
-        gens, invs = self.model.rep, self.model.inverse_rep
-        img: list[Isometry | None] = [None] * self.index
-        img_inv: list[Isometry | None] = [None] * self.index
+        kernel = self.model.kernel
+        gens, invs = kernel.gens, kernel.invs
+        img: list[Affine | None] = [None] * self.index
+        img_inv: list[Affine | None] = [None] * self.index
         for c in order[1:]:
             p, letter = parent[c], letter_of[c]
             g, g_inv = (gens[letter - 1], invs[letter - 1]) if letter > 0 else \
                 (invs[-letter - 1], gens[-letter - 1])
-            img[c] = g if p == 0 else img[p] * g
-            img_inv[c] = g_inv if p == 0 else g_inv * img_inv[p]
+            img[c] = g if p == 0 else _amul(img[p], g)
+            img_inv[c] = g_inv if p == 0 else _amul(g_inv, img_inv[p])
         out = []
         for c, g, t in self.table.schreier_edges():
             x = gens[g - 1]
             if c:
-                x = img[c] * x
+                x = _amul(img[c], x)
             if t:
-                x = x * img_inv[t]
+                x = _amul(x, img_inv[t])
             out.append(x)
         return tuple(out)
 
     @cached_property
-    def point_group(self) -> tuple[Mat2, ...]:
-        """Closure of the linear parts of the subgroup generators."""
-        out = _closure((iso.linear for iso in self.schreier_images),
-                       IDENTITY_MAT, operator.mul)
+    def schreier_images(self) -> tuple[Isometry, ...]:
+        """Images of `table.schreier_generators()` as Cartesian isometries, in
+        the same order."""
+        return tuple(map(self.model.kernel.isometry, self._affine_images))
+
+    @cached_property
+    def _linear_group(self) -> tuple[Linear, ...]:
+        """The point group in the model's lattice basis: the closure of the
+        integer linear parts of the subgroup generators."""
+        out = _closure((f[:4] for f in self._affine_images), _ID_LINEAR, _mmul)
         if len(out) > 12:
             raise InvariantError("point group larger than 12")
         return out
+
+    @cached_property
+    def point_group(self) -> tuple[Mat2, ...]:
+        """Closure of the linear parts of the subgroup generators."""
+        cartesian = self.model.kernel.cartesian
+        return tuple(cartesian[m] for m in self._linear_group)
+
+    @cached_property
+    def _hermite(self) -> tuple[int, int, int]:
+        return _hermite_triple(self)
 
     @cached_property
     def lattice(self) -> Lattice2:
@@ -480,30 +578,41 @@ class SubgroupHandle:
 
     @cached_property
     def lattice_index(self) -> int:
-        return self.lattice.index_in(self.model.lattice())
+        a, _, g = self._hermite
+        return a * g
 
     @cached_property
     def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
         """The finite quotient (subgroup mod its translation lattice) as pairs
         (linear part, canonical translation representative), both in the
         basis of `lattice`: there the lattice is Z^2, every linear part is an
-        integer matrix and every translation has coordinates in [0, 1)."""
-        lat = self.lattice
-        basis, inverse = lat.basis_matrix(), lat._inverse_basis
-        conjugated = {m: inverse * m * basis for m in self.point_group}
-        if not all(_is_integral(m.m11, m.m12, m.m21, m.m22) for m in conjugated.values()):
-            raise InvariantError("point group does not preserve the lattice")
+        integer matrix and every translation has coordinates in [0, 1).
 
-        def mul(x: tuple[Mat2, Vec2], y: tuple[Mat2, Vec2]) -> tuple[Mat2, Vec2]:
-            (m1, v1), (m2, v2) = x, y
-            return m1 * m2, _reduce(m1 * v2 + v1)
+        In the model's lattice basis the subgroup lattice has basis
+        H = [[a, 0], [b, g]] and a g H^-1 = [[g, 0], [-b, a]], so a linear
+        part M becomes H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a
+        translation (x, y)/N becomes (g x, a y - b x)/D with D = a g N; the
+        closure runs on the integer numerators modulo D."""
+        a, b, g = self._hermite
+        ag = a * g
+        d = ag * self.model.kernel.denominator
+        conjugated: dict[Linear, Linear] = {}
+        for m in self._linear_group:
+            scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
+            if any(x % ag for x in scaled):
+                raise InvariantError("point group does not preserve the lattice")
+            conjugated[m] = tuple(x // ag for x in scaled)
 
-        out = _closure(((conjugated[iso.linear], _reduce(inverse * iso.trans))
-                        for iso in self.schreier_images),
-                       (IDENTITY_MAT, ZERO_VEC), mul)
-        if len(out) != len(self.point_group):
+        def mul(p, q):
+            (m, (x, y)), (n, (u, v)) = p, q
+            return _mmul(m, n), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
+
+        out = _closure(((conjugated[f[:4]], ((g * f[4]) % d, (a * f[5] - b * f[4]) % d))
+                        for f in self._affine_images),
+                       (_ID_LINEAR, (0, 0)), mul)
+        if len(out) != len(self._linear_group):
             raise InvariantError("affine class count differs from point group order")
-        return out
+        return tuple((mat(*m), vec(Fraction(x, d), Fraction(y, d))) for m, (x, y) in out)
 
 
 def subgroup(model_group: ModelGroup, words: Iterable[Word],
@@ -533,7 +642,16 @@ def sign_kernel(model_group: ModelGroup,
 
 
 def translation_lattice(handle: SubgroupHandle) -> Lattice2:
-    """Lattice of the translations lying in the subgroup.
+    """Lattice of the translations lying in the subgroup: the images of
+    t1^a t2^b and t2^g for its Hermite triple (a, b, g)."""
+    a, b, g = handle._hermite
+    v1, v2 = handle.model.translation_images()
+    return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
+
+
+def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
+    """(a, b, g) such that t1^i t2^j lies in the subgroup exactly when (i, j)
+    lies in the lattice with Hermite basis (a, b), (0, g).
 
     t1 and t2 act on the cosets by commuting permutations, so Z^2 acts, and
     t1^i t2^j lies in the subgroup exactly when (i, j) fixes coset 0.  A BFS
@@ -563,13 +681,9 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     (a, b), (zero, g) = integer_lattice_basis(found)
     if zero != 0:
         raise InvariantError("lattice basis is not in Hermite form")
-    v1, v2 = handle.model.translation_images()
-    basis1 = v1.scale(a) + v2.scale(b)
-    basis2 = v2.scale(g)
-    lat = Lattice2(basis1, basis2)
-    if lat.index_in(handle.model.lattice()) > k:
+    if a * g > k:
         raise InvariantError("translation lattice index exceeds the coset count")
-    return lat
+    return a, b, g
 
 
 # --------------------------------------------------------------------------

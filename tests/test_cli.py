@@ -159,6 +159,12 @@ class TestExitCodes:
         assert main(["cosets", p6_file, "--subgroup", "b a^-2", "--max-cosets", "5"]) == 3
         assert "(current allowance 5)" in capsys.readouterr().err
 
+    def test_resource_limit_says_how_far_it_got(self, p6_file, capsys):
+        assert main(["cosets", p6_file, "--subgroup", "b a^-2", "--max-cosets", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "after defining 5 rows, 5 still live; index unknown" in err
+        assert err.rstrip().endswith("(current allowance 5)")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_allowance_environment_is_input_error(self, value, p6_file, capsys,
                                                       monkeypatch):

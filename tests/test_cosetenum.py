@@ -1,4 +1,6 @@
 """Coset enumeration, table queries, Schreier generators, subgroup presentations."""
+import re
+
 import pytest
 
 from orbiforge.cosetenum import (CosetLimitError, CosetTable,
@@ -73,6 +75,20 @@ class TestToddCoxeter:
         free = Presentation("f1", ("a",), ())
         with pytest.raises(CosetLimitError):
             todd_coxeter(free, [], max_cosets=100)
+
+    def test_limit_error_says_how_far_it_got(self):
+        # the free group never merges a coset, so every row is live
+        free = Presentation("f1", ("a",), ())
+        with pytest.raises(CosetLimitError, match="after defining 100 rows, 100 still live"):
+            todd_coxeter(free, [], max_cosets=100)
+        # F(2,7) collapses heavily on the way to its 29 cosets
+        f27 = Presentation("F(2,7)", tuple(f"x{i}" for i in range(7)), tuple(
+            Word(((i % 7) + 1, ((i + 1) % 7) + 1, -(((i + 2) % 7) + 1))) for i in range(7)))
+        with pytest.raises(CosetLimitError) as err:
+            todd_coxeter(f27, [], max_cosets=1000)
+        match = re.search(r"after defining (\d+) rows, (\d+) still live", str(err.value))
+        defined, live = int(match.group(1)), int(match.group(2))
+        assert defined == 1000 and 29 < live < defined
 
     def test_determinism(self):
         t1 = todd_coxeter(P6, [T1_236, T2_236])

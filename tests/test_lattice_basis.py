@@ -1,6 +1,7 @@
 """The affine classes and the crystallographic decision tree in the basis of
 the subgroup's translation lattice, checked against the Cartesian Q(sqrt3)
 computation they replace (kept here as the oracle)."""
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,6 @@ from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
                                  reflection_axis_direction, rotation_order, vec)
 from orbiforge.fpgroup import Word, sign_homs
-from orbiforge.lattice import Lattice2
 from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
                                  _closure, _rotation_center_reps, classify,
                                  crystallographic_type, model, subgroup)
@@ -189,12 +189,19 @@ def test_lattice_basis_agrees_with_cartesian_tree(label):
     assert classify(handle) == SIGNATURES[cryst]
 
 
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_integer_point_group_and_lattice_index_match_cartesian(label):
+    handle = HANDLES[label]
+    assert handle.point_group == _closure((iso.linear for iso in handle.schreier_images),
+                                          IDENTITY_MAT, operator.mul)
+    assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
+
+
 # -- the invariant checks of the lattice basis --------------------------------
 
 def test_point_group_must_preserve_the_lattice(monkeypatch):
     # a rectangular lattice is not preserved by the quarter-turns of p4
-    monkeypatch.setattr(wallpaper, "translation_lattice",
-                        lambda handle: Lattice2(vec(1, 0), vec(0, 2)))
+    monkeypatch.setattr(wallpaper, "_hermite_triple", lambda handle: (1, 0, 2))
     with pytest.raises(InvariantError, match="does not preserve the lattice"):
         wallpaper.whole_group(model("p4")).classes
 

@@ -2,6 +2,7 @@
 translation lattice from coset permutations, each checked against the
 direct computation it replaces (kept here as the oracle), plus the linear
 growth of classification in the index."""
+import operator
 import random
 from dataclasses import replace
 
@@ -11,8 +12,9 @@ from orbiforge import cosetenum, exactgeom, wallpaper
 from orbiforge.cosetenum import InvariantError, _col
 from orbiforge.fpgroup import Word, sign_homs
 from orbiforge.lattice import Lattice2, integer_lattice_basis
-from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, classify, model,
-                                 subgroup, translation_lattice)
+from orbiforge.exactgeom import IDENTITY_MAT
+from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, _closure, classify,
+                                 model, subgroup, translation_lattice)
 
 
 # -- oracles: the direct computations ---------------------------------------
@@ -183,23 +185,41 @@ def test_lazy_model_data_is_cached():
         assert (g * g_inv).is_identity()
 
 
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_integer_point_group_and_lattice_index_match_cartesian(label):
+    handle = HANDLES[label]
+    assert handle.point_group == _closure((iso.linear for iso in handle.schreier_images),
+                                          IDENTITY_MAT, operator.mul)
+    assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
+
+
 # -- growth in the index -----------------------------------------------------
 
 def _classify_counts(monkeypatch, n):
-    counts = {"mul": 0, "trace": 0}
-    mul, trace = exactgeom.Isometry.__mul__, cosetenum.CosetTable.trace
+    """subgroup() + classify() of p6 > <t1^n, t2^n>, counting the integer
+    affine products, Cartesian isometry products and table traces; the
+    model's kernel is built beforehand."""
+    counts = {"amul": 0, "isometry_mul": 0, "trace": 0}
+    amul, mul = wallpaper._amul, exactgeom.Isometry.__mul__
+    trace = cosetenum.CosetTable.trace
+
+    def counted_amul(p, q):
+        counts["amul"] += 1
+        return amul(p, q)
 
     def counted_mul(self, other):
-        counts["mul"] += 1
+        counts["isometry_mul"] += 1
         return mul(self, other)
 
     def counted_trace(self, *args, **kwargs):
         counts["trace"] += 1
         return trace(self, *args, **kwargs)
 
+    p6 = model("p6")
+    p6.kernel
+    monkeypatch.setattr(wallpaper, "_amul", counted_amul)
     monkeypatch.setattr(exactgeom.Isometry, "__mul__", counted_mul)
     monkeypatch.setattr(cosetenum.CosetTable, "trace", counted_trace)
-    p6 = model("p6")
     t1, t2 = p6.translation_words
     handle = subgroup(p6, [t1 ** n, t2 ** n])
     sig = classify(handle)
@@ -213,5 +233,12 @@ def test_classification_work_grows_linearly_in_the_index(monkeypatch):
     assert (small.index, large.index) == (96, 384)
     assert sig_small.names.crystallographic == sig_large.names.crystallographic == "p1"
     assert large.lattice_index == 64
-    for key in ("mul", "trace"):
+    for key in ("amul", "trace"):
+        assert at_96[key] > 0, (key, at_96)
         assert at_384[key] <= 4.5 * at_96[key], (key, at_96, at_384)
+
+
+def test_classification_does_no_isometry_product(monkeypatch):
+    for n in (1, 4):
+        _, _, counts = _classify_counts(monkeypatch, n)
+        assert counts["isometry_mul"] == 0, (n, counts)
