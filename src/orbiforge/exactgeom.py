@@ -2,9 +2,11 @@
 
 Q(sqrt3) is large enough to hold every rotation and reflection matrix of the
 seventeen wallpaper groups (all relevant angles are multiples of pi/6 or
-pi/4, and the doubled-angle cosines/sines lie in Q(sqrt3) or Q).  Every value
-here is immutable and every operation is pure, so everything is safe to share
-across threads.
+pi/4, and the doubled-angle cosines/sines lie in Q(sqrt3) or Q).  An element
+is held over a common denominator as (p + r*sqrt3)/q in arbitrary-precision
+ints, normalized so equal values have equal triples; no arithmetic on the
+hot path builds a Fraction.  Every value here is immutable and every
+operation is pure, so everything is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -25,24 +27,79 @@ class NoFixedPointError(ValueError):
 _Raw = "QuadNum | Fraction | int"
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational given as int or Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+def _floor(p: int, r: int, q: int) -> int:
+    """floor((p + r*sqrt3)/q) for q > 0, computed exactly.
+
+    For r != 0, r*sqrt3 is irrational and s = isqrt(3 r^2) = floor(|r|*sqrt3),
+    so r*sqrt3 lies strictly between s and s + 1 (r > 0) or between -s - 1
+    and -s (r < 0)."""
+    if r == 0:
+        return p // q
+    s = math.isqrt(3 * r * r)
+    return (p + s) // q if r > 0 else (p - s - 1) // q
+
+
 class QuadNum:
-    """Element a + b*sqrt(3) of Q(sqrt3), with a, b reduced rationals."""
+    """Element (p + r*sqrt3)/q of Q(sqrt3), held as three machine ints.
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    The triple is normalized: gcd(p, r, q) = 1 and q > 0, so equal values have
+    equal triples.  `QuadNum(a, b)` builds a + b*sqrt3 from ints or
+    Fractions, and `.a`, `.b` read the two rational coordinates back as
+    Fractions.  Arithmetic never builds a Fraction.  Values are immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    __slots__ = ("p", "r", "q")
+
+    def __init__(self, a: "Fraction | int" = 0, b: "Fraction | int" = 0):
+        if type(a) is int and type(b) is int:
+            p, r, q = a, b, 1
+        else:
+            na, da = _ratio(a)
+            nb, db = _ratio(b)
+            # both ratios are reduced, so over their lcm gcd(p, r, q) = 1
+            q = math.lcm(da, db)
+            p, r = na * (q // da), nb * (q // db)
+        _set_p(self, p)
+        _set_r(self, r)
+        _set_q(self, q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the public constructor, as
+        # __setattr__ refuses the default slot-by-slot restore
+        return QuadNum, (self.a, self.b)
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part a of a + b*sqrt3."""
+        return Fraction(self.p, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient b of sqrt3 in a + b*sqrt3."""
+        return Fraction(self.r, self.q)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QuadNum:
+            return NotImplemented
+        return self.p == other.p and self.r == other.r and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.r, self.q))
 
     # -- constructors ------------------------------------------------------
 
@@ -50,50 +107,71 @@ class QuadNum:
     def of(x: _Raw) -> "QuadNum":
         if isinstance(x, QuadNum):
             return x
-        return QuadNum(_frac(x))
+        n, d = _ratio(x)
+        return _make(n, 0, d)
 
     @staticmethod
     def sqrt3() -> "QuadNum":
-        return QuadNum(0, 1)
+        return _make(0, 1, 1)
 
     # -- ring/field structure ---------------------------------------------
 
     def __add__(self, other) -> "QuadNum":
-        other = QuadNum.of(other)
-        return QuadNum(self.a + other.a, self.b + other.b)
+        if other.__class__ is not QuadNum:
+            other = QuadNum.of(other)
+        q = self.q
+        if q == other.q:
+            p, r = self.p + other.p, self.r + other.r
+        else:
+            q2 = other.q
+            p, r = self.p * q2 + other.p * q, self.r * q2 + other.r * q
+            q *= q2
+        return _normalized(p, r, q)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b)
+        return _make(-self.p, -self.r, self.q)
 
     def __sub__(self, other) -> "QuadNum":
-        return self + (-QuadNum.of(other))
+        if other.__class__ is not QuadNum:
+            other = QuadNum.of(other)
+        q = self.q
+        if q == other.q:
+            p, r = self.p - other.p, self.r - other.r
+        else:
+            q2 = other.q
+            p, r = self.p * q2 - other.p * q, self.r * q2 - other.r * q
+            q *= q2
+        return _normalized(p, r, q)
 
     def __rsub__(self, other) -> "QuadNum":
-        return (-self) + other
+        return QuadNum.of(other) - self
 
     def __mul__(self, other) -> "QuadNum":
-        other = QuadNum.of(other)
-        return QuadNum(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        if other.__class__ is not QuadNum:
+            other = QuadNum.of(other)
+        p1, r1, p2, r2 = self.p, self.r, other.p, other.r
+        return _normalized(p1 * p2 + 3 * r1 * r2, p1 * r2 + r1 * p2, self.q * other.q)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b)
+        return _make(self.p, -self.r, self.q)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 3 b^2 (rational)."""
-        return self.a * self.a - 3 * self.b * self.b
+        return Fraction(self.p * self.p - 3 * self.r * self.r, self.q * self.q)
 
     def inverse(self) -> "QuadNum":
-        n = self.norm()
+        # 1/((p + r*sqrt3)/q) = q*(p - r*sqrt3)/n with the integer norm n
+        p, r, q = self.p, self.r, self.q
+        n = p * p - 3 * r * r
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt3)")
-        return QuadNum(self.a / n, -self.b / n)
+        if n < 0:
+            q, n = -q, -n
+        return _normalized(q * p, -q * r, n)
 
     def __truediv__(self, other) -> "QuadNum":
         return self * QuadNum.of(other).inverse()
@@ -104,24 +182,23 @@ class QuadNum:
     # -- order and size -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.r == 0
 
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.r == 0 and self.q == 1
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt3."""
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
+        """Exact sign of the real number (p + r*sqrt3)/q (q > 0)."""
+        p, r = self.p, self.r
+        if p >= 0 and r >= 0:
+            return 1 if p or r else 0
+        if p <= 0 and r <= 0:
             return -1
-        # opposite signs: compare a^2 with 3 b^2
-        bigger_a = self.a * self.a > 3 * self.b * self.b
-        if self.a > 0:
-            return 1 if bigger_a else -1
-        return -1 if bigger_a else 1
+        # opposite signs: the term with the larger square wins (never a tie,
+        # as sqrt3 is irrational)
+        if p * p > 3 * r * r:
+            return 1 if p > 0 else -1
+        return 1 if r > 0 else -1
 
     def __lt__(self, other) -> bool:
         return (self - other).sign() < 0
@@ -142,22 +219,12 @@ class QuadNum:
         return float(self.a) + float(self.b) * math.sqrt(3.0)
 
     def floor(self) -> int:
-        """Largest integer <= self, computed exactly.
-
-        Over a common denominator q, self = (p + r*sqrt3)/q.  For r != 0,
-        r*sqrt3 is irrational and s = isqrt(3 r^2) = floor(|r|*sqrt3), so
-        r*sqrt3 lies strictly between s and s + 1 (r > 0) or between -s - 1
-        and -s (r < 0)."""
-        a, b = self.a, self.b
-        q = math.lcm(a.denominator, b.denominator)
-        p, r = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        if r == 0:
-            return p // q
-        s = math.isqrt(3 * r * r)
-        return (p + s) // q if r > 0 else (p - s - 1) // q
+        """Largest integer <= self, computed exactly."""
+        return _floor(self.p, self.r, self.q)
 
     def round_nearest(self) -> int:
-        return (self + Fraction(1, 2)).floor()
+        # floor(self + 1/2) = floor((2p + q + 2r*sqrt3)/(2q))
+        return _floor(2 * self.p + self.q, 2 * self.r, 2 * self.q)
 
     # -- text --------------------------------------------------------------
 
@@ -166,6 +233,31 @@ class QuadNum:
 
     def __repr__(self) -> str:
         return f"QuadNum({self.a!r}, {self.b!r})"
+
+
+# the slots' own setters: a private constructor from an already normalized
+# triple skips __init__ and the __setattr__ guard
+_set_p = QuadNum.p.__set__
+_set_r = QuadNum.r.__set__
+_set_q = QuadNum.q.__set__
+_new = object.__new__
+
+
+def _make(p: int, r: int, q: int) -> QuadNum:
+    """QuadNum from a triple with gcd(p, r, q) = 1 and q > 0."""
+    x = _new(QuadNum)
+    _set_p(x, p)
+    _set_r(x, r)
+    _set_q(x, q)
+    return x
+
+
+def _normalized(p: int, r: int, q: int) -> QuadNum:
+    """QuadNum from any triple with q > 0."""
+    g = math.gcd(p, r, q)
+    if g != 1:
+        p, r, q = p // g, r // g, q // g
+    return _make(p, r, q)
 
 
 def _render_frac(q: Fraction) -> str:
@@ -184,8 +276,10 @@ def render_quadnum(x: QuadNum) -> str:
     return f"{_render_frac(x.a)}{sign}{tail}"
 
 
+# the rational part may not be a prefix of the coefficient: in `-10*rt3` it
+# would otherwise match `-1`, leaving `0*rt3`
 _QN_RE = re.compile(
-    r"""^\s*(?P<rat>[+-]?\d+(?:/\d+)?)?\s*
+    r"""^\s*(?P<rat>[+-]?\d+(?:/\d+)?(?![\d/]|\s*\*))?\s*
         (?:(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?rt3)?\s*$""",
     re.VERBOSE,
 )
@@ -196,6 +290,9 @@ def parse_quadnum(text: str) -> QuadNum:
     m = _QN_RE.match(text)
     if not m or (m.group("rat") is None and "rt3" not in text):
         raise ValueError(f"cannot parse {text!r} as an element of Q(sqrt3)")
+    for part in (m.group("rat"), m.group("coef")):
+        if part and "/" in part and int(part.partition("/")[2]) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
     a = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
     b = Fraction(0)
     if "rt3" in text:

@@ -234,55 +234,74 @@ class IntMatrix:
         return f"IntMatrix({self.to_rows()!r})"
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _combine(rows: list[list[int]], t: int, i: int, x: int, y: int, z: int, w: int) -> None:
+    """(row t, row i) <- [[x, y], [z, w]] * (row t, row i)."""
+    rt, ri = rows[t], rows[i]
+    rows[t] = [x * e + y * f for e, f in zip(rt, ri)]
+    rows[i] = [z * e + w * f for e, f in zip(rt, ri)]
+
+
+def _add_row(rows: list[list[int]], dst: int, src: int, k: int) -> None:
+    """row dst += k * row src."""
+    rows[dst] = [e + k * f for e, f in zip(rows[dst], rows[src])]
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with D = U*A*V, U and V unimodular, D diagonal, d_i | d_{i+1}.
 
     Pivots are chosen with smallest nonzero absolute value, ties broken by
-    row-major position, which makes the output deterministic.
+    row-major position, which makes the output deterministic.  An entry the
+    pivot divides is cleared by one subtraction; any other entry b against
+    the pivot p is cleared by the unimodular step [[x, y], [-b/g, p/g]] with
+    g = gcd(p, b) = x*p + y*b, which puts g in the pivot position without
+    the multiplicative entry growth of repeated quotient-and-swap steps.
+
+    The elimination runs on plain lists of rows: the working matrix, U, and
+    the transpose of V, so that every column operation is a row operation.
     """
-    m = a.copy()
-    u = IntMatrix.identity(a.rows)
-    v = IntMatrix.identity(a.cols)
     R, C = a.rows, a.cols
+    m = a.to_rows()
+    u = [[int(i == j) for j in range(R)] for i in range(R)]
+    vt = [[int(i == j) for j in range(C)] for i in range(C)]
 
-    def swap_rows(i, j):
-        if i != j:
-            for M in (m, u):
-                for c in range(M.cols):
-                    M[i, c], M[j, c] = M[j, c], M[i, c]
+    def add_row(dst, src, k):
+        _add_row(m, dst, src, k)
+        _add_row(u, dst, src, k)
 
-    def swap_cols(i, j):
-        if i != j:
-            for M, rows in ((m, R), (v, v.rows)):
-                for r in range(rows):
-                    M[r, i], M[r, j] = M[r, j], M[r, i]
+    def add_col(dst, src, k):
+        for row in m:
+            row[dst] += k * row[src]
+        _add_row(vt, dst, src, k)
 
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        for c in range(C):
-            m[dst, c] += q * m[src, c]
-        for c in range(u.cols):
-            u[dst, c] += q * u[src, c]
+    def combine_rows(t, i, x, y, z, w):
+        _combine(m, t, i, x, y, z, w)
+        _combine(u, t, i, x, y, z, w)
 
-    def add_col(dst, src, q):
-        for r in range(R):
-            m[r, dst] += q * m[r, src]
-        for r in range(v.rows):
-            v[r, dst] += q * v[r, src]
-
-    def negate_row(i):
-        for c in range(C):
-            m[i, c] = -m[i, c]
-        for c in range(u.cols):
-            u[i, c] = -u[i, c]
+    def combine_cols(t, j, x, y, z, w):
+        for row in m:
+            e, f = row[t], row[j]
+            row[t], row[j] = x * e + y * f, z * e + w * f
+        _combine(vt, t, j, x, y, z, w)
 
     def find_pivot(t):
-        best = None
+        best, size = None, 0
         for i in range(t, R):
+            row = m[i]
             for j in range(t, C):
-                e = m[i, j]
-                if e and (best is None or abs(e) < abs(m[best[0], best[1]])):
-                    best = (i, j)
+                e = abs(row[j])
+                if e and (best is None or e < size):
+                    best, size = (i, j), e
         return best
 
     t = 0
@@ -290,45 +309,51 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         piv = find_pivot(t)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        if m[t, t] < 0:
-            negate_row(t)
-        # clear row and column t; re-pivot whenever a smaller remainder shows up
+        i, j = piv
+        m[t], m[i] = m[i], m[t]
+        u[t], u[i] = u[i], u[t]
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+        if m[t][t] < 0:
+            m[t] = [-e for e in m[t]]
+            u[t] = [-e for e in u[t]]
+        # clear column t, then row t; a column step that leaves a gcd in the
+        # pivot can refill column t, so repeat until nothing changes
         while True:
             dirty = False
             for i in range(t + 1, R):
-                if m[i, t]:
-                    add_row(i, t, -(m[i, t] // m[t, t]))
-                    if m[i, t]:
-                        swap_rows(t, i)  # remainder is smaller than the pivot
-                        if m[t, t] < 0:
-                            negate_row(t)
-                        dirty = True
+                b = m[i][t]
+                if b:
+                    p = m[t][t]
+                    if b % p == 0:
+                        add_row(i, t, -(b // p))
+                    else:
+                        g, x, y = _xgcd(p, b)
+                        combine_rows(t, i, x, y, -(b // g), p // g)
             for j in range(t + 1, C):
-                if m[t, j]:
-                    add_col(j, t, -(m[t, j] // m[t, t]))
-                    if m[t, j]:
-                        swap_cols(t, j)
+                b = m[t][j]
+                if b:
+                    p = m[t][t]
+                    if b % p == 0:
+                        add_col(j, t, -(b // p))
+                    else:
+                        g, x, y = _xgcd(p, b)
+                        combine_cols(t, j, x, y, -(b // g), p // g)
                         dirty = True
-                        if m[t, t] < 0:
-                            negate_row(t)
             if not dirty:
                 break
         # enforce divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(t + 1, R):
-            for j in range(t + 1, C):
-                if m[i, j] % m[t, t]:
-                    add_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        p = m[t][t]
+        bad = next((i for i in range(t + 1, R)
+                    if any(e % p for e in m[i][t + 1:])), None)
+        if bad is not None:
+            add_row(t, bad, 1)
             continue  # redo the clearing loop at the same t
         t += 1
-    return u, m, v
+    return (IntMatrix(R, R, [e for row in u for e in row]),
+            IntMatrix(R, C, [e for row in m for e in row]),
+            IntMatrix(C, C, [e for col in zip(*vt) for e in col]))
 
 
 def diagonal_of(d: IntMatrix) -> list[int]:

@@ -72,6 +72,20 @@ class TestSubcommands:
         assert main(["abelianize", p6_file]) == 0
         assert "Z/6" in capsys.readouterr().out
 
+    def test_abelianize_without_entry_blowup(self, tmp_path, capsys):
+        # exponent sums [49,6,6,-20,2,0,6], [-2,2,3,-2,3,2,42], ...: elimination
+        # by quotient and swap never finished on this presentation
+        path = tmp_path / "blowup.txt"
+        path.write_text("group blowup\ngens a b c d e f g\n"
+                        "rel a^49 b^6 c^6 d^-20 e^2 g^6\n"
+                        "rel a^-2 b^2 c^3 d^-2 e^3 f^2 g^42\n"
+                        "rel a^-2 b^-43 c^6 d^-1 f^-2 g^3\n"
+                        "rel a^-2 b^-4 c^3 d g^3\n"
+                        "rel a^-4 d^-4 f^6\n"
+                        "rel a b^-2 c d^-37 e^2 f^-4 g\n")
+        assert main(["abelianize", str(path)]) == 0
+        assert capsys.readouterr().out == "blowup: Z x Z/2 x Z/2\n"
+
     def test_cosets(self, p6_file, capsys):
         rc = main(["cosets", p6_file, "--subgroup", "b a^-2; b^-1 a^2"])
         assert rc == 0
@@ -180,6 +194,11 @@ class TestExitCodes:
             main(["cosets", p6_file, "--max-cosets", value])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v1", ["1/0,0", "0,1+1/0*rt3"])
+    def test_zero_denominator_is_input_error(self, v1, capsys):
+        assert main(["rhombic", v1, "0,1"]) == 2
+        assert "zero denominator in" in capsys.readouterr().err
 
     def test_invalid_sign_is_input_error(self, capsys):
         assert main(["classify", "p6", "--sign", "b=-1"]) == 2

@@ -116,6 +116,52 @@ class TestSmithNormalForm:
         assert nonzero == _minor_gcd_invariant_factors(rows)
 
 
+# exponent sums of a 6-relator, 7-generator presentation on which repeated
+# quotient-and-swap elimination grew entries past 21,000 bits
+BLOWUP_ROWS = [[49, 6, 6, -20, 2, 0, 6], [-2, 2, 3, -2, 3, 2, 42],
+               [-2, -43, 6, -1, 0, -2, 3], [-2, -4, 3, 1, 0, 0, 3],
+               [-4, 0, 0, -4, 0, 6, 0], [1, -2, 1, -37, 2, -4, 1]]
+
+medium_matrices = st.integers(min_value=1, max_value=8).flatmap(
+    lambda r: st.integers(min_value=1, max_value=8).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(min_value=-50, max_value=50), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+def _assert_smith_form(a, u, d, v):
+    assert u.rows == u.cols == a.rows and v.rows == v.cols == a.cols
+    assert u.is_unimodular() and v.is_unimodular()
+    assert u @ a @ v == d
+    assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+    nonzero = [x for x in diagonal_of(d) if x]
+    assert nonzero == diagonal_of(d)[:len(nonzero)]
+    assert all(x > 0 for x in nonzero)
+    assert all(nonzero[i] % nonzero[i - 1] == 0 for i in range(1, len(nonzero)))
+
+
+class TestSmithNormalFormGrowth:
+    def test_entries_stay_small_on_the_blowup_matrix(self):
+        a = IntMatrix.from_rows(BLOWUP_ROWS)
+        u, d, v = smith_normal_form(a)
+        _assert_smith_form(a, u, d, v)
+        assert diagonal_of(d) == [1, 1, 1, 1, 2, 2]
+        assert diagonal_of(d) == _minor_gcd_invariant_factors(BLOWUP_ROWS)
+        assert max(abs(e) for m in (u, d, v) for e in m.entries).bit_length() <= 32
+
+    @given(medium_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_postconditions_up_to_8x8(self, rows):
+        a = IntMatrix.from_rows(rows)
+        _assert_smith_form(a, *smith_normal_form(a))
+
+    def test_zero_rows(self):
+        # a presentation without relators has a 0 x n relator matrix
+        u, d, v = smith_normal_form(IntMatrix(0, 3, []))
+        assert (u.rows, u.cols, d.rows, d.cols) == (0, 0, 0, 3)
+        assert v == IntMatrix.identity(3)
+
+
 class TestAbelianization:
     def test_tetrahedral_group(self):
         gamma = load_fixture("tetrahedral")
