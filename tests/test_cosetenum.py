@@ -1,4 +1,5 @@
 """Coset enumeration, table queries, Schreier generators, subgroup presentations."""
+import hashlib
 import re
 
 import pytest
@@ -14,6 +15,23 @@ P6 = load_fixture("p6")
 P4 = load_fixture("p4")
 T1_236, T2_236 = Word((2, -1, -1)), Word((-2, 1, 1))
 T1_244, T2_244 = Word((1, 1, -2)), Word((1, -2, 1))
+
+
+def coxeter_symmetric(n):
+    """Coxeter presentation of S_n on the adjacent transpositions."""
+    rels = []
+    for i in range(1, n):
+        rels.append(Word((i, i)))
+        for j in range(i + 1, n):
+            rels.append(Word((i, j) * (3 if j == i + 1 else 2)))
+    return Presentation(f"S{n}", tuple(f"s{i}" for i in range(1, n)), tuple(rels))
+
+
+def fibonacci_group(r, n):
+    """F(r, n) = <x_0..x_{n-1} | x_i x_{i+1} .. x_{i+r-1} = x_{i+r}>."""
+    rels = [Word(tuple(1 + (i + k) % n for k in range(r)) + (-(1 + (i + r) % n),))
+            for i in range(n)]
+    return Presentation(f"F({r},{n})", tuple(f"x{i}" for i in range(n)), tuple(rels))
 
 
 def mulclose_size(mats):
@@ -213,3 +231,97 @@ class TestRandomizedOracles:
             p = Presentation("cn", ("a",), (Word((1,) * n),))
             for k in range(1, n + 1):
                 assert todd_coxeter(p, [Word((1,) * k)]).index == gcd(k, n)
+
+
+def _golden_cases():
+    from orbiforge.wallpaper import model
+
+    a4 = Presentation("a4", ("a", "b"),
+                      (Word((1,) * 3), Word((2,) * 3), Word((1, 2) * 2)))
+    a5 = Presentation("a5", ("a", "b"),
+                      (Word((1,) * 5), Word((2,) * 3), Word((1, 2) * 2)))
+    psl27 = Presentation("PSL(2,7)", ("a", "b"), (
+        Word((1, 1)), Word((2, 2, 2)), Word((1, 2) * 7), Word((-1, -2, 1, 2) * 4)))
+    cases = {
+        "S6": (coxeter_symmetric(6), []),
+        "PSL(2,7)": (psl27, []),
+        "A4": (a4, []),
+        "A5": (a5, []),
+        "F(2,5)": (fibonacci_group(2, 5), []),
+        "F(2,7)": (fibonacci_group(2, 7), []),
+    }
+    p6 = model("p6")
+    t1, t2 = p6.translation_words
+    for w in (Word((1, -2)), Word((-2, -1, 2))):
+        cases[f"p6 > <t1^8, t2^8>^{w.letters}"] = (
+            p6.presentation, [(t1 ** 8).conjugate(w), (t2 ** 8).conjugate(w)])
+    for name in ("p4", "pgg", "p4g", "p31m"):
+        m = model(name)
+        cases[f"{name} translations"] = (m.presentation, list(m.translation_words))
+        for hom in sign_homs(m.presentation):
+            cases[f"{name} kernel {hom.signs}"] = (m.presentation, hom.kernel_words())
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+# sha256 of repr(table.rows), recorded from the enumerator that defined rows
+# HLT-style; standardized rows are canonical for the subgroup, so any correct
+# enumeration strategy must reproduce them
+GOLDEN_TABLE_HASHES = {
+    "S6":
+        "6a246cf152c90f44959d3a795a05f6b65d6891f88b6c64da1a9a4b2be6169ac4",
+    "PSL(2,7)":
+        "7e0880b49cddd5bde30832c069fa1955fe0d89338b8a7d5a4f9463d7a3219a85",
+    "A4":
+        "4a247d990d3405d18bf27bce82bbbfc9ca63529d51352ef87e99d6ef7e4c25e3",
+    "A5":
+        "3693a6c8bcd399cd9f2b8a22a6331098a490e3ada83db15613ef08c427c1b5f8",
+    "F(2,5)":
+        "fac67390a8161a6a5cdef51d449ca52c8657f7a4fce542063bccf2828943760f",
+    "F(2,7)":
+        "87f18800899f37fbf70555df8d2651c264855b5ee42b8c8e9a48657fffe5a14d",
+    "p6 > <t1^8, t2^8>^(1, -2)":
+        "4a0a472e098d4f897e5aa1a556b2cb36ca5a9973bfc6a3f7813dad1af2bdb0df",
+    "p6 > <t1^8, t2^8>^(-2, -1, 2)":
+        "4a0a472e098d4f897e5aa1a556b2cb36ca5a9973bfc6a3f7813dad1af2bdb0df",
+    "p4 translations":
+        "f09f05e40b4cd088993eeb5387935f49d9bb9531a45d9ab79193982d84e5bf4f",
+    "p4 kernel (-1, -1)":
+        "83f95dd54f1cd46c4c46c1c4650b9c8c628c268a6e5f12733940f2de69f4e9cc",
+    "p4 kernel (-1, 1)":
+        "f151c47d7da07080338ef3e5106ba17b97c152b6659c2eee7f1a58bae5c7d536",
+    "p4 kernel (1, -1)":
+        "25536ae3871bf276cb34b2b9e37d37939a1fbcace1c31489c618f2c23b1e0738",
+    "pgg translations":
+        "06b6d29b4dff7a697a36d9795f04258309aa969170b109cb1e069e7250df5c08",
+    "pgg kernel (-1, -1, 1)":
+        "ce69d0327ce4e895d7fca47680f0e776026ba04fe6d66d99d9fccaa82369b6aa",
+    "pgg kernel (-1, 1, 1)":
+        "8977d4c026707148a707282c1006811cac12804b63cd554ffa2a152f5243ff2b",
+    "pgg kernel (1, -1, 1)":
+        "d8b8ea9d070e5b4e8dc7d74e846ab847e700e891125c2770c0f4fc51c96d2a73",
+    "p4g translations":
+        "352438119481d5083b2a638b9e57bb073c1dda93160606bfb0add36d8eb75f3d",
+    "p4g kernel (-1, -1, 1, 1)":
+        "78497d94a3e4b6b4e29b27366cdd4d9688ec92474b9843ec6caa7ddf51b79a26",
+    "p4g kernel (-1, 1, 1, 1)":
+        "2e65a00e093554026c04b62467e75429dbd6529cf70f64d9b6b28c6466609094",
+    "p4g kernel (1, -1, 1, 1)":
+        "d0c3c6d79def7fb9859814d6761d09160887eb28ef83597840c1a6fa7862fb09",
+    "p31m translations":
+        "7a4d098c5759c51a01ef284146c58548cf8de999ee394f4e8baced2074a1f434",
+    "p31m kernel (1, -1, 1, 1)":
+        "d0c3c6d79def7fb9859814d6761d09160887eb28ef83597840c1a6fa7862fb09",
+}
+
+
+class TestGoldenTables:
+    def test_every_case_has_a_hash(self):
+        assert set(GOLDEN_TABLE_HASHES) == set(GOLDEN_CASES)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_table_is_unchanged(self, name):
+        pres, sub = GOLDEN_CASES[name]
+        rows = todd_coxeter(pres, sub).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_TABLE_HASHES[name]
