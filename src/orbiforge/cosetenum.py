@@ -1,14 +1,19 @@
-"""Todd-Coxeter coset enumeration with HLT-style relator scanning.
+"""Todd-Coxeter coset enumeration by Felsch's strategy.
 
-Strategy: scan every relator at every live coset, filling gaps by defining
-new cosets, with immediate deduction propagation and union-find coincidence
-merging.  New cosets are created at the first undefined entry encountered in
-row-major order, so two runs of the same enumeration produce identical
-tables; completed tables are standardized by a BFS renumbering from the
-subgroup coset and validated against the table invariants.
+Strategy: trace the subgroup words at coset 0, defining cosets as needed;
+then repeatedly define a new coset at the first gap in row-major order and
+process the deductions it causes.  Every entry made, whether defined,
+deduced or moved by a coincidence, is pushed on a deduction stack; each one
+popped is checked by scanning the relator cycles through it, without
+defining anything, which may deduce further entries or merge cosets
+(union-find coincidence merging).  Rows defined therefore stay close to the
+index.  Two runs of the same enumeration produce identical tables;
+completed tables are standardized by a BFS renumbering from the subgroup
+coset, which is canonical for the subgroup, and validated against the table
+invariants, so a missed deduction shows up as an InvariantError.
 
 Columns: generator g (1-based) acts through column 2(g-1); its inverse
-through column 2(g-1)+1.
+through column 2(g-1)+1, so column x ^ 1 holds the inverse of column x.
 """
 from __future__ import annotations
 
@@ -54,16 +59,22 @@ def _col(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
-def _inv_col(col: int) -> int:
-    return col ^ 1
-
-
 class _Enumerator:
-    def __init__(self, ngens: int, max_cosets: int):
+    def __init__(self, ngens: int, relators: list[tuple[int, ...]], max_cosets: int):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
+        # entries (coset, column) made since their relator cycles were last scanned
+        self.deductions: list[tuple[int, int]] = []
+        # the distinct cyclic conjugates of each relator, by first column: an
+        # edge a -x-> b lies on a relator cycle either read forward from a
+        # (a conjugate starting with x) or backward from b (one starting with x^1)
+        self.by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        for rel in relators:
+            doubled = rel + rel
+            for w in dict.fromkeys(doubled[i:i + len(rel)] for i in range(len(rel))):
+                self.by_col[w[0]].append(w)
 
     # union-find ------------------------------------------------------------
 
@@ -96,16 +107,17 @@ class _Enumerator:
                     continue
                 row[x] = None
                 # drop the paired backward edge before transferring
-                if self.table[target][_inv_col(x)] == dead:
-                    self.table[target][_inv_col(x)] = None
+                if self.table[target][x ^ 1] == dead:
+                    self.table[target][x ^ 1] = None
                 mu, nu = self.rep(dead), self.rep(target)
                 if self.table[mu][x] is not None:
                     self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][_inv_col(x)] is not None:
-                    self._merge(mu, self.table[nu][_inv_col(x)], queue)
+                elif self.table[nu][x ^ 1] is not None:
+                    self._merge(mu, self.table[nu][x ^ 1], queue)
                 else:
                     self.table[mu][x] = nu
-                    self.table[nu][_inv_col(x)] = mu
+                    self.table[nu][x ^ 1] = mu
+                    self.deductions.append((mu, x))
 
     # definitions and scanning ----------------------------------------------
 
@@ -119,7 +131,8 @@ class _Enumerator:
         self.table.append([None] * self.ncols)
         self.p.append(n)
         self.table[a][x] = n
-        self.table[n][_inv_col(x)] = a
+        self.table[n][x ^ 1] = a
+        self.deductions.append((a, x))
         return n
 
     def scan_and_fill(self, start: int, cols: tuple[int, ...]) -> None:
@@ -135,8 +148,8 @@ class _Enumerator:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][_inv_col(cols[j])] is not None:
-                b = self.rep(self.table[b][_inv_col(cols[j])])
+            while j >= i and self.table[b][cols[j] ^ 1] is not None:
+                b = self.rep(self.table[b][cols[j] ^ 1])
                 j -= 1
             if j < i:
                 if f != b:
@@ -144,49 +157,104 @@ class _Enumerator:
                 return
             if j == i:
                 self.table[f][cols[i]] = b
-                self.table[b][_inv_col(cols[i])] = f
+                self.table[b][cols[i] ^ 1] = f
+                self.deductions.append((f, cols[i]))
                 return
             f = self.define(f, cols[i])
             i += 1
 
-    def run(self, subgroup: list[tuple[int, ...]], relators: list[tuple[int, ...]]) -> None:
+    def scan(self, start: int, w: tuple[int, ...]) -> None:
+        """Trace w at start from both ends, defining nothing: a closed cycle
+        that ends at two cosets merges them, and a one-letter gap is filled
+        as a deduction.  Between coincidences every entry names a live coset."""
+        table = self.table
+        f, i = start, 0
+        j = len(w) - 1
+        while i <= j:
+            t = table[f][w[i]]
+            if t is None:
+                break
+            f = t
+            i += 1
+        else:
+            if f != start:
+                self.coincidence(f, start)
+            return
+        b = start
+        while j >= i:
+            t = table[b][w[j] ^ 1]
+            if t is None:
+                break
+            b = t
+            j -= 1
+        else:
+            if f != b:
+                self.coincidence(f, b)
+            return
+        if j == i:
+            table[f][w[i]] = b
+            table[b][w[i] ^ 1] = f
+            self.deductions.append((f, w[i]))
+
+    def process_deductions(self) -> None:
+        """Scan every relator cycle through each new entry until none is left."""
+        p, table, by_col, stack = self.p, self.table, self.by_col, self.deductions
+        while stack:
+            a, x = stack.pop()
+            if p[a] != a:
+                continue  # a coincidence moved a's entries and recorded them anew
+            b = table[a][x]
+            if b is None:
+                continue
+            for w in by_col[x]:
+                self.scan(a, w)
+                if p[a] != a:
+                    break
+            if p[b] == b:
+                for w in by_col[x ^ 1]:
+                    self.scan(b, w)
+                    if p[b] != b:
+                        break
+
+    def run(self, subgroup: list[tuple[int, ...]]) -> None:
+        """Felsch's strategy: trace the subgroup words at coset 0, then fill
+        the first gap in row-major order and process its deductions, until
+        no gap is left."""
         for w in subgroup:
-            self.scan_and_fill(self.rep(0), w)
+            self.scan_and_fill(0, w)
+        self.process_deductions()
         alpha = 0
         while alpha < len(self.table):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            for rel in relators:
-                self.scan_and_fill(alpha, rel)
+            row = self.table[alpha]
+            for x in range(self.ncols):
                 if self.p[alpha] != alpha:
                     break
-            if self.p[alpha] == alpha:
-                for x in range(self.ncols):
-                    if self.table[alpha][x] is None:
-                        self.define(alpha, x)
+                if row[x] is None:
+                    self.define(alpha, x)
+                    self.process_deductions()
             alpha += 1
 
     def standardized_rows(self) -> tuple[tuple[int, ...], ...]:
         """The live rows in standard form: cosets renumbered in the order a BFS
-        from coset 0, over the columns in order, first reaches them."""
-        order: dict[int, int] = {0: 0}
+        from coset 0, over the columns in order, first reaches them.
+
+        A coincidence clears every row it kills, so an entry naming a dead
+        coset leads the BFS to an incomplete row."""
+        p = self.p
+        order = [-1] * len(p)
+        order[0] = 0
         queue = [0]
-        targets = []
         for c in queue:
-            row = []
-            for e in self.table[c]:
-                if e is None:
-                    raise InvariantError("incomplete row after enumeration")
-                t = self.rep(e)
-                if t not in order:
-                    order[t] = len(order)
+            row = self.table[c]
+            if None in row:
+                raise InvariantError("incomplete row after enumeration")
+            for t in row:
+                if order[t] < 0:
+                    order[t] = len(queue)
                     queue.append(t)
-                row.append(t)
-            targets.append(row)
-        if len(order) != sum(1 for i, r in enumerate(self.p) if i == r):
+        if len(queue) != sum(map(operator.eq, p, range(len(p)))):
             raise InvariantError("coset action is not transitive")
-        return tuple(tuple(order[t] for t in row) for row in targets)
+        return tuple(tuple(map(order.__getitem__, self.table[c])) for c in queue)
 
 
 @dataclass(frozen=True)
@@ -224,24 +292,35 @@ class CosetTable:
         """Machine-check all table invariants; raises InvariantError on failure."""
         n = self.index
         ncols = 2 * self.parent.ngens
-        for row in self.rows:
-            if len(row) != ncols or any(not 0 <= e < n for e in row):
-                raise InvariantError("malformed table row")
-        for x in range(ncols):
-            images = [row[x] for row in self.rows]
-            if sorted(images) != list(range(n)):
+        if any(len(row) != ncols for row in self.rows):
+            raise InvariantError("malformed table row")
+        cols = list(zip(*self.rows)) or [()] * ncols
+        cosets = set(range(n))
+        for x, column in enumerate(cols):
+            # n entries that cover range(n) are in range and a permutation
+            if set(column) != cosets:
+                if any(not 0 <= e < n for row in self.rows for e in row):
+                    raise InvariantError("malformed table row")
                 raise InvariantError(f"column {x} is not a permutation")
-        for c in range(n):
-            for x in range(ncols):
-                if self.rows[self.rows[c][x]][_inv_col(x)] != c:
-                    raise InvariantError("generator/inverse columns are not paired")
+        identity = list(range(n))
+        # both columns are permutations, so one composite being the identity
+        # makes each the other's inverse
+        for x in range(0, ncols, 2):
+            if list(map(cols[x + 1].__getitem__, cols[x])) != identity:
+                raise InvariantError("generator/inverse columns are not paired")
         for w in self.subgroup_words:
-            if self.trace(w, 0) != 0:
+            c = 0
+            for letter in w.letters:
+                c = cols[_col(letter)][c]
+            if c != 0:
                 raise InvariantError("subgroup word moves the subgroup coset")
         for rel in self.parent.relators:
-            for c in range(n):
-                if self.trace(rel, c) != c:
-                    raise InvariantError("relator acts nontrivially on a coset")
+            # the image of every coset at once, one column lookup per letter
+            images = identity
+            for letter in rel.letters:
+                images = list(map(cols[_col(letter)].__getitem__, images))
+            if images != identity:
+                raise InvariantError("relator acts nontrivially on a coset")
 
     # -- Schreier machinery --------------------------------------------------
 
@@ -337,9 +416,9 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
         if w.max_index() > p.ngens:
             raise ValueError("subgroup word uses a generator not in the presentation")
     limit = max_cosets if max_cosets is not None else default_max_cosets()
-    enum = _Enumerator(p.ngens, limit)
-    enum.run([tuple(_col(x) for x in w.letters) for w in sub],
-             [tuple(_col(x) for x in r.letters) for r in p.relators])
+    enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators
+                                 if r.letters], limit)
+    enum.run([tuple(_col(x) for x in w.letters) for w in sub])
     table = CosetTable(p, sub, enum.standardized_rows())
     table.validate()
     return table

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from orbiforge.cosetenum import (CosetLimitError, CosetTable,
-                                 IncompleteTableError, reidemeister_schreier,
+                                 IncompleteTableError, InvariantError,
+                                 _Enumerator, reidemeister_schreier,
                                  todd_coxeter)
 from orbiforge.fixtures import load_fixture
 from orbiforge.fpgroup import (AbelianGroup, Presentation, Word,
@@ -99,14 +100,17 @@ class TestToddCoxeter:
         free = Presentation("f1", ("a",), ())
         with pytest.raises(CosetLimitError, match="after defining 100 rows, 100 still live"):
             todd_coxeter(free, [], max_cosets=100)
-        # F(2,7) collapses heavily on the way to its 29 cosets
-        f27 = Presentation("F(2,7)", tuple(f"x{i}" for i in range(7)), tuple(
-            Word(((i % 7) + 1, ((i + 1) % 7) + 1, -(((i + 2) % 7) + 1))) for i in range(7)))
+        # F(3,6), of order 1512, merges rows before it runs out, so fewer
+        # rows are live than were defined
         with pytest.raises(CosetLimitError) as err:
-            todd_coxeter(f27, [], max_cosets=1000)
+            todd_coxeter(fibonacci_group(3, 6), [], max_cosets=1000)
         match = re.search(r"after defining (\d+) rows, (\d+) still live", str(err.value))
         defined, live = int(match.group(1)), int(match.group(2))
-        assert defined == 1000 and 29 < live < defined
+        assert defined == 1000 and live < defined
+
+    def test_fibonacci_f27_does_not_overshoot(self):
+        # an enumerator with no lookahead defined 267,525 rows for these 29
+        assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=40_000).index == 29
 
     def test_determinism(self):
         t1 = todd_coxeter(P6, [T1_236, T2_236])
@@ -115,6 +119,50 @@ class TestToddCoxeter:
 
     def test_validation_runs(self):
         todd_coxeter(P6, [T1_236, T2_236]).validate()
+
+
+class TestInvariantChecks:
+    """Every failure branch of CosetTable.validate and of standardization,
+    on hand-built corrupt tables."""
+
+    C2 = Presentation("c2", ("a",), (Word((1, 1)),))
+    C3 = Presentation("c3", ("a",), (Word((1,) * 3),))
+    FREE = Presentation("f1", ("a",), ())
+
+    def test_valid_table_passes(self):
+        CosetTable(self.C2, (), ((1, 1), (0, 0))).validate()
+
+    @pytest.mark.parametrize("pres, sub, rows, message", [
+        (C2, (), ((1,), (0, 0)), "malformed table row"),
+        (C2, (), ((2, 1), (0, 0)), "malformed table row"),
+        (C2, (), ((1, 1), (0, -1)), "malformed table row"),
+        (C2, (), ((1, 1), (1, 0)), "column 0 is not a permutation"),
+        (C2, (), ((1, 0), (0, 0)), "column 1 is not a permutation"),
+        (FREE, (), ((1, 1), (2, 2), (0, 0)), "generator/inverse columns are not paired"),
+        (C2, (Word((1,)),), ((1, 1), (0, 0)), "subgroup word moves the subgroup coset"),
+        (C3, (), ((1, 1), (0, 0)), "relator acts nontrivially on a coset"),
+    ])
+    def test_corrupt_table_rejected(self, pres, sub, rows, message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            CosetTable(pres, sub, rows).validate()
+
+    def test_range_error_wins_over_a_permutation_error(self):
+        # column 0 repeats a coset and column 1 leaves the range: the row
+        # check comes first, as it always has
+        with pytest.raises(InvariantError, match="^malformed table row$"):
+            CosetTable(self.C2, (), ((0, 1), (0, 2))).validate()
+
+    def test_intransitive_action_rejected(self):
+        enum = _Enumerator(1, [], 10)
+        enum.table = [[0, 0], [1, 1]]
+        enum.p = [0, 1]
+        with pytest.raises(InvariantError, match="^coset action is not transitive$"):
+            enum.standardized_rows()
+
+    def test_incomplete_row_rejected(self):
+        enum = _Enumerator(1, [], 10)
+        with pytest.raises(InvariantError, match="^incomplete row after enumeration$"):
+            enum.standardized_rows()
 
 
 class TestTraceAndContains:
