@@ -67,14 +67,23 @@ class _Enumerator:
         self.p: list[int] = [0]
         # entries (coset, column) made since their relator cycles were last scanned
         self.deductions: list[tuple[int, int]] = []
-        # the distinct cyclic conjugates of each relator, by first column: an
-        # edge a -x-> b lies on a relator cycle either read forward from a
-        # (a conjugate starting with x) or backward from b (one starting with x^1)
-        self.by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        # relator conjugates by first column, for the deduction scans: an edge
+        # a -x-> b lies on a relator cycle read forward from a (a conjugate
+        # starting with x) or backward from b (one starting with x^1).  The
+        # conjugate at position i of r is kept as (r + r, i, i + |r| - 1), not
+        # sliced; a proper power u^k has only |u| distinct conjugates.
+        self.by_col: list[list[tuple[tuple[int, ...], int, int]]] = \
+            [[] for _ in range(self.ncols)]
         for rel in relators:
+            n = len(rel)
+            if not n:
+                continue  # the empty relator holds at every coset
             doubled = rel + rel
-            for w in dict.fromkeys(doubled[i:i + len(rel)] for i in range(len(rel))):
-                self.by_col[w[0]].append(w)
+            period = 1
+            while n % period or doubled[period:period + n] != rel:
+                period += 1
+            for i in range(period):
+                self.by_col[rel[i]].append((doubled, i, i + n - 1))
 
     # union-find ------------------------------------------------------------
 
@@ -163,13 +172,13 @@ class _Enumerator:
             f = self.define(f, cols[i])
             i += 1
 
-    def scan(self, start: int, w: tuple[int, ...]) -> None:
-        """Trace w at start from both ends, defining nothing: a closed cycle
-        that ends at two cosets merges them, and a one-letter gap is filled
-        as a deduction.  Between coincidences every entry names a live coset."""
+    def scan(self, start: int, w: tuple[int, ...], i: int, j: int) -> None:
+        """Trace w[i..j] at start from both ends, defining nothing: a closed
+        cycle that ends at two cosets merges them, and a one-letter gap is
+        filled as a deduction.  Between coincidences every entry names a live
+        coset."""
         table = self.table
-        f, i = start, 0
-        j = len(w) - 1
+        f = start
         while i <= j:
             t = table[f][w[i]]
             if t is None:
@@ -203,16 +212,14 @@ class _Enumerator:
             a, x = stack.pop()
             if p[a] != a:
                 continue  # a coincidence moved a's entries and recorded them anew
-            b = table[a][x]
-            if b is None:
-                continue
-            for w in by_col[x]:
-                self.scan(a, w)
+            b = table[a][x]  # a coincidence leaves no gap in a live row
+            for w, i, j in by_col[x]:
+                self.scan(a, w, i, j)
                 if p[a] != a:
                     break
             if p[b] == b:
-                for w in by_col[x ^ 1]:
-                    self.scan(b, w)
+                for w, i, j in by_col[x ^ 1]:
+                    self.scan(b, w, i, j)
                     if p[b] != b:
                         break
 
@@ -308,19 +315,23 @@ class CosetTable:
         for x in range(0, ncols, 2):
             if list(map(cols[x + 1].__getitem__, cols[x])) != identity:
                 raise InvariantError("generator/inverse columns are not paired")
+        col_of = {}
+        for g in range(1, self.parent.ngens + 1):
+            col_of[g], col_of[-g] = cols[_col(g)], cols[_col(-g)]
         for w in self.subgroup_words:
             c = 0
             for letter in w.letters:
-                c = cols[_col(letter)][c]
+                c = col_of[letter][c]
             if c != 0:
                 raise InvariantError("subgroup word moves the subgroup coset")
         for rel in self.parent.relators:
-            # the image of every coset at once, one column lookup per letter
-            images = identity
-            for letter in rel.letters:
-                images = list(map(cols[_col(letter)].__getitem__, images))
-            if images != identity:
-                raise InvariantError("relator acts nontrivially on a coset")
+            path = [col_of[letter] for letter in rel.letters]
+            for c in identity:
+                e = c
+                for column in path:
+                    e = column[e]
+                if e != c:
+                    raise InvariantError("relator acts nontrivially on a coset")
 
     # -- Schreier machinery --------------------------------------------------
 
@@ -416,8 +427,8 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
         if w.max_index() > p.ngens:
             raise ValueError("subgroup word uses a generator not in the presentation")
     limit = max_cosets if max_cosets is not None else default_max_cosets()
-    enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators
-                                 if r.letters], limit)
+    enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators],
+                       limit)
     enum.run([tuple(_col(x) for x in w.letters) for w in sub])
     table = CosetTable(p, sub, enum.standardized_rows())
     table.validate()

@@ -112,6 +112,10 @@ class TestToddCoxeter:
         # an enumerator with no lookahead defined 267,525 rows for these 29
         assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=40_000).index == 29
 
+    def test_empty_relator_holds_everywhere(self):
+        c3 = Presentation("c3", ("a",), (Word(()), Word((1, 1, 1))))
+        assert todd_coxeter(c3, []).index == 3
+
     def test_determinism(self):
         t1 = todd_coxeter(P6, [T1_236, T2_236])
         t2 = todd_coxeter(P6, [T1_236, T2_236])
