@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .fpgroup import Presentation, Word
+from .fpgroup import Presentation, Word, _reduced_word
 
 
 class CosetLimitError(RuntimeError):
@@ -367,17 +367,40 @@ class CosetTable:
                     order.append(t)
         return tuple(parent), tuple(letter_of), tuple(order)
 
-    def _climb(self, c: int) -> list[int]:
-        """Tree letters from coset c up to coset 0: r(c) read backwards."""
-        parent, letter_of, _ = self.schreier_vector
-        out = []
-        while c:
-            out.append(letter_of[c])
-            c = parent[c]
-        return out
+    def _tree_paths(self) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+        """(path, depth, words): root-to-leaf paths that cover the BFS tree,
+        so r(c) = words[path[c]][:depth[c]].
+
+        Walking the discovery order backwards, each coset not yet covered
+        starts a path; its climb stops at the first covered coset, whose
+        path supplies the rest of the word, so the climbs visit each coset
+        once.  Path 0 is the empty path at coset 0.
+        """
+        parent, letter_of, order = self.schreier_vector
+        n = self.index
+        depth = [0] * n
+        for c in order[1:]:
+            depth[c] = depth[parent[c]] + 1
+        path = [-1] * n
+        path[0] = 0
+        words: list[tuple[int, ...]] = [()]
+        for c in reversed(order):
+            if path[c] >= 0:
+                continue
+            tail = []
+            while path[c] < 0:
+                path[c] = len(words)
+                tail.append(letter_of[c])
+                c = parent[c]
+            tail.reverse()
+            words.append(words[path[c]][:depth[c]] + tuple(tail))
+        return path, depth, words
 
     def transversal(self) -> list[Word]:
-        return [Word(tuple(reversed(self._climb(c)))) for c in range(self.index)]
+        """The BFS representatives r(c), read from the tree paths; a tree
+        path never backtracks, so each is freely reduced."""
+        path, depth, words = self._tree_paths()
+        return [_reduced_word(words[p][:d]) for p, d in zip(path, depth)]
 
     def schreier_edges(self) -> Iterator[tuple[int, int, int]]:
         """(c, g, cg) for every coset c and generator g whose Schreier word
@@ -399,14 +422,21 @@ class CosetTable:
 
     def schreier_pairs(self) -> list[tuple[int, int, Word]]:
         """(coset, generator, word) for every Schreier generator that survives
-        free reduction (tree edges reduce to the empty word and are dropped)."""
+        free reduction (tree edges reduce to the empty word and are dropped).
+
+        r(c) and r(cg)^-1 are freely reduced, so r(c)*g*r(cg)^-1 is reduced
+        once neither junction cancels; that is checked for every word."""
+        path, depth, words = self._tree_paths()
+        # r(t)^-1 is the last depth[t] letters of the inverse of t's path
+        inverses = [tuple(map(operator.neg, reversed(w))) for w in words]
         out = []
         for c, g, t in self.schreier_edges():
-            letters = self._climb(c)
-            letters.reverse()
-            letters.append(g)
-            letters.extend(map(operator.neg, self._climb(t)))
-            out.append((c, g, Word(tuple(letters))))
+            rc = words[path[c]][:depth[c]]
+            inv = inverses[path[t]]
+            rti = inv[len(inv) - depth[t]:]
+            if (rc and rc[-1] == -g) or (rti and rti[0] == -g):
+                raise InvariantError(f"Schreier word of ({c}, {g}) cancels at a junction")
+            out.append((c, g, _reduced_word(rc + (g,) + rti)))
         return out
 
     def schreier_generators(self) -> list[Word]:

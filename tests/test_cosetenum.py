@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from orbiforge import fpgroup
 from orbiforge.cosetenum import (CosetLimitError, CosetTable,
                                  IncompleteTableError, InvariantError,
                                  _Enumerator, reidemeister_schreier,
@@ -219,6 +220,47 @@ class TestSchreier:
         gens = set(table.schreier_generators())
         assert Word((2,)) in gens
         assert Word((1, 1)) in gens
+
+
+class TestNoReReduction:
+    """Words that are reduced by construction are not reduced again."""
+
+    @pytest.fixture()
+    def reduce_count(self, monkeypatch):
+        count = [0]
+        original = fpgroup._reduce_letters
+
+        def counted(letters):
+            count[0] += 1
+            return original(letters)
+
+        monkeypatch.setattr(fpgroup, "_reduce_letters", counted)
+        return count
+
+    def test_schreier_words_and_transversal_reduce_nothing(self, reduce_count):
+        from orbiforge.wallpaper import model
+
+        table = todd_coxeter(model("p1").presentation, [Word((1,)) ** 200, Word((2,))])
+        reduce_count[0] = 0
+        pairs = table.schreier_pairs()
+        reps = table.transversal()
+        assert reduce_count[0] == 0
+        assert (len(pairs), len(reps)) == (201, 200)
+        assert max(len(w) for _, _, w in pairs) == 201
+
+    def test_product_and_inverse_of_reduced_words_reduce_nothing(self, reduce_count):
+        a, b, one = Word((1, 2, -1, 3)), Word((-3, 1, -2, 2)), Word(())
+        reduce_count[0] = 0
+        assert (a * b).letters == (1, 2)
+        assert (a * a.inverse()).letters == ()
+        assert (b * one).letters == (one * b).letters == b.letters
+        assert a.inverse().letters == (-3, 1, -2, -1)
+        assert reduce_count[0] == 0
+
+    def test_counter_is_live(self, reduce_count):
+        reduce_count[0] = 0
+        assert Word((1, -1)).is_empty()
+        assert reduce_count[0] > 0
 
 
 class TestReidemeisterSchreier:

@@ -9,8 +9,8 @@ from dataclasses import replace
 import pytest
 
 from orbiforge import cosetenum, exactgeom, wallpaper
-from orbiforge.cosetenum import InvariantError, _col
-from orbiforge.fpgroup import Word, sign_homs
+from orbiforge.cosetenum import InvariantError, _col, todd_coxeter
+from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.lattice import Lattice2, integer_lattice_basis
 from orbiforge.exactgeom import IDENTITY_MAT
 from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, _closure, classify,
@@ -105,8 +105,33 @@ def corpus():
     return out
 
 
+def off_corpus_tables():
+    """Tables outside the wallpaper corpus: finite groups on their trivial
+    subgroup, an index-1 table (every representative empty), and
+    p1 > <t^k, u>, whose BFS tree is two long paths."""
+    s5 = Presentation("S5", ("s1", "s2", "s3", "s4"), tuple(
+        [Word((i, i)) for i in range(1, 5)]
+        + [Word((i, j) * (3 if j == i + 1 else 2))
+           for i in range(1, 5) for j in range(i + 1, 5)]))
+    psl27 = Presentation("PSL(2,7)", ("a", "b"), (
+        Word((1, 1)), Word((2, 2, 2)), Word((1, 2) * 7), Word((-1, -2, 1, 2) * 4)))
+    f25 = Presentation("F(2,5)", tuple(f"x{i}" for i in range(5)), tuple(
+        Word((1 + i, 1 + (i + 1) % 5, -(1 + (i + 2) % 5))) for i in range(5)))
+    tables = {
+        "S5 coxeter": todd_coxeter(s5, []),
+        "PSL(2,7)": todd_coxeter(psl27, []),
+        "F(2,5)": todd_coxeter(f25, []),
+        "S5 index 1": todd_coxeter(s5, [Word((i,)) for i in range(1, 5)]),
+    }
+    p1 = model("p1").presentation
+    for k in range(1, 41):
+        tables[f"p1 > <t^{k}, u>"] = todd_coxeter(p1, [Word((1,)) ** k, Word((2,))])
+    return tables
+
+
 CORPUS = corpus()
 HANDLES = {label: subgroup(model(name), words) for label, name, words in CORPUS}
+TABLES = {label: handle.table for label, handle in HANDLES.items()} | off_corpus_tables()
 
 
 def test_corpus_covers_every_model_and_family():
@@ -114,17 +139,20 @@ def test_corpus_covers_every_model_and_family():
     for family in ("whole", "kernel", "T2", "rot", "conj"):
         assert any(family in label for label, _, _ in CORPUS), family
     assert max(h.index for h in HANDLES.values()) >= 24
+    indices = {label: table.index for label, table in TABLES.items()}
+    assert (indices["S5 coxeter"], indices["PSL(2,7)"], indices["F(2,5)"]) == (120, 168, 11)
+    assert indices["S5 index 1"] == 1 and indices["p1 > <t^40, u>"] == 40
 
 
-@pytest.mark.parametrize("label", list(HANDLES))
+@pytest.mark.parametrize("label", list(TABLES))
 def test_transversal_matches_reference_bfs(label):
-    table = HANDLES[label].table
+    table = TABLES[label]
     assert table.transversal() == [Word(r) for r in reference_transversal(table)]
 
 
-@pytest.mark.parametrize("label", list(HANDLES))
+@pytest.mark.parametrize("label", list(TABLES))
 def test_schreier_words_match_reference(label):
-    table = HANDLES[label].table
+    table = TABLES[label]
     pairs = reference_schreier_pairs(table)
     assert table.schreier_pairs() == pairs
     assert table.schreier_generators() == [w for _, _, w in pairs]
@@ -154,6 +182,41 @@ def test_schreier_vector_is_a_bfs_tree():
     for c in order[1:]:
         assert position[parent[c]] < position[c]
         assert table.rows[parent[c]][_col(letter_of[c])] == c
+
+
+@pytest.mark.parametrize("coset, letter", [(5, -1), (4, 1)])
+def test_a_word_that_cancels_at_a_junction_is_rejected(coset, letter):
+    # in Z/6 the BFS tree is 0 -a-> 1 -a-> 3 -a-> 5 and 0 -A-> 2 -A-> 4
+    # (A = a^-1), and the one Schreier word, of the edge 5 -a-> 4, is
+    # r(5) a r(4)^-1 = a^6; relabelling the tree edge into 5 as A (or into
+    # 4 as a) makes that word cancel at its first (or second) junction
+    table = todd_coxeter(Presentation("c6", ("a",), (Word((1,) * 6),)), [])
+    parent, letter_of, order = table.schreier_vector
+    assert (parent[5], letter_of[5], parent[4], letter_of[4]) == (3, 1, 2, -1)
+    corrupt = list(letter_of)
+    corrupt[coset] = letter
+    table.__dict__["schreier_vector"] = (parent, tuple(corrupt), order)
+    with pytest.raises(InvariantError, match=r"^Schreier word of \(5, 1\) cancels at a junction$"):
+        table.schreier_pairs()
+
+
+def test_product_and_inverse_match_full_reduction():
+    # two generators make long cancellations common; b is built from a's
+    # inverse often enough that some products cancel completely
+    rng = random.Random(23)
+    letters = (1, 2, -1, -2)
+    complete = 0
+    for _ in range(3000):
+        a = Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 12))))
+        raw_inverse = tuple(-x for x in reversed(a.letters))
+        keep = rng.randint(0, len(a))
+        b = Word(raw_inverse[:keep] + tuple(rng.choice(letters)
+                                            for _ in range(rng.choice((0, 0, 3)))))
+        product = a * b
+        assert product == Word(a.letters + b.letters)
+        assert a.inverse() == Word(raw_inverse)
+        complete += product.is_empty() and len(a) > 0
+    assert complete > 100
 
 
 def test_non_commuting_translation_words_are_rejected():
