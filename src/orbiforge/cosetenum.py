@@ -291,6 +291,17 @@ class CosetTable:
             c = self.rows[c][_col(letter)]
         return c
 
+    def permutation(self, w: Word) -> list[int]:
+        """[trace(w, c) for c in range(index)], composed a column at a time:
+        each letter maps the whole coset list through its column."""
+        if not self.complete:
+            raise IncompleteTableError("cannot trace through an incomplete table")
+        perm = range(self.index)
+        for letter in w.letters:
+            column = list(map(operator.itemgetter(_col(letter)), self.rows))
+            perm = list(map(column.__getitem__, perm))
+        return list(perm)
+
     def contains(self, w: Word) -> bool:
         """Whether w lies in the subgroup (fixes the subgroup coset)."""
         return self.trace(w, 0) == 0
@@ -375,12 +386,19 @@ class CosetTable:
         starts a path; its climb stops at the first covered coset, whose
         path supplies the rest of the word, so the climbs visit each coset
         once.  Path 0 is the empty path at coset 0.
+
+        Every tree edge is checked to be an edge of `rows`; with paired
+        columns that makes the paths non-backtracking, so each r(c) is
+        freely reduced.
         """
         parent, letter_of, order = self.schreier_vector
-        n = self.index
+        n, rows = self.index, self.rows
         depth = [0] * n
         for c in order[1:]:
-            depth[c] = depth[parent[c]] + 1
+            p = parent[c]
+            if rows[p][_col(letter_of[c])] != c:
+                raise InvariantError(f"tree edge into coset {c} is not an edge of the table")
+            depth[c] = depth[p] + 1
         path = [-1] * n
         path[0] = 0
         words: list[tuple[int, ...]] = [()]
@@ -411,10 +429,10 @@ class CosetTable:
         in either direction; those pairs are skipped.
         """
         parent, letter_of, _ = self.schreier_vector
-        for c in range(self.index):
-            row = self.rows[c]
-            for g in range(1, self.parent.ngens + 1):
-                t = row[_col(g)]
+        gens = [(g, _col(g)) for g in range(1, self.parent.ngens + 1)]
+        for c, row in enumerate(self.rows):
+            for g, col in gens:
+                t = row[col]
                 if (parent[t] == c and letter_of[t] == g) or \
                         (parent[c] == t and letter_of[c] == -g):
                     continue
@@ -425,7 +443,8 @@ class CosetTable:
         free reduction (tree edges reduce to the empty word and are dropped).
 
         r(c) and r(cg)^-1 are freely reduced, so r(c)*g*r(cg)^-1 is reduced
-        once neither junction cancels; that is checked for every word."""
+        once neither junction cancels; that is checked for every word, since
+        unlike the tree-edge check it does not rely on paired columns."""
         path, depth, words = self._tree_paths()
         # r(t)^-1 is the last depth[t] letters of the inverse of t's path
         inverses = [tuple(map(operator.neg, reversed(w))) for w in words]

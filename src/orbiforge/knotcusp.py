@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cosetenum import todd_coxeter
-from .exactgeom import QuadNum, rotation_order
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word,
                       abelianization, quotient)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
-                        _class_has_reflection, classify, model,
-                        orientation_double_cover, sign_kernel,
-                        signature_by_name, whole_group)
+                        _class_has_reflection, _det, _rotation_order,
+                        classify, model, orientation_double_cover,
+                        sign_kernel, signature_by_name, whole_group)
 
 
 class AmalgamError(ValueError):
@@ -171,15 +170,14 @@ def peripheral_order_profile(group: ModelGroup) -> frozenset[int]:
     orientation-reversing class contributes 2 exactly when it contains a true
     reflection (glides have infinite order).
     """
-    handle = whole_group(group)
+    d, classes = whole_group(group).integer_classes
     orders: set[int] = set()
-    for (m, v) in handle.classes:
-        if m.is_identity():
-            continue
-        if m.det() == QuadNum.of(1):
-            orders.add(rotation_order(m))
-        elif _class_has_reflection(m, v):
+    for (m, v) in classes:
+        if _det(m) == 1:
+            orders.add(_rotation_order(m))
+        elif _class_has_reflection(m, v, d):
             orders.add(2)
+    orders.discard(1)
     return frozenset(orders)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .cosetenum import CosetTable, InvariantError, todd_coxeter
 from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
-                        classify_isometry, mat, rotation_order, Translation, vec)
+                        classify_isometry, mat, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import Lattice2, integer_lattice_basis
 
@@ -35,6 +35,7 @@ from .lattice import Lattice2, integer_lattice_basis
 T = TypeVar("T")
 Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
 Affine = tuple[int, int, int, int, int, int]  # v |-> [[a, b], [c, d]] v + (x, y)/N
+Class = tuple[Linear, tuple[int, int]]        # v |-> m v + (x, y)/D modulo Z^2
 
 
 class UnknownModelError(LookupError):
@@ -286,7 +287,7 @@ class ModelGroup:
         for m in self.point_group:
             c = inverse * m * basis
             entries = (c.m11, c.m12, c.m21, c.m22)
-            if not _is_integral(*entries):
+            if not all(x.is_integer() for x in entries):
                 raise InvariantError(f"linear part {m} of {self.presentation.name} "
                                      "is not integral in the lattice basis")
             if c.det() not in (QuadNum.of(1), QuadNum.of(-1)):
@@ -302,7 +303,7 @@ class ModelGroup:
         affine = []
         for iso, v in zip(isos, coords):
             scaled = (v.x * n, v.y * n)
-            if not _is_integral(*scaled):
+            if not all(x.is_integer() for x in scaled):
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
             affine.append(integer[iso.linear] + tuple(int(x.a) for x in scaled))
@@ -582,11 +583,11 @@ class SubgroupHandle:
         return a * g
 
     @cached_property
-    def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
-        """The finite quotient (subgroup mod its translation lattice) as pairs
-        (linear part, canonical translation representative), both in the
-        basis of `lattice`: there the lattice is Z^2, every linear part is an
-        integer matrix and every translation has coordinates in [0, 1).
+    def integer_classes(self) -> tuple[int, tuple[Class, ...]]:
+        """(D, classes): the finite quotient (subgroup mod its translation
+        lattice) as pairs (m, (x, y)) in the basis of `lattice`, where the
+        lattice is Z^2: m is an integer matrix and (x, y)/D, 0 <= x, y < D,
+        the canonical translation representative.
 
         In the model's lattice basis the subgroup lattice has basis
         H = [[a, 0], [b, g]] and a g H^-1 = [[g, 0], [-b, a]], so a linear
@@ -612,6 +613,12 @@ class SubgroupHandle:
                        (_ID_LINEAR, (0, 0)), mul)
         if len(out) != len(self._linear_group):
             raise InvariantError("affine class count differs from point group order")
+        return d, out
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
+        """`integer_classes` as exact matrices and vectors."""
+        d, out = self.integer_classes
         return tuple((mat(*m), vec(Fraction(x, d), Fraction(y, d))) for m, (x, y) in out)
 
 
@@ -659,12 +666,8 @@ def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
     Schreier vector over Z^2); every non-tree edge closes a stabilizer
     element, and by Schreier's lemma those generate the whole stabilizer.
     """
-    table = handle.table
-    k = handle.index
-    t1, t2 = handle.model.translation_words
-    perm1 = [table.trace(t1, c) for c in range(k)]
-    perm2 = [table.trace(t2, c) for c in range(k)]
-    if any(perm1[perm2[c]] != perm2[perm1[c]] for c in range(k)):
+    perm1, perm2 = map(handle.table.permutation, handle.model.translation_words)
+    if list(map(perm1.__getitem__, perm2)) != list(map(perm2.__getitem__, perm1)):
         raise InvariantError("translation words act by non-commuting permutations")
     exponents: dict[int, tuple[int, int]] = {0: (0, 0)}
     queue = [0]
@@ -681,7 +684,7 @@ def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
     (a, b), (zero, g) = integer_lattice_basis(found)
     if zero != 0:
         raise InvariantError("lattice basis is not in Hermite form")
-    if a * g > k:
+    if a * g > handle.index:
         raise InvariantError("translation lattice index exceeds the coset count")
     return a, b, g
 
@@ -690,83 +693,77 @@ def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
 # classification
 
 
-def _is_integral(*xs: QuadNum) -> bool:
-    return all(x.is_integer() for x in xs)
+# The helpers below take classes in the lattice basis (`integer_classes`).
+
+_ORDER_OF_TRACE = {2: 1, -2: 2, -1: 3, 0: 4, 1: 6}
 
 
-def _reduce(v: Vec2) -> Vec2:
-    """The representative of v modulo Z^2 with coordinates in [0, 1)."""
-    return Vec2(v.x - v.x.floor(), v.y - v.y.floor())
+def _det(m: Linear) -> int:
+    return m[0] * m[3] - m[1] * m[2]
 
 
-# The helpers below take classes in the lattice basis (`SubgroupHandle.classes`).
+def _rotation_order(m: Linear) -> int:
+    """Order of a determinant-1 integer matrix of finite order, from its
+    trace t: m^2 = t m - I fixes it for t in {-1, 0, 1}, and t = +-2 leaves
+    only +-I."""
+    t = m[0] + m[3]
+    if t not in _ORDER_OF_TRACE or (abs(t) == 2 and m != (t // 2, 0, 0, t // 2)):
+        raise InvariantError(f"rotation matrix {m} has no crystallographic order")
+    return _ORDER_OF_TRACE[t]
 
 
-def _class_has_reflection(m: Mat2, v: Vec2) -> bool:
+def _class_has_reflection(m: Linear, v: tuple[int, int], d: int) -> bool:
     """Whether some lattice translate of (m, v) is a true reflection, i.e.
     (m + I)v lies in (m + I)Z^2.  m + I is a rank-1 integer matrix a*n^T, n a
-    nonzero row divided by the gcd of its entries, so (m + I)Z^2 = Z*a and
-    (m + I)v = (n.v)*a: the test is whether n.v is an integer."""
-    mi = m + IDENTITY_MAT
-    rows = [r for r in ((mi.m11, mi.m12), (mi.m21, mi.m22)) if not all(x.is_zero() for x in r)]
-    if not rows or not mi.det().is_zero() or not _is_integral(mi.m11, mi.m12, mi.m21, mi.m22):
+    nonzero row r divided by the gcd of its entries, so (m + I)Z^2 = Z*a and
+    (m + I)v = (n.v)*a: the test is whether r.(x, y) = 0 mod gcd(r) d."""
+    a, b, c, e = m[0] + 1, m[1], m[2], m[3] + 1
+    if a * e != b * c or not (a or b or c or e):
         raise InvariantError("m + I of a reflection class is not a nonzero rank-1 integer matrix")
-    x, y = rows[0]
-    return _is_integral((x * v.x + y * v.y) / gcd(int(x.a), int(y.a)))
+    r0, r1 = (a, b) if a or b else (c, e)
+    return (r0 * v[0] + r1 * v[1]) % (gcd(r0, r1) * d) == 0
 
 
-def _rotation_center_reps(m: Mat2, v: Vec2) -> list[Vec2]:
-    """Centers of the rotations (m, v + lambda), one per lattice class; there
-    are det(I - m) of them."""
-    im = IDENTITY_MAT - m
-    d = im.det()
-    if not d.is_integer() or int(d.a) <= 0:
+def _rotation_center_reps(m: Linear, v: tuple[int, int], d: int) -> set[tuple[int, int]]:
+    """Centres of the rotations (m, v + lambda), one per lattice class, as
+    numerators over k d for k = det(I - m): adj(I - m)(v + d(i, j)) reduced
+    mod k d for 0 <= i, j < k, which must give k of them."""
+    k = _det((1 - m[0], -m[1], -m[2], 1 - m[3]))
+    if k <= 0:
         raise InvariantError("det(I - rotation) is not a positive integer")
-    count = int(d.a)
-    inv = im.inverse()
-    reps: list[Vec2] = []
-    seen: set[Vec2] = set()
-    for i in range(count):
-        for j in range(count):
-            center = _reduce(inv * (v + vec(i, j)))
-            if center not in seen:
-                seen.add(center)
-                reps.append(center)
-    if len(reps) != count:
+    e = k * d
+    centres = set()
+    for x in range(v[0], v[0] + e, d):
+        for y in range(v[1], v[1] + e, d):
+            centres.add((((1 - m[3]) * x + m[1] * y) % e, (m[2] * x + (1 - m[0]) * y) % e))
+    if len(centres) != k:
         raise InvariantError("wrong number of rotation-center classes")
-    return reps
+    return centres
 
 
-def _point_on_some_mirror(p: Vec2, neg_classes) -> bool:
-    # p is fixed by a reflection in the group iff some class admits a lattice
-    # translate fixing p (a det -1 isometry with a fixed point is a reflection)
-    for (m, v) in neg_classes:
-        w = (IDENTITY_MAT - m) * p - v
-        if _is_integral(w.x, w.y):
-            return True
-    return False
+def _point_on_some_mirror(p: tuple[int, int], k: int, neg: list[Class], d: int) -> bool:
+    """Whether the point p/(k d) is fixed by a reflection in the group: some
+    class (m, v) has a lattice translate fixing it, (I - m)p = k v mod k d
+    (a det -1 isometry with a fixed point is a reflection)."""
+    e = k * d
+    return any(((1 - m[0]) * p[0] - m[1] * p[1] - k * x) % e == 0 and
+               (-m[2] * p[0] + (1 - m[3]) * p[1] - k * y) % e == 0
+               for m, (x, y) in neg)
 
 
-def _exists_glide_off_mirrors(neg_classes) -> bool:
-    for (m, v) in neg_classes:
-        mi = m + IDENTITY_MAT
-        for i in range(2):
-            for j in range(2):
-                t = v + vec(i, j)
-                if (mi * t).is_zero():
-                    continue  # a reflection, not a glide
-                axis_point = ((IDENTITY_MAT - m) * t).scale(Fraction(1, 4))
-                if not _point_on_some_mirror(axis_point, [c for c in neg_classes if c[0] == m]):
+def _exists_glide_off_mirrors(neg: list[Class], d: int) -> bool:
+    for m, (x, y) in neg:
+        same = [c for c in neg if c[0] == m]
+        for tx in (x, x + d):
+            for ty in (y, y + d):
+                # t = (tx, ty)/d; (m + I)t = 0 makes it a reflection, not a glide
+                if (m[0] + 1) * tx + m[1] * ty == 0 and m[2] * tx + (m[3] + 1) * ty == 0:
+                    continue
+                # the glide axis passes through (I - m)t/4
+                axis_point = ((1 - m[0]) * tx - m[1] * ty, (1 - m[3]) * ty - m[2] * tx)
+                if not _point_on_some_mirror(axis_point, 4, same, d):
                     return True
     return False
-
-
-def _centers_of_order(classes, order: int) -> list[Vec2]:
-    out = []
-    for (m, v) in classes:
-        if m.det() == QuadNum.of(1) and not m.is_identity() and rotation_order(m) == order:
-            out.extend(_rotation_center_reps(m, v))
-    return out
 
 
 _CENTRES_ON_MIRRORS = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")}
@@ -774,22 +771,21 @@ _CENTRES_ON_MIRRORS = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")
 
 def crystallographic_type(handle: SubgroupHandle) -> str:
     """Crystallographic type of the subgroup, via the standard decision tree
-    on its affine classes in the lattice basis."""
-    classes = handle.classes
+    on its integer affine classes in the lattice basis."""
+    d, classes = handle.integer_classes
+    rotations = [(_rotation_order(m), m, v) for m, v in classes if _det(m) == 1]
+    neg = [(m, v) for m, v in classes if _det(m) == -1]
     # the identity class is first, so the maximum is 1 when nothing rotates
-    n = max(rotation_order(m) for (m, _) in classes if m.det() == QuadNum.of(1))
-    neg = [(m, v) for (m, v) in classes if m.det() == QuadNum.of(-1)]
+    n = max(order for order, _, _ in rotations)
     if not neg:
         return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
-    mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v)]
-    if n not in (1, 2, 3, 4, 6):
-        raise InvariantError(f"impossible rotation order {n}")
+    mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v, d)]
     if not mirrors:
         if n > 2:
             raise InvariantError(f"{n}-fold group with glides but no mirrors")
         return "pg" if n == 1 else "pgg"
     if n == 1:
-        return "cm" if _exists_glide_off_mirrors(neg) else "pm"
+        return "cm" if _exists_glide_off_mirrors(neg, d) else "pm"
     if n == 6:
         return "p6m"
     # a reflection matrix is fixed by its axis, so one matrix means one axis
@@ -797,8 +793,12 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
         return "pmg"
     # whether every rotation centre of the top order lies on a mirror
     on, off = _CENTRES_ON_MIRRORS[n]
-    centers = _centers_of_order(classes, n)
-    return on if all(_point_on_some_mirror(c, neg) for c in centers) else off
+    for order, m, v in rotations:
+        if order == n:
+            centres = _rotation_center_reps(m, v, d)
+            if not all(_point_on_some_mirror(c, len(centres), neg, d) for c in centres):
+                return off
+    return on
 
 
 def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:
@@ -830,7 +830,7 @@ def classify(handle: SubgroupHandle) -> OrbifoldSignature:
     sig = SIGNATURES[crystallographic_type(handle)]
     # index identity: [G:H] * |P(H)| = [Lat_G : Lat_H] * |P(G)|
     whole = len(model_point_group(handle.model))
-    if handle.index * len(handle.point_group) != handle.lattice_index * whole:
+    if handle.index * len(handle._linear_group) != handle.lattice_index * whole:
         raise InvariantError("index identity violated")
     return sig
 

@@ -195,10 +195,17 @@ class TestTraceAndContains:
     def test_relator_is_contained(self):
         assert self.table.contains(Word((2, 2, 2)))
 
+    def test_permutation_is_the_trace_of_every_coset(self):
+        for w in (Word(()), Word((1,)), Word((-2, 1, 1)), T1_236, T2_236 * T1_236 ** 3):
+            assert self.table.permutation(w) == \
+                [self.table.trace(w, c) for c in range(self.table.index)]
+
     def test_incomplete_table_rejected(self):
         broken = CosetTable(P6, (), ((0, 0, 0, 0),), complete=False)
         with pytest.raises(IncompleteTableError):
             broken.trace(Word((1,)), 0)
+        with pytest.raises(IncompleteTableError):
+            broken.permutation(Word((1,)))
 
 
 class TestSchreier:

@@ -14,8 +14,10 @@ from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
                                  reflection_axis_direction, rotation_order, vec)
 from orbiforge.fpgroup import Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
-                                 _closure, _rotation_center_reps, classify,
-                                 crystallographic_type, model, subgroup)
+                                 _closure, _det, _exists_glide_off_mirrors,
+                                 _point_on_some_mirror, _rotation_center_reps,
+                                 _rotation_order, classify, crystallographic_type,
+                                 model, subgroup)
 
 
 # -- oracle: the Cartesian computation ----------------------------------------
@@ -170,20 +172,32 @@ def test_lattice_basis_agrees_with_cartesian_tree(label):
     lat = handle.lattice
     basis, inverse = lat.basis_matrix(), lat._inverse_basis
     reference = reference_classes(handle)
-    # the classes are the Cartesian ones, conjugated into the lattice basis
+    d, classes = handle.integer_classes
+    # the classes are the Cartesian ones, conjugated into the lattice basis,
+    # and the `classes` view is the integer classes over d
     assert handle.classes == tuple((inverse * m * basis, inverse * v) for m, v in reference)
-    for (m, v), (m_ref, v_ref) in zip(handle.classes, reference):
-        assert all(x.is_integer() for x in (m.m11, m.m12, m.m21, m.m22))
-        for x in (v.x, v.y):
-            assert x.b == 0 and 0 <= x.a < 1
-        if m.det() == QuadNum.of(-1):
-            assert _class_has_reflection(m, v) == \
+    assert handle.classes == tuple((mat(*m), vec(Fraction(x, d), Fraction(y, d)))
+                                   for m, (x, y) in classes)
+    neg = [(m, v) for m, v in classes if _det(m) == -1]
+    neg_ref = [(m, v) for m, v in reference if m.det() != QuadNum.of(1)]
+    for (m, v), (m_ref, v_ref) in zip(classes, reference):
+        assert all(0 <= x < d for x in v)
+        if _det(m) == -1:
+            assert _class_has_reflection(m, v, d) == \
                 reference_class_has_reflection(m_ref, v_ref, lat)
-        elif not m.is_identity():
-            centers = _rotation_center_reps(m, v)
+        elif m != (1, 0, 0, 1):
+            assert _rotation_order(m) == rotation_order(m_ref)
+            centers = _rotation_center_reps(m, v, d)
             reference_centers = reference_rotation_center_reps(m_ref, v_ref, lat)
-            assert len(centers) == len(reference_centers)
-            assert set(centers) == {inverse * c for c in reference_centers}
+            k = len(centers)
+            assert k == 2 - m[0] - m[3] == len(reference_centers)
+            assert {vec(Fraction(x, k * d), Fraction(y, k * d)) for x, y in centers} == \
+                {inverse * c for c in reference_centers}
+            for c in centers:
+                c_ref = basis * vec(Fraction(c[0], k * d), Fraction(c[1], k * d))
+                assert _point_on_some_mirror(c, k, neg, d) == \
+                    reference_point_on_some_mirror(c_ref, neg_ref, lat)
+    assert _exists_glide_off_mirrors(neg, d) == reference_exists_glide_off_mirrors(neg_ref, lat)
     cryst = reference_type(handle, reference)
     assert crystallographic_type(handle) == cryst
     assert classify(handle) == SIGNATURES[cryst]
@@ -206,11 +220,31 @@ def test_point_group_must_preserve_the_lattice(monkeypatch):
         wallpaper.whole_group(model("p4")).classes
 
 
+# A class matrix that is not integral, such as [[1, 1/2], [0, -1]], cannot
+# reach the tree: the class builder rejects it as not preserving the lattice
+# (test_point_group_must_preserve_the_lattice).
 @pytest.mark.parametrize("m", [
-    IDENTITY_MAT,                       # m + I = 2I has rank 2
-    mat(-1, 0, 0, -1),                  # m + I = 0
-    mat(1, Fraction(1, 2), 0, -1),      # m + I is not integral
+    (1, 0, 0, 1),                       # m + I = 2I has rank 2
+    (-1, 0, 0, -1),                     # m + I = 0
+    (0, -1, 1, 0),                      # a quarter turn: m + I has rank 2
 ])
 def test_reflection_class_needs_a_rank_one_integer_matrix(m):
     with pytest.raises(InvariantError, match="rank-1 integer matrix"):
-        _class_has_reflection(m, vec(0, 0))
+        _class_has_reflection(m, (0, 0), 1)
+
+
+@pytest.mark.parametrize("m", [
+    (0, 1, -1, 3),                      # trace 3: infinite order
+    (1, 1, 0, 1),                       # trace 2 but not the identity: a shear
+    (-1, 1, 0, -1),                     # trace -2 but not -I
+])
+def test_rotation_order_needs_a_crystallographic_trace(m):
+    # the integer form of the old NonCrystallographicError from rotation_order
+    with pytest.raises(InvariantError, match="has no crystallographic order"):
+        _rotation_order(m)
+
+
+def test_rotation_order_from_the_trace():
+    for k, m in ((1, (1, 0, 0, 1)), (2, (-1, 0, 0, -1)), (3, (0, -1, 1, -1)),
+                 (4, (0, -1, 1, 0)), (6, (1, -1, 1, 0))):
+        assert _rotation_order(m) == k == rotation_order(mat(*m))

@@ -184,20 +184,48 @@ def test_schreier_vector_is_a_bfs_tree():
         assert table.rows[parent[c]][_col(letter_of[c])] == c
 
 
-@pytest.mark.parametrize("coset, letter", [(5, -1), (4, 1)])
-def test_a_word_that_cancels_at_a_junction_is_rejected(coset, letter):
-    # in Z/6 the BFS tree is 0 -a-> 1 -a-> 3 -a-> 5 and 0 -A-> 2 -A-> 4
-    # (A = a^-1), and the one Schreier word, of the edge 5 -a-> 4, is
-    # r(5) a r(4)^-1 = a^6; relabelling the tree edge into 5 as A (or into
-    # 4 as a) makes that word cancel at its first (or second) junction
+# In Z/6 the BFS tree is 0 -a-> 1 -a-> 3 -a-> 5 and 0 -A-> 2 -A-> 4
+# (A = a^-1), and the one Schreier word, of the edge 5 -a-> 4, is
+# r(5) a r(4)^-1 = a^6.
+
+def _c6_table():
     table = todd_coxeter(Presentation("c6", ("a",), (Word((1,) * 6),)), [])
     parent, letter_of, order = table.schreier_vector
     assert (parent[5], letter_of[5], parent[4], letter_of[4]) == (3, 1, 2, -1)
+    assert table.rows == ((1, 2), (3, 0), (0, 4), (5, 1), (2, 5), (4, 3))
+    return table
+
+
+@pytest.mark.parametrize("coset, letter", [(5, -1), (4, 1)])
+def test_a_tree_edge_missing_from_the_table_is_rejected(coset, letter):
+    # relabelling the tree edge into 5 as A (or into 4 as a) names an edge
+    # the table does not have; unchecked, r(4) would read a^-1 a
+    table = _c6_table()
+    parent, letter_of, order = table.schreier_vector
     corrupt = list(letter_of)
     corrupt[coset] = letter
     table.__dict__["schreier_vector"] = (parent, tuple(corrupt), order)
-    with pytest.raises(InvariantError, match=r"^Schreier word of \(5, 1\) cancels at a junction$"):
+    message = rf"^tree edge into coset {coset} is not an edge of the table$"
+    with pytest.raises(InvariantError, match=message):
+        table.transversal()
+    with pytest.raises(InvariantError, match=message):
         table.schreier_pairs()
+
+
+@pytest.mark.parametrize("coset, target, pair", [(4, 4, (4, 1)), (5, 3, (5, 1))])
+def test_a_word_that_cancels_at_a_junction_is_rejected(coset, target, pair):
+    # the tree edges stay edges of the table, but the a-column stops being
+    # the inverse of the A-column: 4 -a-> 4 makes r(4) a r(4)^-1 = A A a a a
+    # cancel at its first junction, 5 -a-> 3 makes r(5) a r(3)^-1 = a a a a A A
+    # cancel at its second
+    table = _c6_table()
+    rows = list(table.rows)
+    rows[coset] = (target, rows[coset][1])
+    corrupt = replace(table, rows=tuple(rows))
+    assert corrupt.schreier_vector == table.schreier_vector
+    with pytest.raises(InvariantError,
+                       match=rf"^Schreier word of \({pair[0]}, 1\) cancels at a junction$"):
+        corrupt.schreier_pairs()
 
 
 def test_product_and_inverse_match_full_reduction():
@@ -260,11 +288,12 @@ def test_integer_point_group_and_lattice_index_match_cartesian(label):
 
 def _classify_counts(monkeypatch, n):
     """subgroup() + classify() of p6 > <t1^n, t2^n>, counting the integer
-    affine products, Cartesian isometry products and table traces; the
-    model's kernel is built beforehand."""
-    counts = {"amul": 0, "isometry_mul": 0, "trace": 0}
+    affine products, Cartesian isometry products, and the letters that coset
+    permutations compose (one per coset and letter); the model's kernel is
+    built beforehand."""
+    counts = {"amul": 0, "isometry_mul": 0, "letters": 0}
     amul, mul = wallpaper._amul, exactgeom.Isometry.__mul__
-    trace = cosetenum.CosetTable.trace
+    permutation = cosetenum.CosetTable.permutation
 
     def counted_amul(p, q):
         counts["amul"] += 1
@@ -274,15 +303,15 @@ def _classify_counts(monkeypatch, n):
         counts["isometry_mul"] += 1
         return mul(self, other)
 
-    def counted_trace(self, *args, **kwargs):
-        counts["trace"] += 1
-        return trace(self, *args, **kwargs)
+    def counted_permutation(self, w):
+        counts["letters"] += len(w) * self.index
+        return permutation(self, w)
 
     p6 = model("p6")
     p6.kernel
     monkeypatch.setattr(wallpaper, "_amul", counted_amul)
     monkeypatch.setattr(exactgeom.Isometry, "__mul__", counted_mul)
-    monkeypatch.setattr(cosetenum.CosetTable, "trace", counted_trace)
+    monkeypatch.setattr(cosetenum.CosetTable, "permutation", counted_permutation)
     t1, t2 = p6.translation_words
     handle = subgroup(p6, [t1 ** n, t2 ** n])
     sig = classify(handle)
@@ -296,7 +325,7 @@ def test_classification_work_grows_linearly_in_the_index(monkeypatch):
     assert (small.index, large.index) == (96, 384)
     assert sig_small.names.crystallographic == sig_large.names.crystallographic == "p1"
     assert large.lattice_index == 64
-    for key in ("amul", "trace"):
+    for key in ("amul", "letters"):
         assert at_96[key] > 0, (key, at_96)
         assert at_384[key] <= 4.5 * at_96[key], (key, at_96, at_384)
 
@@ -305,3 +334,34 @@ def test_classification_does_no_isometry_product(monkeypatch):
     for n in (1, 4):
         _, _, counts = _classify_counts(monkeypatch, n)
         assert counts["isometry_mul"] == 0, (n, counts)
+
+
+def test_classification_does_no_quadnum_product(monkeypatch):
+    # the 17 whole groups and their 74 sign kernels, each model's kernel
+    # built beforehand
+    pairs = []
+    for name in MODEL_NAMES:
+        m = model(name)
+        m.kernel
+        pairs.append((m, [Word((i,)) for i in range(1, m.presentation.ngens + 1)]))
+        pairs.extend((m, list(hom.kernel_words())) for hom in sign_homs(m.presentation))
+    assert len(pairs) == 91
+    calls = 0
+    mul = exactgeom.QuadNum.__mul__
+
+    def counted_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
+    monkeypatch.setattr(exactgeom.QuadNum, "__rmul__", counted_mul)
+    kinds = {classify(subgroup(m, words)).names.crystallographic for m, words in pairs}
+    monkeypatch.undo()
+    assert kinds == set(MODEL_NAMES)
+    assert calls == 0
+    # the guard counts: the Cartesian view does multiply
+    monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
+    wallpaper.whole_group(model("p6")).schreier_images
+    monkeypatch.undo()
+    assert calls > 0
