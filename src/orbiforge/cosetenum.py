@@ -385,11 +385,8 @@ class CosetTable:
         Walking the discovery order backwards, each coset not yet covered
         starts a path; its climb stops at the first covered coset, whose
         path supplies the rest of the word, so the climbs visit each coset
-        once.  Path 0 is the empty path at coset 0.
-
-        Every tree edge is checked to be an edge of `rows`; with paired
-        columns that makes the paths non-backtracking, so each r(c) is
-        freely reduced.
+        once.  Path 0 is the empty path at coset 0.  Each tree edge must be
+        an edge of `rows`, which with paired columns keeps paths reduced.
         """
         parent, letter_of, order = self.schreier_vector
         n, rows = self.index, self.rows

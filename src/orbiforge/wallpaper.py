@@ -793,12 +793,9 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
         return "pmg"
     # whether every rotation centre of the top order lies on a mirror
     on, off = _CENTRES_ON_MIRRORS[n]
-    for order, m, v in rotations:
-        if order == n:
-            centres = _rotation_center_reps(m, v, d)
-            if not all(_point_on_some_mirror(c, len(centres), neg, d) for c in centres):
-                return off
-    return on
+    centres = [_rotation_center_reps(m, v, d) for order, m, v in rotations if order == n]
+    on_mirrors = all(_point_on_some_mirror(c, len(cs), neg, d) for cs in centres for c in cs)
+    return on if on_mirrors else off
 
 
 def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:
