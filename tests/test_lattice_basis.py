@@ -221,7 +221,7 @@ def test_point_group_must_preserve_the_lattice(monkeypatch):
 
 
 # A class matrix that is not integral, such as [[1, 1/2], [0, -1]], cannot
-# reach the tree: the class builder rejects it as not preserving the lattice
+# reach the tree: `integer_classes` rejects it as not preserving the lattice
 # (test_point_group_must_preserve_the_lattice).
 @pytest.mark.parametrize("m", [
     (1, 0, 0, 1),                       # m + I = 2I has rank 2
@@ -239,7 +239,8 @@ def test_reflection_class_needs_a_rank_one_integer_matrix(m):
     (-1, 1, 0, -1),                     # trace -2 but not -I
 ])
 def test_rotation_order_needs_a_crystallographic_trace(m):
-    # the integer form of the old NonCrystallographicError from rotation_order
+    # exactgeom.rotation_order calls these non-crystallographic; among the
+    # integer classes they can only mean an internal fault
     with pytest.raises(InvariantError, match="has no crystallographic order"):
         _rotation_order(m)
 
