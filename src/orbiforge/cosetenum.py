@@ -30,10 +30,6 @@ class CosetLimitError(RuntimeError):
     """Enumeration exceeded the coset allowance; the index is unknown (not infinite)."""
 
 
-class IncompleteTableError(RuntimeError):
-    """Operation needs a complete coset table."""
-
-
 class InvariantError(RuntimeError):
     """A machine-checked internal invariant failed."""
 
@@ -266,24 +262,23 @@ class _Enumerator:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete right-coset table for a subgroup of a finitely presented group.
+    """Right-coset table for a subgroup of a finitely presented group.
 
-    Row 0 is the subgroup coset.  `rows[c][col]` is the image of coset c under
-    the column's letter.
+    Tables are complete by construction: `todd_coxeter`, the only builder,
+    returns one only once every entry is filled, and `validate` checks that
+    each column is a permutation.  Row 0 is the subgroup coset.
+    `rows[c][col]` is the image of coset c under the column's letter.
     """
 
     parent: Presentation
     subgroup_words: tuple[Word, ...]
     rows: tuple[tuple[int, ...], ...]
-    complete: bool = True
 
     @property
     def index(self) -> int:
         return len(self.rows)
 
     def trace(self, w: Word, start: int = 0) -> int:
-        if not self.complete:
-            raise IncompleteTableError("cannot trace through an incomplete table")
         if not 0 <= start < self.index:
             raise ValueError(f"coset {start} out of range")
         c = start
@@ -294,8 +289,6 @@ class CosetTable:
     def permutation(self, w: Word) -> list[int]:
         """[trace(w, c) for c in range(index)], composed a column at a time:
         each letter maps the whole coset list through its column."""
-        if not self.complete:
-            raise IncompleteTableError("cannot trace through an incomplete table")
         perm = range(self.index)
         for letter in w.letters:
             column = list(map(operator.itemgetter(_col(letter)), self.rows))
@@ -466,13 +459,16 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
 
     Returns the complete standardized table; raises CosetLimitError if the
     enumeration would allocate more than max_cosets rows (the index is then
-    unknown, not necessarily infinite).
+    unknown, not necessarily infinite).  Without max_cosets the allowance is
+    `default_max_cosets()`.
     """
     sub = tuple(sub)
     for w in sub:
         if w.max_index() > p.ngens:
             raise ValueError("subgroup word uses a generator not in the presentation")
     limit = max_cosets if max_cosets is not None else default_max_cosets()
+    if not isinstance(limit, int) or limit < 1:
+        raise ValueError(f"max_cosets must be a positive integer, got {limit!r}")
     enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators],
                        limit)
     enum.run([tuple(_col(x) for x in w.letters) for w in sub])
@@ -512,7 +508,7 @@ def _rewrite(table: CosetTable, gen_of_pair: dict[tuple[int, int], int],
     return Word(tuple(out))
 
 
-def reidemeister_schreier(table: CosetTable, name: str | None = None) -> SubgroupPresentation:
+def reidemeister_schreier(table: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup on its Schreier generators.
 
     Relators are the rewrites of every parent relator from every coset.  The
@@ -521,8 +517,6 @@ def reidemeister_schreier(table: CosetTable, name: str | None = None) -> Subgrou
     identified by length-2 relators; no deeper Tietze transformations are
     attempted.
     """
-    if not table.complete:
-        raise IncompleteTableError("need a complete table")
     pairs = table.schreier_pairs()
     gen_of_pair = {(c, g): i + 1 for i, (c, g, _) in enumerate(pairs)}
     words = [w for _, _, w in pairs]
@@ -584,8 +578,7 @@ def reidemeister_schreier(table: CosetTable, name: str | None = None) -> Subgrou
     final_relators = [Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
                       for r in relators]
     gen_names = tuple(f"x{i + 1}" for i in range(len(alive)))
-    pres = Presentation(name or f"{table.parent.name}.sub", gen_names,
-                        tuple(final_relators))
+    pres = Presentation(f"{table.parent.name}.sub", gen_names, tuple(final_relators))
     inclusion = {}
     for i, old in enumerate(alive):
         inclusion[gen_names[i]] = words[old - 1]

@@ -419,16 +419,16 @@ def mat(m11, m12, m21, m22) -> Mat2:
 IDENTITY_MAT = Mat2.identity()
 
 
-def rotation_order(m: Mat2, cap: int = 6) -> int:
-    """Least k <= cap with m^k = I; error beyond (crystallographic restriction)."""
+def rotation_order(m: Mat2) -> int:
+    """Least k <= 6 with m^k = I; error beyond (crystallographic restriction)."""
     if m.is_identity():
         return 1
     p = m
-    for k in range(2, cap + 1):
+    for k in range(2, 7):
         p = p * m
         if p.is_identity():
             return k
-    raise NonCrystallographicError(f"rotation order exceeds {cap}: {m}")
+    raise NonCrystallographicError(f"rotation order exceeds 6: {m}")
 
 
 def reflection_axis_direction(m: Mat2) -> Vec2:

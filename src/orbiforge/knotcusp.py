@@ -103,12 +103,11 @@ class CollapseResult:
     abelian: AbelianGroup
 
 
-def _certify_order_two(p: Presentation, extras: list[Word], name: str,
-                       max_cosets: int | None = None) -> AbelianGroup:
+def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> AbelianGroup:
     """Certify by coset enumeration that p modulo the normal closure of the
     extras has order exactly 2; returns its abelianization, checked to be Z/2."""
     q = quotient(p, extras, name=name)
-    order = todd_coxeter(q, (), max_cosets).index
+    order = todd_coxeter(q).index
     ab = abelianization(q)
     if order != 2 or ab != AbelianGroup(0, (2,)):
         raise TheoremCheckError(
@@ -117,7 +116,7 @@ def _certify_order_two(p: Presentation, extras: list[Word], name: str,
     return ab
 
 
-def collapse_236(p: Presentation, max_cosets: int | None = None) -> CollapseResult:
+def collapse_236(p: Presentation) -> CollapseResult:
     """Quotient of a p6-cusped amalgam by b, both cusp translations, and all
     meridians; certifies by coset enumeration that the quotient has order
     exactly 2 with abelianization Z/2."""
@@ -125,11 +124,11 @@ def collapse_236(p: Presentation, max_cosets: int | None = None) -> CollapseResu
     t1, t2 = cusp.translation_words
     b = Word((cusp.presentation.gen_index("b"),))
     extras = [b, t1, t2] + _knot_letters(p, cusp.presentation.ngens)
-    ab = _certify_order_two(p, extras, f"{p.name}.collapse", max_cosets)
+    ab = _certify_order_two(p, extras, f"{p.name}.collapse")
     return CollapseResult(2, ab)
 
 
-def h_map_244(p: Presentation, max_cosets: int | None = None) -> tuple[SignHom, AbelianGroup]:
+def h_map_244(p: Presentation) -> tuple[SignHom, AbelianGroup]:
     """The sign map killing d and c^2 on a p4-cusped amalgam.
 
     Verifies that c |-> -1, d |-> +1, mu_j |-> +1 satisfies every relator, and
@@ -146,7 +145,7 @@ def h_map_244(p: Presentation, max_cosets: int | None = None) -> tuple[SignHom, 
     d = Word((cp.gen_index("d"),))
     t1, t2 = cusp.translation_words
     extras = [d, c * c, t1, t2] + _knot_letters(p, cp.ngens)
-    return hom, _certify_order_two(p, extras, f"{p.name}.h", max_cosets)
+    return hom, _certify_order_two(p, extras, f"{p.name}.h")
 
 
 def double_cover_cusp_244() -> OrbifoldSignature:
@@ -297,9 +296,10 @@ def verdict(signature: OrbifoldSignature | str, run_checks: bool = True) -> Cusp
                        notes=tuple(notes), checks=checks)
 
 
-def verdict_table(run_checks: bool = False) -> list[CuspVerdict]:
-    """Verdicts for all seventeen types, in the canonical model order."""
-    return [verdict(SIGNATURES[name], run_checks) for name in SIGNATURES]
+def verdict_table() -> list[CuspVerdict]:
+    """Verdicts for all seventeen types, in the canonical model order, without
+    their supporting checks."""
+    return [verdict(SIGNATURES[name], run_checks=False) for name in SIGNATURES]
 
 
 # --------------------------------------------------------------------------
@@ -315,23 +315,21 @@ def _trivial_gluings(cusp_name: str) -> tuple[GluingDatum, ...]:
     return tuple(GluingDatum(c, "mu1", Word(()), 1, 0) for c in cusp.generators)
 
 
-def random_knot_presentation(rng: random.Random, max_generators: int = 3,
-                             max_conjugator_length: int = 6) -> Presentation:
+def random_knot_presentation(rng: random.Random) -> Presentation:
     """Meridian-style presentation: each extra generator is a conjugate of an
     earlier one, so the abelianization is Z."""
-    n = rng.randint(1, max_generators)
+    n = rng.randint(1, 3)
     gens = tuple(f"mu{i + 1}" for i in range(n))
     relators = []
     for i in range(2, n + 1):
         j = rng.randint(1, i - 1)
         w = Word(tuple(rng.choice([-1, 1]) * rng.randint(1, n)
-                       for _ in range(rng.randint(0, max_conjugator_length))))
+                       for _ in range(rng.randint(0, 6))))
         relators.append(Word((i,)) * (w * Word((j,)) * w.inverse()).inverse())
     return Presentation(f"knot{n}", gens, tuple(relators))
 
 
-def random_amalgam(rng: random.Random, cusp_name: str = "p6",
-                   max_exponent: int = 3) -> AmalgamSpec:
+def random_amalgam(rng: random.Random, cusp_name: str) -> AmalgamSpec:
     knot = random_knot_presentation(rng)
     cusp = model(cusp_name).presentation
     gluings = []
@@ -340,6 +338,5 @@ def random_amalgam(rng: random.Random, cusp_name: str = "p6",
             w = Word(tuple(rng.choice([-1, 1]) * rng.randint(1, knot.ngens)
                            for _ in range(rng.randint(0, 6))))
             gluings.append(GluingDatum(
-                c, k, w, rng.randint(-max_exponent, max_exponent),
-                rng.randint(-max_exponent, max_exponent)))
+                c, k, w, rng.randint(-3, 3), rng.randint(-3, 3)))
     return AmalgamSpec(cusp_name, knot, tuple(gluings))

@@ -98,10 +98,11 @@ class _WordParser:
         return inner
 
 
-def parse_word(text: str, pres: Presentation, line: int = 1, col0: int = 0) -> Word:
-    """Parse a single word against a presentation's generators."""
+def parse_word(text: str, pres: Presentation) -> Word:
+    """Parse a single word against a presentation's generators; error
+    positions count from line 1, column 1 of the text."""
     gen_index = {name: i + 1 for i, name in enumerate(pres.generators)}
-    parser = _WordParser(_tokenize(text, line, col0), gen_index, line)
+    parser = _WordParser(_tokenize(text, 1, 0), gen_index, 1)
     return Word(tuple(parser.parse_word()))
 
 

@@ -18,15 +18,14 @@ from .cosetenum import CosetLimitError, todd_coxeter
 from .exactgeom import (QuadNum, Translation, Vec2, classify_isometry,
                         rotation_matrix, vec)
 from .fixtures import load_fixture
-from .fpgroup import (AbelianGroup, Presentation, Word, abelianization,
-                      sign_homs)
+from .fpgroup import AbelianGroup, Presentation, abelianization, sign_homs
 from .lattice import (Lattice2, QuadInt, Ring, is_rotationally_rhombic,
                       multiplication_matrix, rigid_abelian_index,
                       standard_ring_lattice, sublattice_index, symmetry_order)
 from .presfile import render_word
 from .wallpaper import (MODEL_NAMES, SIGNATURES, classify,
-                        euler_characteristic, model, model_point_group,
-                        orientation_double_cover, sign_kernel, whole_group)
+                        euler_characteristic, model, orientation_double_cover,
+                        sign_kernel, whole_group)
 
 AMALGAM_SAMPLES = 100
 
@@ -135,9 +134,7 @@ def _sample_amalgams(cusp: str, certify: Callable[[Presentation], object],
 
 
 def _check_collapse_236(seed: int) -> tuple[bool, str]:
-    p6 = model("p6")
-    t1, t2 = p6.translation_words
-    kc._certify_order_two(p6.presentation, [t1, t2, Word((2,))], "p6.collapse")
+    kc.collapse_236(model("p6").presentation)
     minimal = kc.build_amalgam(
         kc.AmalgamSpec("p6", kc._minimal_knot(), kc._trivial_gluings("p6")))
     kc.collapse_236(minimal)
@@ -160,8 +157,7 @@ def _check_double_cover_236(seed: int) -> tuple[bool, str]:
 
 
 def _check_h_map_244(seed: int) -> tuple[bool, str]:
-    p4 = model("p4")
-    kc._certify_order_two(p4.presentation, [Word((2,)), Word((1, 1))], "p4.h")
+    kc.h_map_244(model("p4").presentation)
     kc.double_cover_cusp_244()  # raises unless the cover's cusp is S2(2,2,2,2)
     _sample_amalgams("p4", kc.h_map_244, seed + 1)
     return True, (f"|quotient by d, c^2| = 2; kernel cusp S2(2,2,2,2); sign map valid "
@@ -210,7 +206,7 @@ def _check_orientation_covers(seed: int) -> tuple[bool, str]:
 
 def _check_verdicts(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
-    table = kc.verdict_table(run_checks=False)
+    table = kc.verdict_table()
     _expect(len(table) == 17, "verdict table is not total", fails)
     realizable = [v for v in table if v.status == "realizable"]
     excluded = [v for v in table if v.status == "excluded"]
@@ -249,7 +245,7 @@ def _check_roundtrip(seed: int) -> tuple[bool, str]:
         chi = euler_characteristic(sig)
         _expect(chi == 0, f"chi({name}) = {chi}", fails)
         lhs = handle.index * len(handle.point_group)
-        rhs = handle.lattice_index * len(model_point_group(m))
+        rhs = handle.lattice_index * len(m.point_group)
         _expect(lhs == rhs, f"index identity fails for {name}", fails)
     return not fails, "; ".join(fails) or \
         "all 17 models classify to their own signatures; chi = 0; index identity holds"

@@ -622,9 +622,8 @@ class SubgroupHandle:
         return tuple((mat(*m), vec(Fraction(x, d), Fraction(y, d))) for m, (x, y) in out)
 
 
-def subgroup(model_group: ModelGroup, words: Iterable[Word],
-             max_cosets: int | None = None) -> SubgroupHandle:
-    table = todd_coxeter(model_group.presentation, tuple(words), max_cosets)
+def subgroup(model_group: ModelGroup, words: Iterable[Word]) -> SubgroupHandle:
+    table = todd_coxeter(model_group.presentation, tuple(words))
     return SubgroupHandle(model_group, table)
 
 
@@ -817,16 +816,11 @@ def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[
     return tuple(seen)
 
 
-def model_point_group(model_group: ModelGroup) -> tuple[Mat2, ...]:
-    """Point group of the whole model: closure of the generator linear parts."""
-    return model_group.point_group
-
-
 def classify(handle: SubgroupHandle) -> OrbifoldSignature:
     """Euclidean 2-orbifold signature of the subgroup's quotient orbifold."""
     sig = SIGNATURES[crystallographic_type(handle)]
     # index identity: [G:H] * |P(H)| = [Lat_G : Lat_H] * |P(G)|
-    whole = len(model_point_group(handle.model))
+    whole = len(handle.model.point_group)
     if handle.index * len(handle._linear_group) != handle.lattice_index * whole:
         raise InvariantError("index identity violated")
     return sig

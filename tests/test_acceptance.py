@@ -18,8 +18,8 @@ from orbiforge.lattice import (Lattice2, QuadInt, Ring,
 from orbiforge.exactgeom import rotation_matrix
 from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, classify,
                                  euler_characteristic, model,
-                                 model_point_group, orientation_double_cover,
-                                 sign_kernel, whole_group)
+                                 orientation_double_cover, sign_kernel,
+                                 whole_group)
 
 SEED = 0
 SAMPLES = 100
@@ -144,13 +144,13 @@ def test_criterion_10_classifier_roundtrip():
         assert classify(handle) == SIGNATURES[name]
         assert euler_characteristic(SIGNATURES[name]) == 0
         assert handle.index * len(handle.point_group) == \
-            handle.lattice_index * len(model_point_group(m))
+            handle.lattice_index * len(m.point_group)
     for name, signs in [("p6", {"a": -1}), ("p4", {"c": -1}),
                         ("p6m", {"a": -1}), ("p6m", {"a": -1, "b": -1, "c": -1})]:
         handle = sign_kernel(model(name), signs)
         classify(handle)
         assert handle.index * len(handle.point_group) == \
-            handle.lattice_index * len(model_point_group(handle.model))
+            handle.lattice_index * len(handle.model.point_group)
     _done("10 classifier-roundtrip")
 
 

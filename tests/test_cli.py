@@ -136,7 +136,7 @@ class TestSubcommands:
                                                            capsys, monkeypatch):
         from orbiforge import knotcusp
 
-        def broken(p, extras, name, max_cosets=None):
+        def broken(p, extras, name):
             raise knotcusp.TheoremCheckError(f"quotient {name} has order 1")
 
         monkeypatch.setattr(knotcusp, "_certify_order_two", broken)

@@ -5,8 +5,7 @@ import re
 import pytest
 
 from orbiforge import fpgroup
-from orbiforge.cosetenum import (CosetLimitError, CosetTable,
-                                 IncompleteTableError, InvariantError,
+from orbiforge.cosetenum import (CosetLimitError, CosetTable, InvariantError,
                                  _Enumerator, reidemeister_schreier,
                                  todd_coxeter)
 from orbiforge.fixtures import load_fixture
@@ -109,6 +108,11 @@ class TestToddCoxeter:
         defined, live = int(match.group(1)), int(match.group(2))
         assert defined == 1000 and live < defined
 
+    @pytest.mark.parametrize("value", [0, -5, 2.5])
+    def test_allowance_must_be_a_positive_int(self, value):
+        with pytest.raises(ValueError, match="max_cosets must be a positive integer"):
+            todd_coxeter(P6, [], max_cosets=value)
+
     def test_fibonacci_f27_does_not_overshoot(self):
         # an enumerator with no lookahead defined 267,525 rows for these 29
         assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=40_000).index == 29
@@ -199,13 +203,6 @@ class TestTraceAndContains:
         for w in (Word(()), Word((1,)), Word((-2, 1, 1)), T1_236, T2_236 * T1_236 ** 3):
             assert self.table.permutation(w) == \
                 [self.table.trace(w, c) for c in range(self.table.index)]
-
-    def test_incomplete_table_rejected(self):
-        broken = CosetTable(P6, (), ((0, 0, 0, 0),), complete=False)
-        with pytest.raises(IncompleteTableError):
-            broken.trace(Word((1,)), 0)
-        with pytest.raises(IncompleteTableError):
-            broken.permutation(Word((1,)))
 
 
 class TestSchreier:

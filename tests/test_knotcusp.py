@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orbiforge.cosetenum import todd_coxeter
+from orbiforge.cosetenum import CosetLimitError, todd_coxeter
 from orbiforge.fixtures import load_fixture
 from orbiforge.fpgroup import (AbelianGroup, Presentation, Word,
                                abelianization, quotient)
@@ -15,7 +15,7 @@ from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
                                 random_knot_presentation, verdict,
                                 verdict_table, _certify_order_two,
                                 _minimal_knot, _trivial_gluings)
-from orbiforge.wallpaper import SIGNATURES, model
+from orbiforge.wallpaper import SIGNATURES, model, subgroup
 
 HARNESS_SAMPLES = 100
 
@@ -205,6 +205,17 @@ class TestOrderTwoCertificate:
         with pytest.raises(TheoremCheckError, match=r"a-killed\.collapse has order 1"):
             collapse_236(p)
 
+    def test_environment_allowance_bounds_subgroup_and_collapse(self, monkeypatch):
+        # collapse_236 and subgroup take no allowance of their own, so the
+        # environment's bounds them
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")
+        t1, t2 = model("p6").translation_words
+        with pytest.raises(CosetLimitError, match="allowance of 2 exhausted"):
+            subgroup(model("p6"), [t1 ** 8, t2 ** 8])
+        p = build_amalgam(AmalgamSpec("p6", _minimal_knot(), _trivial_gluings("p6")))
+        with pytest.raises(CosetLimitError, match="allowance of 2 exhausted"):
+            collapse_236(p)
+
     def test_h_map_244_propagates_a_failure(self, monkeypatch):
         # with the sign map valid the quotient has order 2, so c is killed
         # behind its back to make the certificate see order 1
@@ -220,7 +231,7 @@ class TestOrderTwoCertificate:
     def test_failing_certificate_is_a_failed_check(self, monkeypatch):
         from orbiforge import knotcusp, verify
 
-        def failing(p, extras, name, max_cosets=None):
+        def failing(p, extras, name):
             raise TheoremCheckError(f"quotient {name} has order 1")
 
         monkeypatch.setattr(knotcusp, "_certify_order_two", failing)

@@ -270,7 +270,7 @@ def test_lazy_model_data_is_cached():
     assert m.translation_images() == (m.lattice().b1, m.lattice().b2)
     assert m.translation_images() == tuple(m.evaluate(w).trans
                                            for w in m.translation_words)
-    assert wallpaper.model_point_group(m) is wallpaper.model_point_group(m)
+    assert m.point_group is m.point_group
     assert len(m.inverse_rep) == m.presentation.ngens
     for g, g_inv in zip(m.rep, m.inverse_rep):
         assert (g * g_inv).is_identity()

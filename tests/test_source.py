@@ -43,6 +43,74 @@ def test_public_api_is_pinned():
     assert missing == []
 
 
+# every defaulted parameter and dataclass field default in the package; each
+# is a setting callers may change, so a new one is a change to the contract
+OPTIONS = [
+    "cli.main(argv=None)",
+    "cosetenum.CosetTable.trace(start=0)",
+    "cosetenum.todd_coxeter(sub=())",
+    "cosetenum.todd_coxeter(max_cosets=None)",
+    "exactgeom.QuadNum.__init__(a=0)",
+    "exactgeom.QuadNum.__init__(b=0)",
+    "fpgroup.Word.letters=()",
+    "fpgroup.quotient(name=None)",
+    "fpgroup.AbelianGroup.torsion=()",
+    "knotcusp.CuspVerdict.witness=None",
+    "knotcusp.CuspVerdict.reason=None",
+    "knotcusp.CuspVerdict.notes=()",
+    "knotcusp.CuspVerdict.checks=()",
+    "knotcusp.verdict(run_checks=True)",
+    "presfile._WordParser._error(col=None)",
+    "presfile._WordParser.parse_word(stop_at_rparen=False)",
+    "verify.Check.fn=None",
+    "verify.run_verification(selection=None)",
+    "verify.run_verification(seed=0)",
+    "verify.report_json(include_timings=False)",
+    "wallpaper.OrbifoldSignature.names=Names('', '', '')",
+    "wallpaper.OrbifoldSignature.note=''",
+    "wallpaper._sig(note='')",
+    "wallpaper._iso(tx=0)",
+    "wallpaper._iso(ty=0)",
+]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (dec.func if isinstance(dec, ast.Call) else dec
+                         for dec in cls.decorator_list))
+
+
+def _options(node: ast.AST, prefix: str) -> list[str]:
+    """Defaulted parameters and dataclass field defaults under node, in
+    source order, as `prefix.qualname(param=default)` and `prefix.Class.field=default`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{prefix}.{child.name}({a.arg}={ast.unparse(d)})" for a, d in pairs]
+            found += _options(child, f"{prefix}.{child.name}")
+        elif isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                found += [f"{prefix}.{child.name}.{ast.unparse(s.target)}={ast.unparse(s.value)}"
+                          for s in child.body
+                          if isinstance(s, ast.AnnAssign) and s.value is not None]
+            found += _options(child, f"{prefix}.{child.name}")
+    return found
+
+
+def test_option_surface_is_pinned():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources, "package source not found"
+    found = []
+    for path in sources:
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        found += _options(ast.parse(path.read_text(), filename=str(path)), module)
+    assert found == OPTIONS
+
+
 def test_no_unused_module_imports():
     # `__init__.py` imports to re-export, so it is exempt
     sources = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")

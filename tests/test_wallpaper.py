@@ -10,8 +10,7 @@ from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
                                  SIGNATURES, UnknownModelError,
                                  UnknownSignatureError, classify,
                                  crystallographic_name, euler_characteristic,
-                                 model, model_point_group,
-                                 orientation_double_cover, sign_kernel,
+                                 model, orientation_double_cover, sign_kernel,
                                  signature_by_name, subgroup,
                                  translation_lattice, whole_group)
 
@@ -94,7 +93,7 @@ class TestClassification:
         handles.append(sign_kernel(model("p4"), {"c": -1}))
         for h in handles:
             assert h.index * len(h.point_group) == \
-                h.lattice_index * len(model_point_group(h.model))
+                h.lattice_index * len(h.model.point_group)
 
     def test_invalid_sign_assignment_rejected(self):
         with pytest.raises(ValueError):
