@@ -188,13 +188,13 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    selection = args.only.split(",") if args.only else None
-    if selection:
-        selection = [s.strip() for s in selection if s.strip()]
+    selection = None
+    if args.only is not None:
+        selection = [s.strip() for s in args.only.split(",") if s.strip()]
         unknown = [s for s in selection if s not in verify.CHECK_IDS]
-        if unknown:
-            raise InputError(f"unknown check ids: {', '.join(unknown)}; "
-                             f"available: {', '.join(verify.CHECK_IDS)}")
+        if unknown or not selection:
+            what = f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given"
+            raise InputError(f"{what}; available: {', '.join(verify.CHECK_IDS)}")
     report = verify.run_verification(selection, args.seed)
     if args.format == "json":
         print(verify.report_json(report, include_timings=args.timings))
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="run the full verification suite of classification claims")
-    p.add_argument("--only", default="", help="comma-separated check ids")
+    p.add_argument("--only", help="comma-separated check ids")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true",
@@ -259,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         allowance = _allowance(args)
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, PresentationError) as exc:
+    except (InputError, ParseError, PresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CosetLimitError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .fpgroup import Presentation, Word, _reduced_word
+from .fpgroup import Presentation, Word, _reduced_word, tietze_pass
 
 
 class CosetLimitError(RuntimeError):
@@ -492,97 +492,33 @@ def _rewrite(table: CosetTable, gen_of_pair: dict[tuple[int, int], int],
     out: list[int] = []
     c = start
     for letter in rel.letters:
+        if letter < 0:
+            c = table.rows[c][_col(letter)]  # the coset c with c*(-letter) = old c
+        idx = gen_of_pair.get((c, abs(letter)))
+        if idx is not None:
+            out.append(idx if letter > 0 else -idx)
         if letter > 0:
-            pair = (c, letter)
-            idx = gen_of_pair.get(pair)
-            if idx is not None:
-                out.append(idx)
             c = table.rows[c][_col(letter)]
-        else:
-            g = -letter
-            src = table.rows[c][_col(letter)]  # src satisfies src*g = c
-            idx = gen_of_pair.get((src, g))
-            if idx is not None:
-                out.append(-idx)
-            c = src
     return Word(tuple(out))
 
 
 def reidemeister_schreier(table: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup on its Schreier generators.
 
-    Relators are the rewrites of every parent relator from every coset.  The
-    result is simplified by dropping empty and duplicate relators, deleting
-    generators forced trivial by length-1 relators, and merging generators
-    identified by length-2 relators; no deeper Tietze transformations are
-    attempted.
-    """
+    Relators are the rewrites of every parent relator from every coset,
+    simplified by `fpgroup.tietze_pass`, the pass the order-2 certificates
+    also use: it drops empty and duplicate relators, deletes generators
+    forced trivial by length-1 relators and merges generators identified by
+    length-2 relators; no deeper Tietze transformations are attempted.  The
+    survivors are renamed x1, x2, ..."""
     pairs = table.schreier_pairs()
     gen_of_pair = {(c, g): i + 1 for i, (c, g, _) in enumerate(pairs)}
-    words = [w for _, _, w in pairs]
-    relators = []
-    for rel in table.parent.relators:
-        for c in range(table.index):
-            relators.append(_rewrite(table, gen_of_pair, rel, c))
-
-    alive = list(range(1, len(pairs) + 1))
-    replacement: dict[int, Word] = {}  # letter -> replacement word (over alive letters)
-
-    def substitute(w: Word) -> Word:
-        # replacements can chain (x -> y, later y -> 1); resolve to a fixed point
-        while any(abs(letter) in replacement for letter in w.letters):
-            out: list[int] = []
-            for letter in w.letters:
-                r = replacement.get(abs(letter))
-                if r is None:
-                    out.append(letter)
-                else:
-                    out.extend(r.letters if letter > 0 else r.inverse().letters)
-            w = Word(tuple(out))
-        return w
-
-    changed = True
-    while changed:
-        changed = False
-        relators = [substitute(r) for r in relators]
-        seen = set()
-        cleaned = []
-        for r in relators:
-            if r.is_empty():
-                continue
-            key = min(r.letters, r.inverse().letters)
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(r)
-        relators = cleaned
-        for r in relators:
-            if len(r) == 1:
-                replacement[abs(r.letters[0])] = Word(())
-                alive = [g for g in alive if g != abs(r.letters[0])]
-                changed = True
-                break
-            if len(r) == 2:
-                x, y = r.letters
-                if abs(x) != abs(y):
-                    # relator x*y = 1 identifies y with x^-1
-                    kill, keep = (abs(y), Word((-x,)) if y > 0 else Word((x,)))
-                    replacement[kill] = keep
-                    alive = [g for g in alive if g != kill]
-                    changed = True
-                    break
-
-    # the loop above leaves relators that are non-empty, distinct and over
-    # alive letters only, and renum is a bijection, so they stay that way
-    renum = {old: i + 1 for i, old in enumerate(alive)}
-    final_relators = [Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
-                      for r in relators]
-    gen_names = tuple(f"x{i + 1}" for i in range(len(alive)))
-    pres = Presentation(f"{table.parent.name}.sub", gen_names, tuple(final_relators))
-    inclusion = {}
-    for i, old in enumerate(alive):
-        inclusion[gen_names[i]] = words[old - 1]
-    for w in inclusion.values():
-        if not table.contains(w):
-            raise InvariantError("inclusion word leaves the subgroup")
+    relators = [_rewrite(table, gen_of_pair, rel, c)
+                for rel in table.parent.relators for c in range(table.index)]
+    names = tuple(f"x{i + 1}" for i in range(len(pairs)))
+    reduced, alive = tietze_pass(Presentation(f"{table.parent.name}.sub", names, relators))
+    pres = Presentation(reduced.name, names[:len(alive)], reduced.relators)
+    inclusion = {name: pairs[old - 1][2] for name, old in zip(pres.generators, alive)}
+    if not all(map(table.contains, inclusion.values())):
+        raise InvariantError("inclusion word leaves the subgroup")
     return SubgroupPresentation(pres, inclusion)

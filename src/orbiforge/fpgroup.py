@@ -6,6 +6,7 @@ generator, negative = its inverse), always stored freely reduced.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ class Word:
         return not self.letters
 
     def max_index(self) -> int:
-        return max((abs(x) for x in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def exponent_sums(self, ngens: int) -> list[int]:
         sums = [0] * ngens
@@ -136,13 +137,66 @@ class Presentation:
 
 def quotient(p: Presentation, extra: Sequence[Word], name: str | None = None) -> Presentation:
     """Presentation of p modulo the normal closure of the extra words."""
-    for w in extra:
-        if w.max_index() > p.ngens:
-            raise PresentationError("quotient word uses unknown generator")
     if not extra:
         return p
     return Presentation(name or f"{p.name}_mod", p.generators,
                         p.relators + tuple(extra))
+
+
+def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
+    """Tietze pass: drop empty relators and repeats up to inversion (the
+    first copy stays); then, while a relator has length 1 or is x*y on two
+    generators, take the first such one in list order and delete its last
+    letter's generator, substituting its value (1, or the inverse of x) once,
+    into the relators that contain it.  Returns a presentation of the same
+    group on the survivors, renumbered in order under their names, with the
+    surviving relators in their original order, and the survivors' 1-based
+    indices in p."""
+    def key(r):
+        return min(r, tuple(map(operator.neg, reversed(r))))
+
+    rels: list[tuple[int, ...] | None] = [None] * len(p.relators)
+    first: dict[tuple[int, ...], int] = {}  # key -> the position holding it
+    where = {g: set() for g in range(1, p.ngens + 1)}  # survivor -> positions that held it
+    short: list[int] = []                   # heap of positions placed at length <= 2
+
+    def place(pos, r):
+        # an empty relator is dropped, a repeat gives way to the earlier copy
+        k = key(r)
+        other = first.get(k, pos) if r else -1
+        if other >= pos:
+            rels[other] = None
+            first[k], rels[pos] = pos, r
+            if len(r) <= 2:
+                heapq.heappush(short, pos)
+
+    for pos, w in enumerate(p.relators):
+        place(pos, w.letters)
+        for g in set(map(abs, w.letters)):
+            where[g].add(pos)
+    while short:
+        r = rels[heapq.heappop(short)]
+        if not r or len(r) > 2 or len(r) == 2 and r[0] == r[1]:
+            continue
+        # r is g^(+-1) or x g^(+-1), so g = 1 (h = 0, filtered out) or x^(-+1)
+        g = abs(r[-1])
+        h = 0 if len(r) == 1 else -r[0] if r[-1] > 0 else r[0]
+        values = {g: h, -g: -h}
+        changed = [(pos, rels[pos]) for pos in where.pop(g)
+                   if rels[pos] and (g in rels[pos] or -g in rels[pos])]
+        for pos, old in changed:
+            del first[key(old)]
+            rels[pos] = None
+        for pos, old in changed:
+            place(pos, _reduce_letters(filter(None, map(values.get, old, old))))
+            if h:
+                where[abs(h)].add(pos)
+    survivors = tuple(where)
+    renum = {old: i + 1 for i, old in enumerate(survivors)}
+    renum.update({-old: -new for old, new in renum.items()})
+    relators = tuple(_reduced_word(tuple(map(renum.__getitem__, r))) for r in rels if r)
+    return (Presentation(p.name, tuple(p.generators[g - 1] for g in survivors), relators),
+            survivors)
 
 
 # --------------------------------------------------------------------------

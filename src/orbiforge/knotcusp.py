@@ -15,7 +15,7 @@ from typing import Callable
 
 from .cosetenum import todd_coxeter
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word,
-                      abelianization, quotient)
+                      abelianization, quotient, tietze_pass)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
                         _class_has_reflection, _det, _rotation_order,
                         classify, model, orientation_double_cover,
@@ -105,8 +105,11 @@ class CollapseResult:
 
 def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> AbelianGroup:
     """Certify by coset enumeration that p modulo the normal closure of the
-    extras has order exactly 2; returns its abelianization, checked to be Z/2."""
-    q = quotient(p, extras, name=name)
+    extras has order exactly 2; returns its abelianization, checked to be Z/2.
+    Both are computed after `fpgroup.tietze_pass`, the pass Reidemeister-
+    Schreier also uses, which presents the same group on fewer generators:
+    each single-letter extra (b, d, a meridian) deletes its generator."""
+    q, _ = tietze_pass(quotient(p, extras, name=name))
     order = todd_coxeter(q).index
     ab = abelianization(q)
     if order != 2 or ab != AbelianGroup(0, (2,)):

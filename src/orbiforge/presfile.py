@@ -29,6 +29,9 @@ class ParseError(ValueError):
         return f"line {self.line}, column {self.col}: {self.message}"
 
 
+# the most letters a written word may have, powers expanded, before free reduction
+MAX_WORD_LETTERS = 1_000_000
+
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^-?\d+|[()]|\S")
 
 
@@ -68,6 +71,8 @@ class _WordParser:
                     return letters
                 raise self._error("unbalanced ')'", tok[1])
             letters.extend(self._parse_term())
+            if len(letters) > MAX_WORD_LETTERS:
+                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", tok[1])
 
     def _parse_term(self) -> list[int]:
         tok = self._peek()
@@ -89,11 +94,15 @@ class _WordParser:
             raise self._error(f"unexpected token {text!r}", col)
         nxt = self._peek()
         if nxt is not None and nxt[0].startswith("^"):
-            power = int(nxt[0][1:])
+            sign, digits = re.fullmatch(r"\^(-?)0*(\d*)", nxt[0]).groups()
+            # cut to the cap's digits + 1: still past the cap; int() refuses 4301 digits
+            power = int(sign + (digits or "0")[:len(str(MAX_WORD_LETTERS)) + 1])
             self.pos += 1
             if power < 0:
                 inner = [-x for x in reversed(inner)]
                 power = -power
+            if len(inner) * power > MAX_WORD_LETTERS:
+                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", nxt[1])
             inner = inner * power
         return inner
 

@@ -66,6 +66,40 @@ class TestParser:
         p = parse_presentation(fixture_text("p6"))
         assert parse_word("b a^-2", p).letters == (2, -1, -1)
 
+    def test_power_past_the_word_cap_is_refused_before_expansion(self):
+        # 99999999999 letters would not fit in memory: the parser must
+        # compare len(inner) * power with the cap before building anything
+        with pytest.raises(ParseError) as err:
+            parse_presentation("group t\ngens a b\nrel (a b)^-99999999999\n")
+        assert (err.value.line, err.value.col) == (3, 10)
+        assert "longer than 1000000 letters" in err.value.message
+        # int() refuses a 5000-digit string, so such a power is not converted
+        p = parse_presentation(fixture_text("p6"))
+        for sign in ("", "-"):
+            with pytest.raises(ParseError, match="longer than 1000000 letters"):
+                parse_word(f"a^{sign}{'9' * 5000}", p)
+        assert parse_word(f"()^{'9' * 5000} a^-{'0' * 5000}2", p).letters == (-1, -1)
+
+    def test_word_cap_bounds_powers_and_sums_of_terms(self, monkeypatch):
+        from orbiforge import presfile
+
+        monkeypatch.setattr(presfile, "MAX_WORD_LETTERS", 10)
+        p = parse_presentation(fixture_text("p6"))
+        assert len(parse_word("(a b)^5", p)) == 10
+        # letters are counted as written, before free reduction
+        assert parse_word("a^4 b^3 (a b)^-1 a", p).letters == (1,) * 4 + (2,) * 2
+        for text in ("(a b)^6", "a^-11", "(a b)^5 a", "(a^6 b^6)", "a^4 b^3 (a b)^-1 a b"):
+            with pytest.raises(ParseError, match="longer than 10 letters"):
+                parse_word(text, p)
+
+    def test_word_cap_is_an_input_error(self, p6_file, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("group t\ngens a\nrel a^99999999999\n")
+        assert main(["abelianize", str(big)]) == 2
+        assert main(["cosets", p6_file, "--subgroup", "b a^99999999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("longer than 1000000 letters") == 2
+
 
 class TestSubcommands:
     def test_abelianize(self, p6_file, capsys):
@@ -155,6 +189,13 @@ class TestExitCodes:
 
     def test_unknown_check_id_is_input_error(self, capsys):
         assert main(["verify-paper", "--only", "no-such-check"]) == 2
+
+    @pytest.mark.parametrize("only", ["", ",", " , "])
+    def test_empty_check_selection_is_input_error(self, only, capsys):
+        # an empty --only used to run every check
+        assert main(["verify-paper", "--only", only]) == 2
+        err = capsys.readouterr().err
+        assert "no check ids given" in err and "available: rep-236" in err
 
     def test_parse_error_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -423,3 +423,125 @@ class TestGoldenTables:
         pres, sub = GOLDEN_CASES[name]
         rows = todd_coxeter(pres, sub).rows
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_TABLE_HASHES[name]
+
+
+def _rs_golden_cases():
+    from orbiforge.wallpaper import model
+
+    c6 = Presentation("c6", ("a",), (Word((1,) * 6),))
+    cases = {
+        "S7 > S6": (coxeter_symmetric(7), [Word((i,)) for i in range(1, 6)]),
+        "S5 > S4": (coxeter_symmetric(5), [Word((i,)) for i in range(1, 4)]),
+        "C6 > 1": (c6, []),
+    }
+    p6 = model("p6")
+    t1, t2 = p6.translation_words
+    for k in (1, 2, 3, 4):
+        cases[f"p6 > <t1^{k}, t2^{k}>"] = (p6.presentation, [t1 ** k, t2 ** k])
+    return cases
+
+
+RS_GOLDEN_CASES = _rs_golden_cases()
+
+# sha256 of repr(reidemeister_schreier(table)), the presentation and the
+# inclusion words, recorded from the simplifier that substituted every
+# relator after each elimination
+RS_GOLDEN_HASHES = {
+    "S7 > S6":
+        "4d693dc7914e1c23c3445b6dcb2f9153c631ce97f866c6631b9c00e49c3efb27",
+    "S5 > S4":
+        "f62bcb81edc870b06df143dbd3dbc0e9e5f438b1935bc9d5954fcf985ca18ea0",
+    "C6 > 1":
+        "b7f3e384fb2680f71fc85ebdf1e13365ac48cc9e1e39a59e340f70f1b86c74ef",
+    "p6 > <t1^1, t2^1>":
+        "f1b463ca47a30d49fab6e331fb1cc72fbdd722e58374c3e27d48bd8de69edcc4",
+    "p6 > <t1^2, t2^2>":
+        "b467dd388bd8f5381a5f5e3c33d1a071271a2e293415d0157f0265c7b7828b97",
+    "p6 > <t1^3, t2^3>":
+        "e55f7ae237b43237765b3d033fcf63d553cd85cd16108241423ea279e1d330c2",
+    "p6 > <t1^4, t2^4>":
+        "872bb4aec9ec5624b85307f0656c702ebf6dfa2efb3d77f888bf5a5790d1bb5f",
+}
+
+
+def _reference_simplify(ngens, relators):
+    """The simplifier Reidemeister-Schreier used before the shared Tietze
+    pass: after each elimination, substitute into every relator and dedupe.
+    Returns the surviving generators and the relators renumbered over them."""
+    alive = list(range(1, ngens + 1))
+    replacement = {}
+
+    def substitute(w):
+        while any(abs(letter) in replacement for letter in w.letters):
+            out = []
+            for letter in w.letters:
+                r = replacement.get(abs(letter))
+                if r is None:
+                    out.append(letter)
+                else:
+                    out.extend(r.letters if letter > 0 else r.inverse().letters)
+            w = Word(tuple(out))
+        return w
+
+    changed = True
+    while changed:
+        changed = False
+        relators = [substitute(r) for r in relators]
+        seen = set()
+        cleaned = []
+        for r in relators:
+            if r.is_empty():
+                continue
+            key = min(r.letters, r.inverse().letters)
+            if key in seen:
+                continue
+            seen.add(key)
+            cleaned.append(r)
+        relators = cleaned
+        for r in relators:
+            if len(r) == 1:
+                replacement[abs(r.letters[0])] = Word(())
+                alive = [g for g in alive if g != abs(r.letters[0])]
+                changed = True
+                break
+            if len(r) == 2:
+                x, y = r.letters
+                if abs(x) != abs(y):
+                    kill, keep = (abs(y), Word((-x,)) if y > 0 else Word((x,)))
+                    replacement[kill] = keep
+                    alive = [g for g in alive if g != kill]
+                    changed = True
+                    break
+    renum = {old: i + 1 for i, old in enumerate(alive)}
+    return (tuple(alive),
+            [Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
+             for r in relators])
+
+
+class TestTietzePass:
+    @pytest.mark.parametrize("name", sorted(RS_GOLDEN_CASES))
+    def test_reidemeister_schreier_is_unchanged(self, name):
+        pres, sub = RS_GOLDEN_CASES[name]
+        sp = reidemeister_schreier(todd_coxeter(pres, sub))
+        assert hashlib.sha256(repr(sp).encode()).hexdigest() == RS_GOLDEN_HASHES[name]
+
+    def test_matches_the_reference_simplifier(self):
+        import random
+
+        rng = random.Random(2020)
+        eliminated = 0
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            rels = []
+            for _ in range(rng.randint(0, 10)):
+                length = rng.choice((0, 1, 1, 2, 2, 2, 3, 4, 5))
+                rels.append(Word(tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                                       for _ in range(length))))
+            p = Presentation("r", tuple(f"g{i}" for i in range(1, n + 1)), tuple(rels))
+            reduced, survivors = fpgroup.tietze_pass(p)
+            want_survivors, want_relators = _reference_simplify(n, rels)
+            assert survivors == want_survivors
+            assert list(reduced.relators) == want_relators
+            assert reduced.generators == tuple(f"g{i}" for i in survivors)
+            eliminated += n - len(survivors)
+        assert eliminated > 3000  # the draws do exercise the eliminations

@@ -190,6 +190,10 @@ class TestAbelianization:
         p6 = load_fixture("p6")
         assert quotient(p6, []) is p6
 
+    def test_quotient_word_on_an_unknown_generator(self):
+        with pytest.raises(PresentationError, match="generator #3 but only 2 exist"):
+            quotient(load_fixture("p6"), [Word((1,)), Word((-3,))])
+
 
 class TestSignHoms:
     def test_p6_has_exactly_one(self):

@@ -212,8 +212,11 @@ class TestOrderTwoCertificate:
         t1, t2 = model("p6").translation_words
         with pytest.raises(CosetLimitError, match="allowance of 2 exhausted"):
             subgroup(model("p6"), [t1 ** 8, t2 ** 8])
+        # the certificate enumerates the Tietze-reduced collapse, one
+        # generator of order 2, so only an allowance of 1 is too small
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "1")
         p = build_amalgam(AmalgamSpec("p6", _minimal_knot(), _trivial_gluings("p6")))
-        with pytest.raises(CosetLimitError, match="allowance of 2 exhausted"):
+        with pytest.raises(CosetLimitError, match="allowance of 1 exhausted"):
             collapse_236(p)
 
     def test_h_map_244_propagates_a_failure(self, monkeypatch):
@@ -227,6 +230,32 @@ class TestOrderTwoCertificate:
         p = build_amalgam(AmalgamSpec("p4", _minimal_knot(), _trivial_gluings("p4")))
         with pytest.raises(TheoremCheckError, match=r"\.h has order 1"):
             h_map_244(p)
+
+    def test_single_letter_extras_never_reach_the_enumeration(self, monkeypatch):
+        # b, d and the meridians are single-letter extras; the Tietze pass
+        # deletes their generators before todd_coxeter and abelianization
+        from orbiforge import knotcusp
+
+        rng = random.Random(11)
+        cases = [(collapse_236, "p6", "b", ".collapse"), (h_map_244, "p4", "d", ".h")]
+        runs = []
+        for certify, cusp, killed, suffix in cases:
+            specs = [AmalgamSpec(cusp, _minimal_knot(), _trivial_gluings(cusp))]
+            specs += [random_amalgam(rng, cusp) for _ in range(5)]
+            runs += [(certify, build_amalgam(spec), killed, suffix) for spec in specs]
+        seen = []
+        for name in ("todd_coxeter", "abelianization"):
+            real = getattr(knotcusp, name)
+            monkeypatch.setattr(knotcusp, name,
+                                lambda q, real=real: seen.append(q) or real(q))
+        for certify, p, killed, suffix in runs:
+            seen.clear()
+            certify(p)
+            assert len(seen) == 2
+            for q in seen:
+                assert q.name == p.name + suffix
+                assert killed not in q.generators
+                assert not [g for g in q.generators if g.startswith("mu")]
 
     def test_failing_certificate_is_a_failed_check(self, monkeypatch):
         from orbiforge import knotcusp, verify
