@@ -7,6 +7,16 @@ is held over a common denominator as (p + r*sqrt3)/q in arbitrary-precision
 ints, normalized so equal values have equal triples; no arithmetic on the
 hot path builds a Fraction.  Every value here is immutable and every
 operation is pure, so everything is safe to share across threads.
+
+The 2x2 kernels (`Mat2` times `Mat2` or `Vec2`, `Mat2.det`, `Vec2.dot` and
+`Vec2.cross`) are fused: each output entry a*x + b*y is formed on the raw
+triples over one common denominator and normalized once by `_fused`.
+Results whose entries are already QuadNums are built by the private
+constructors `_make`, `_vec` and `_mat`, which skip the coercion in
+`__post_init__`.  The public `Isometry` constructor checks that the linear
+part is orthogonal with det +-1; products and inverses are built by
+`_isometry` without the check, since a product or a transpose of such
+matrices is one again.
 """
 from __future__ import annotations
 
@@ -260,6 +270,32 @@ def _normalized(p: int, r: int, q: int) -> QuadNum:
     return _make(p, r, q)
 
 
+def _fused(a: QuadNum, x: QuadNum, b: QuadNum, y: QuadNum, sign: int) -> QuadNum:
+    """a*x + sign*b*y (sign is 1 or -1), normalized once.
+
+    Both products are formed on the raw triples and summed over one common
+    denominator; only the sum is reduced by its gcd, so the result is the
+    same normalized triple the two QuadNum products and the sum give."""
+    p1, r1, p2, r2 = a.p, a.r, x.p, x.r
+    p3, r3, p4, r4 = b.p, b.r, y.p, y.r
+    p = p1 * p2 + 3 * r1 * r2
+    r = p1 * r2 + r1 * p2
+    q = a.q * x.q
+    s = p3 * p4 + 3 * r3 * r4
+    t = p3 * r4 + r3 * p4
+    u = b.q * y.q
+    if sign < 0:
+        s, t = -s, -t
+    if q == u:
+        p, r = p + s, r + t
+    else:
+        p, r, q = p * u + s * q, r * u + t * q, q * u
+    g = math.gcd(p, r, q)
+    if g != 1:
+        p, r, q = p // g, r // g, q // g
+    return _make(p, r, q)
+
+
 def _render_frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -314,23 +350,23 @@ class Vec2:
         object.__setattr__(self, "y", QuadNum.of(self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return _vec(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return _vec(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return _vec(-self.x, -self.y)
 
     def scale(self, k: _Raw) -> "Vec2":
         k = QuadNum.of(k)
-        return Vec2(self.x * k, self.y * k)
+        return _vec(self.x * k, self.y * k)
 
     def dot(self, other: "Vec2") -> QuadNum:
-        return self.x * other.x + self.y * other.y
+        return _fused(self.x, other.x, self.y, other.y, 1)
 
     def cross(self, other: "Vec2") -> QuadNum:
-        return self.x * other.y - self.y * other.x
+        return _fused(self.x, other.y, self.y, other.x, -1)
 
     def norm_sq(self) -> QuadNum:
         return self.dot(self)
@@ -344,6 +380,15 @@ class Vec2:
 
 def vec(x: _Raw, y: _Raw) -> Vec2:
     return Vec2(QuadNum.of(x), QuadNum.of(y))
+
+
+def _vec(x: QuadNum, y: QuadNum) -> Vec2:
+    """Vec2 from two QuadNums, skipping the coercion in __post_init__."""
+    v = _new(Vec2)
+    d = v.__dict__
+    d["x"] = x
+    d["y"] = y
+    return v
 
 
 ZERO_VEC = vec(0, 0)
@@ -367,43 +412,43 @@ class Mat2:
         return Mat2(QuadNum(1), QuadNum(0), QuadNum(0), QuadNum(1))
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m11 + other.m11, self.m12 + other.m12,
+        return _mat(self.m11 + other.m11, self.m12 + other.m12,
                     self.m21 + other.m21, self.m22 + other.m22)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m11 - other.m11, self.m12 - other.m12,
+        return _mat(self.m11 - other.m11, self.m12 - other.m12,
                     self.m21 - other.m21, self.m22 - other.m22)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.m11, -self.m12, -self.m21, -self.m22)
+        return _mat(-self.m11, -self.m12, -self.m21, -self.m22)
 
     def __mul__(self, other):
-        if isinstance(other, Mat2):
-            return Mat2(
-                self.m11 * other.m11 + self.m12 * other.m21,
-                self.m11 * other.m12 + self.m12 * other.m22,
-                self.m21 * other.m11 + self.m22 * other.m21,
-                self.m21 * other.m12 + self.m22 * other.m22,
-            )
-        if isinstance(other, Vec2):
-            return Vec2(self.m11 * other.x + self.m12 * other.y,
-                        self.m21 * other.x + self.m22 * other.y)
+        a, b, c, d = self.m11, self.m12, self.m21, self.m22
+        if other.__class__ is Mat2:
+            e, f, g, h = other.m11, other.m12, other.m21, other.m22
+            return _mat(_fused(a, e, b, g, 1), _fused(a, f, b, h, 1),
+                        _fused(c, e, d, g, 1), _fused(c, f, d, h, 1))
+        if other.__class__ is Vec2:
+            x, y = other.x, other.y
+            return _vec(_fused(a, x, b, y, 1), _fused(c, x, d, y, 1))
         return NotImplemented
 
     def transpose(self) -> "Mat2":
-        return Mat2(self.m11, self.m21, self.m12, self.m22)
+        return _mat(self.m11, self.m21, self.m12, self.m22)
 
     def det(self) -> QuadNum:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        return _fused(self.m11, self.m22, self.m12, self.m21, -1)
 
     def inverse(self) -> "Mat2":
         d = self.det()
         if d.is_zero():
             raise ZeroDivisionError("singular matrix")
-        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
+        k = d.inverse()
+        minus_k = -k
+        return _mat(self.m22 * k, self.m12 * minus_k, self.m21 * minus_k, self.m11 * k)
 
     def is_identity(self) -> bool:
-        return self == Mat2.identity()
+        return self == IDENTITY_MAT
 
     def is_orthogonal(self) -> bool:
         return (self.transpose() * self).is_identity()
@@ -414,6 +459,17 @@ class Mat2:
 
 def mat(m11, m12, m21, m22) -> Mat2:
     return Mat2(QuadNum.of(m11), QuadNum.of(m12), QuadNum.of(m21), QuadNum.of(m22))
+
+
+def _mat(m11: QuadNum, m12: QuadNum, m21: QuadNum, m22: QuadNum) -> Mat2:
+    """Mat2 from four QuadNums, skipping the coercion in __post_init__."""
+    m = _new(Mat2)
+    d = m.__dict__
+    d["m11"] = m11
+    d["m12"] = m12
+    d["m21"] = m21
+    d["m22"] = m22
+    return m
 
 
 IDENTITY_MAT = Mat2.identity()
@@ -480,12 +536,14 @@ class Isometry:
         """Composition self o other (apply `other` first)."""
         if not isinstance(other, Isometry):
             return NotImplemented
-        return Isometry(self.linear * other.linear,
-                        self.linear * other.trans + self.trans)
+        # a product of orthogonal matrices is orthogonal with det +-1
+        return _isometry(self.linear * other.linear,
+                         self.linear * other.trans + self.trans)
 
     def inverse(self) -> "Isometry":
-        inv = self.linear.inverse()
-        return Isometry(inv, -(inv * self.trans))
+        # the inverse of an orthogonal matrix is its transpose
+        inv = self.linear.transpose()
+        return _isometry(inv, -(inv * self.trans))
 
     def __pow__(self, k: int) -> "Isometry":
         if k < 0:
@@ -504,6 +562,16 @@ class Isometry:
 
     def __str__(self) -> str:
         return f"Isometry(linear={self.linear}, trans={self.trans})"
+
+
+def _isometry(linear: Mat2, trans: Vec2) -> Isometry:
+    """Isometry whose linear part is known orthogonal with det +-1, built
+    without the check in __post_init__."""
+    f = _new(Isometry)
+    d = f.__dict__
+    d["linear"] = linear
+    d["trans"] = trans
+    return f
 
 
 def compose(f: Isometry, g: Isometry) -> Isometry:

@@ -141,11 +141,18 @@ class QuadInt:
         return f"{self.n1}{self.n2:+}*{tau}"
 
 
+# one lattice per ring, so its cached inverse basis is computed once
+_RING_LATTICES = {
+    Ring.GAUSSIAN: Lattice2(vec(1, 0), vec(0, 1)),
+    Ring.ROOT_MINUS3: Lattice2(vec(1, 0), Vec2(QuadNum.of(0), QuadNum.sqrt3())),
+}
+
+
 def standard_ring_lattice(ring: Ring) -> Lattice2:
-    """Planar realization of the ring: Z[i] as Z^2, Z[sqrt(-3)] as Z+Z*(0,sqrt3)."""
-    if ring is Ring.GAUSSIAN:
-        return Lattice2(vec(1, 0), vec(0, 1))
-    return Lattice2(vec(1, 0), Vec2(QuadNum.of(0), QuadNum.sqrt3()))
+    """Planar realization of the ring: Z[i] as Z^2, Z[sqrt(-3)] as Z+Z*(0,sqrt3).
+
+    The same immutable lattice is returned on every call."""
+    return _RING_LATTICES[ring]
 
 
 def multiplication_matrix(z: QuadInt) -> Mat2:

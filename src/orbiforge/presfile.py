@@ -35,7 +35,7 @@ MAX_WORD_LETTERS = 1_000_000
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^-?\d+|[()]|\S")
 
 
-def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, int]]:
+def _tokenize(text: str, col0: int) -> list[tuple[str, int]]:
     out = []
     for m in _TOKEN_RE.finditer(text):
         out.append((m.group(0), col0 + m.start() + 1))
@@ -111,7 +111,7 @@ def parse_word(text: str, pres: Presentation) -> Word:
     """Parse a single word against a presentation's generators; error
     positions count from line 1, column 1 of the text."""
     gen_index = {name: i + 1 for i, name in enumerate(pres.generators)}
-    parser = _WordParser(_tokenize(text, 1, 0), gen_index, 1)
+    parser = _WordParser(_tokenize(text, 0), gen_index, 1)
     return Word(tuple(parser.parse_word()))
 
 
@@ -156,7 +156,7 @@ def parse_presentation(text: str) -> Presentation:
     gen_index = {g: i + 1 for i, g in enumerate(gens)}
     relators = []
     for lineno, col0, body in relator_lines:
-        parser = _WordParser(_tokenize(body, lineno, col0), gen_index, lineno)
+        parser = _WordParser(_tokenize(body, col0), gen_index, lineno)
         letters = parser.parse_word()
         relators.append(Word(tuple(letters)))
     return Presentation(name, tuple(gens), tuple(relators))

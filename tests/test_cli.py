@@ -285,6 +285,20 @@ class TestVerifyRunner:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "b211b0928ef92206e7bd11fe4c0d0d59870b4bd6a3b3005c48fc834e5d327e88"
 
+    @pytest.mark.parametrize("selection, what", [
+        ([], "no check ids given"),
+        (["rigid-index", "no-such-check"], "unknown check ids: ['no-such-check']"),
+    ])
+    def test_library_refuses_empty_or_unknown_selection(self, selection, what):
+        # an empty list used to run every check; None still means all of them
+        from orbiforge import verify
+
+        with pytest.raises(KeyError) as exc:
+            verify.run_verification(selection)
+        message = str(exc.value)
+        assert what in message
+        assert "available: " + ", ".join(verify.CHECK_IDS) in message
+
     def test_cited_checks_reported(self, capsys):
         assert main(["verify-paper", "--only", "cited-ab-upgrade"]) == 0
         assert "CITED" in capsys.readouterr().out

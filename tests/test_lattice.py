@@ -111,6 +111,20 @@ class TestNormFormIndices:
             assert Lattice2(m * base.b1, m * base.b2).index_in(base) == \
                 sublattice_index(z) == z.norm()
 
+    def test_ring_lattice_is_built_once_per_ring(self):
+        # index_in reads the larger lattice's cached inverse basis, so a
+        # fresh ring lattice per call recomputed it every time
+        for ring in Ring:
+            base = standard_ring_lattice(ring)
+            assert standard_ring_lattice(ring) is base
+            sublattice_index(QuadInt(2, 1, ring))
+            cached = base.__dict__["_inverse_basis"]
+            sublattice_index(QuadInt(-3, 4, ring))
+            assert base.__dict__["_inverse_basis"] is cached
+        assert standard_ring_lattice(Ring.GAUSSIAN) == SQUARE
+        assert standard_ring_lattice(Ring.ROOT_MINUS3) == \
+            Lattice2(vec(1, 0), vec(0, QuadNum.sqrt3()))
+
     def test_rigid_indices(self):
         assert rigid_abelian_index("S2(2,3,6)", QuadInt(1, 0, Ring.ROOT_MINUS3)) == 6
         assert rigid_abelian_index("S2(2,4,4)", QuadInt(1, 0, Ring.GAUSSIAN)) == 4

@@ -347,21 +347,31 @@ def test_classification_does_no_quadnum_product(monkeypatch):
         pairs.extend((m, list(hom.kernel_words())) for hom in sign_homs(m.presentation))
     assert len(pairs) == 91
     calls = 0
-    mul = exactgeom.QuadNum.__mul__
+    mul, fused = exactgeom.QuadNum.__mul__, exactgeom._fused
 
     def counted_mul(self, other):
         nonlocal calls
         calls += 1
         return mul(self, other)
 
-    monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
-    monkeypatch.setattr(exactgeom.QuadNum, "__rmul__", counted_mul)
+    def counted_fused(*args):
+        # the Mat2 and Vec2 products, det, dot and cross multiply here
+        nonlocal calls
+        calls += 1
+        return fused(*args)
+
+    def count_products():
+        monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
+        monkeypatch.setattr(exactgeom.QuadNum, "__rmul__", counted_mul)
+        monkeypatch.setattr(exactgeom, "_fused", counted_fused)
+
+    count_products()
     kinds = {classify(subgroup(m, words)).names.crystallographic for m, words in pairs}
     monkeypatch.undo()
     assert kinds == set(MODEL_NAMES)
     assert calls == 0
     # the guard counts: the Cartesian view does multiply
-    monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
+    count_products()
     wallpaper.whole_group(model("p6")).schreier_images
     monkeypatch.undo()
     assert calls > 0
