@@ -1,16 +1,23 @@
 """Todd-Coxeter coset enumeration by Felsch's strategy.
 
 Strategy: trace the subgroup words at coset 0, defining cosets as needed;
-then repeatedly define a new coset at the first gap in row-major order and
-process the deductions it causes.  Every entry made, whether defined,
-deduced or moved by a coincidence, is pushed on a deduction stack; each one
-popped is checked by scanning the relator cycles through it, without
-defining anything, which may deduce further entries or merge cosets
-(union-find coincidence merging).  Rows defined therefore stay close to the
-index.  Two runs of the same enumeration produce identical tables;
-completed tables are standardized by a BFS renumbering from the subgroup
-coset, which is canonical for the subgroup, and validated against the table
-invariants, so a missed deduction shows up as an InvariantError.
+then repeatedly define one coset and process the deductions it causes.
+Every entry made, whether defined, deduced or moved by a coincidence, is
+pushed on a deduction stack; each one popped is checked by scanning the
+relator cycles through it, without defining anything, which may deduce
+further entries or merge cosets (union-find coincidence merging).  A scan
+that stops with exactly two entries unknown records the first as a
+preferred definition (Havas, "Coset enumeration strategies", 1991): a new
+coset there closes that cycle at once.  The next definition is the oldest
+recorded one still open, as long as the rows defined stay within ACE's
+default fill factor, (5 * (columns + 2)) // 4, times the first gap row
+counted from 1; otherwise it is the first gap in row-major order, so that
+gap is filled after a bounded number of definitions.  Rows defined
+therefore stay close to the index.  Two runs of the same enumeration produce
+identical tables; completed tables are standardized by a BFS renumbering
+from the subgroup coset, which is canonical for the subgroup, and validated
+against the table invariants, so a missed deduction shows up as an
+InvariantError.
 
 Columns: generator g (1-based) acts through column 2(g-1); its inverse
 through column 2(g-1)+1, so column x ^ 1 holds the inverse of column x.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -51,8 +59,20 @@ def default_max_cosets() -> int:
     return value
 
 
+_PREFERRED_RING = 256
+
+
 def _col(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+
+def _gather(seq, indices) -> tuple:
+    """tuple(seq[i] for i in indices) in one C-level call.  itemgetter
+    returns a bare value for one index and cannot be built for none, so
+    those two cases take the loop."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
 
 
 class _Enumerator:
@@ -63,6 +83,9 @@ class _Enumerator:
         self.p: list[int] = [0]
         # entries (coset, column) made since their relator cycles were last scanned
         self.deductions: list[tuple[int, int]] = []
+        # preferred definitions: open entries (coset, column) whose definition
+        # closes a relator cycle at once; a full ring drops its oldest entry
+        self.preferred: deque[tuple[int, int]] = deque(maxlen=_PREFERRED_RING)
         # relator conjugates by first column, for the deduction scans: an edge
         # a -x-> b lies on a relator cycle read forward from a (a conjugate
         # starting with x) or backward from b (one starting with x^1).  The
@@ -99,6 +122,7 @@ class _Enumerator:
             queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
+        p = self.p
         queue: list[int] = []
         self._merge(a, b, queue)
         qi = 0
@@ -114,7 +138,11 @@ class _Enumerator:
                 # drop the paired backward edge before transferring
                 if self.table[target][x ^ 1] == dead:
                     self.table[target][x ^ 1] = None
-                mu, nu = self.rep(dead), self.rep(target)
+                mu, nu = p[dead], p[target]
+                if p[mu] != mu:
+                    mu = self.rep(dead)
+                if p[nu] != nu:
+                    nu = self.rep(target)
                 if self.table[mu][x] is not None:
                     self._merge(nu, self.table[mu][x], queue)
                 elif self.table[nu][x ^ 1] is not None:
@@ -168,74 +196,81 @@ class _Enumerator:
             f = self.define(f, cols[i])
             i += 1
 
-    def scan(self, start: int, w: tuple[int, ...], i: int, j: int) -> None:
-        """Trace w[i..j] at start from both ends, defining nothing: a closed
-        cycle that ends at two cosets merges them, and a one-letter gap is
-        filled as a deduction.  Between coincidences every entry names a live
-        coset."""
-        table = self.table
-        f = start
-        while i <= j:
-            t = table[f][w[i]]
-            if t is None:
-                break
-            f = t
-            i += 1
-        else:
-            if f != start:
-                self.coincidence(f, start)
-            return
-        b = start
-        while j >= i:
-            t = table[b][w[j] ^ 1]
-            if t is None:
-                break
-            b = t
-            j -= 1
-        else:
-            if f != b:
-                self.coincidence(f, b)
-            return
-        if j == i:
-            table[f][w[i]] = b
-            table[b][w[i] ^ 1] = f
-            self.deductions.append((f, w[i]))
-
     def process_deductions(self) -> None:
-        """Scan every relator cycle through each new entry until none is left."""
+        """Scan every relator cycle through each new entry until none is left.
+
+        An edge a -x-> b lies on the cycles read forward from a and backward
+        from b.  Each cycle is traced from both ends, defining nothing: a
+        closed cycle that ends at two cosets merges them, a one-letter gap is
+        filled as a deduction, and a two-letter gap is recorded as a
+        preferred definition.  Between coincidences every entry names a live
+        coset."""
         p, table, by_col, stack = self.p, self.table, self.by_col, self.deductions
+        preferred = self.preferred
         while stack:
             a, x = stack.pop()
             if p[a] != a:
                 continue  # a coincidence moved a's entries and recorded them anew
             b = table[a][x]  # a coincidence leaves no gap in a live row
-            for w, i, j in by_col[x]:
-                self.scan(a, w, i, j)
-                if p[a] != a:
-                    break
-            if p[b] == b:
-                for w, i, j in by_col[x ^ 1]:
-                    self.scan(b, w, i, j)
-                    if p[b] != b:
-                        break
+            for start, cycles in ((a, by_col[x]), (b, by_col[x ^ 1])):
+                if p[start] != start:
+                    continue
+                for w, i, j in cycles:
+                    f = start
+                    while i <= j:
+                        t = table[f][w[i]]
+                        if t is None:
+                            break
+                        f = t
+                        i += 1
+                    else:
+                        if f != start:
+                            self.coincidence(f, start)
+                            if p[start] != start:
+                                break
+                        continue
+                    e = start
+                    while j >= i:
+                        t = table[e][w[j] ^ 1]
+                        if t is None:
+                            break
+                        e = t
+                        j -= 1
+                    else:
+                        if f != e:
+                            self.coincidence(f, e)
+                            if p[start] != start:
+                                break
+                        continue
+                    if j == i:
+                        table[f][w[i]] = e
+                        table[e][w[i] ^ 1] = f
+                        stack.append((f, w[i]))
+                    elif j == i + 1:
+                        preferred.append((f, w[i]))
 
     def run(self, subgroup: list[tuple[int, ...]]) -> None:
-        """Felsch's strategy: trace the subgroup words at coset 0, then fill
-        the first gap in row-major order and process its deductions, until
-        no gap is left."""
+        """Felsch's strategy with preferred definitions, as the module
+        docstring describes, until no gap is left."""
         for w in subgroup:
             self.scan_and_fill(0, w)
         self.process_deductions()
+        p, table, preferred = self.p, self.table, self.preferred
+        fill = (5 * (self.ncols + 2)) // 4  # ACE's default fill factor
         alpha = 0
-        while alpha < len(self.table):
-            row = self.table[alpha]
-            for x in range(self.ncols):
-                if self.p[alpha] != alpha:
+        while alpha < len(table):
+            row = table[alpha]
+            if p[alpha] != alpha or None not in row:
+                alpha += 1
+                continue
+            while preferred and len(table) <= fill * (alpha + 1):
+                c, x = preferred.popleft()
+                if p[c] == c and table[c][x] is None:
+                    self.define(c, x)
                     break
-                if row[x] is None:
-                    self.define(alpha, x)
-                    self.process_deductions()
-            alpha += 1
+            else:
+                self.define(alpha, row.index(None))
+            self.process_deductions()
 
     def standardized_rows(self) -> tuple[tuple[int, ...], ...]:
         """The live rows in standard form: cosets renumbered in the order a BFS
@@ -257,7 +292,7 @@ class _Enumerator:
                     queue.append(t)
         if len(queue) != sum(map(operator.eq, p, range(len(p)))):
             raise InvariantError("coset action is not transitive")
-        return tuple(tuple(map(order.__getitem__, self.table[c])) for c in queue)
+        return tuple(_gather(order, self.table[c]) for c in queue)
 
 
 @dataclass(frozen=True)
@@ -291,8 +326,7 @@ class CosetTable:
         each letter maps the whole coset list through its column."""
         perm = range(self.index)
         for letter in w.letters:
-            column = list(map(operator.itemgetter(_col(letter)), self.rows))
-            perm = list(map(column.__getitem__, perm))
+            perm = _gather(list(map(operator.itemgetter(_col(letter)), self.rows)), perm)
         return list(perm)
 
     def contains(self, w: Word) -> bool:
@@ -313,11 +347,11 @@ class CosetTable:
                 if any(not 0 <= e < n for row in self.rows for e in row):
                     raise InvariantError("malformed table row")
                 raise InvariantError(f"column {x} is not a permutation")
-        identity = list(range(n))
+        identity = tuple(range(n))
         # both columns are permutations, so one composite being the identity
         # makes each the other's inverse
         for x in range(0, ncols, 2):
-            if list(map(cols[x + 1].__getitem__, cols[x])) != identity:
+            if _gather(cols[x + 1], cols[x]) != identity:
                 raise InvariantError("generator/inverse columns are not paired")
         col_of = {}
         for g in range(1, self.parent.ngens + 1):
@@ -328,14 +362,13 @@ class CosetTable:
                 c = col_of[letter][c]
             if c != 0:
                 raise InvariantError("subgroup word moves the subgroup coset")
+        # compose each relator a column at a time over every coset
         for rel in self.parent.relators:
-            path = [col_of[letter] for letter in rel.letters]
-            for c in identity:
-                e = c
-                for column in path:
-                    e = column[e]
-                if e != c:
-                    raise InvariantError("relator acts nontrivially on a coset")
+            perm = identity
+            for letter in rel.letters:
+                perm = _gather(col_of[letter], perm)
+            if perm != identity:
+                raise InvariantError("relator acts nontrivially on a coset")
 
     # -- Schreier machinery --------------------------------------------------
 

@@ -114,8 +114,9 @@ class TestToddCoxeter:
             todd_coxeter(P6, [], max_cosets=value)
 
     def test_fibonacci_f27_does_not_overshoot(self):
-        # an enumerator with no lookahead defined 267,525 rows for these 29
-        assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=40_000).index == 29
+        # an enumerator with no lookahead defined 267,525 rows for these 29,
+        # and Felsch's strategy without preferred definitions 33,239
+        assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=32_000).index == 29
 
     def test_empty_relator_holds_everywhere(self):
         c3 = Presentation("c3", ("a",), (Word(()), Word((1, 1, 1))))
@@ -128,6 +129,38 @@ class TestToddCoxeter:
 
     def test_validation_runs(self):
         todd_coxeter(P6, [T1_236, T2_236]).validate()
+
+
+A8B7 = Presentation("a8b7", ("a", "b"), (
+    Word((1,) * 8), Word((2,) * 7), Word((1, 2) * 2), Word((-1, 2) * 3)))
+
+
+class TestRowsDefined:
+    """The allowance counts rows defined, so it bounds how far each
+    enumeration may overshoot its index."""
+
+    @pytest.mark.parametrize("pres, allowance, index", [
+        # Felsch's strategy without preferred definitions defined 26,314 and
+        # 42 rows for these
+        (A8B7, 16_000, 10752),
+        (fibonacci_group(2, 5), 36, 11),
+    ], ids=["a8b7", "F(2,5)"])
+    def test_coincidences_stay_within_the_allowance(self, pres, allowance, index):
+        assert todd_coxeter(pres, [], max_cosets=allowance).index == index
+
+    @pytest.mark.parametrize("name, extra", [
+        ("S6", 0),
+        ("p6 > <t1^8, t2^8>^(1, -2)", 0),
+        # tracing these conjugated generators at coset 0 defines one row
+        # that a coincidence merges, before any definition is preferred
+        ("p6 > <t1^8, t2^8>^(-2, -1, 2)", 1),
+    ])
+    def test_few_coincidences_define_few_extra_rows(self, name, extra):
+        pres, sub = GOLDEN_CASES[name]
+        index = todd_coxeter(pres, sub).index
+        assert todd_coxeter(pres, sub, max_cosets=index + extra).index == index
+        with pytest.raises(CosetLimitError):
+            todd_coxeter(pres, sub, max_cosets=index + extra - 1)
 
 
 class TestInvariantChecks:
@@ -200,9 +233,14 @@ class TestTraceAndContains:
         assert self.table.contains(Word((2, 2, 2)))
 
     def test_permutation_is_the_trace_of_every_coset(self):
-        for w in (Word(()), Word((1,)), Word((-2, 1, 1)), T1_236, T2_236 * T1_236 ** 3):
-            assert self.table.permutation(w) == \
-                [self.table.trace(w, c) for c in range(self.table.index)]
+        # the 6-row table, a 1-row one, where a gather of one index is a bare
+        # value, and a 2-row one
+        one = todd_coxeter(P6, [Word((1,)), Word((2,))])
+        two = todd_coxeter(P6, sign_homs(P6)[0].kernel_words())
+        assert (one.index, two.index) == (1, 2)
+        for table in (self.table, one, two):
+            for w in (Word(()), Word((1,)), Word((-2, 1, 1)), T1_236, T2_236 * T1_236 ** 3):
+                assert table.permutation(w) == [table.trace(w, c) for c in range(table.index)]
 
 
 class TestSchreier:

@@ -111,6 +111,14 @@ def test_option_surface_is_pinned():
     assert found == OPTIONS
 
 
+def test_one_deduction_scan():
+    # the deduction scan lives inside _Enumerator.process_deductions alone;
+    # a second scan path would have to keep the preferred definitions too
+    from orbiforge.cosetenum import _Enumerator
+
+    assert not hasattr(_Enumerator, "scan")
+
+
 def test_no_unused_module_imports():
     # `__init__.py` imports to re-export, so it is exempt
     sources = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
