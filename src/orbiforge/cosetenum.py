@@ -1,11 +1,12 @@
 """Todd-Coxeter coset enumeration by Felsch's strategy.
 
 Strategy: trace the subgroup words at coset 0, defining cosets as needed;
-then repeatedly define one coset and process the deductions it causes.
-Every entry made, whether defined, deduced or moved by a coincidence, is
-pushed on a deduction stack; each one popped is checked by scanning the
-relator cycles through it, without defining anything, which may deduce
-further entries or merge cosets (union-find coincidence merging).  A scan
+then, in one loop, drain the deductions and define one coset, until no gap
+is left.  Every entry made, whether defined, deduced or moved by a
+coincidence, is pushed on a deduction stack; each one popped is checked by
+scanning the relator cycles through it, without defining anything, which
+may deduce further entries or merge cosets (union-find coincidence
+merging).  A scan
 that stops with exactly two entries unknown records the first as a
 preferred definition (Havas, "Coset enumeration strategies", 1991): a new
 coset there closes that cycle at once.  The next definition is the oldest
@@ -17,7 +18,9 @@ therefore stay close to the index.  Two runs of the same enumeration produce
 identical tables; completed tables are standardized by a BFS renumbering
 from the subgroup coset, which is canonical for the subgroup, and validated
 against the table invariants, so a missed deduction shows up as an
-InvariantError.
+InvariantError.  Validation proves each column a permutation without a set:
+its entries lie in range(n), and its composite with the paired column is
+the identity, which makes both columns bijections, each the other's inverse.
 
 Columns: generator g (1-based) acts through column 2(g-1); its inverse
 through column 2(g-1)+1, so column x ^ 1 holds the inverse of column x.
@@ -29,6 +32,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 from .fpgroup import Presentation, Word, _reduced_word, tietze_pass
@@ -114,47 +118,56 @@ class _Enumerator:
             self.p[k], k = r, self.p[k]
         return r
 
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.p[b] = a
-            queue.append(b)
-
     def coincidence(self, a: int, b: int) -> None:
-        p = self.p
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            dead = queue[qi]
-            qi += 1
-            row = self.table[dead]
+        """Merge cosets a and b and every pair their rows force together.
+
+        The larger root of each pair becomes a child of the smaller and joins
+        the queue of dead rows; each dead row's entries are cleared, with
+        their paired backward edges, and moved to the live representatives,
+        where a clash merges the two targets in turn."""
+        p, table, rep = self.p, self.table, self.rep
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        if b < a:
+            a, b = b, a
+        p[b] = a
+        queue = [b]
+        for dead in queue:
+            row = table[dead]
             for x in range(self.ncols):
                 target = row[x]
                 if target is None:
                     continue
                 row[x] = None
                 # drop the paired backward edge before transferring
-                if self.table[target][x ^ 1] == dead:
-                    self.table[target][x ^ 1] = None
+                if table[target][x ^ 1] == dead:
+                    table[target][x ^ 1] = None
                 mu, nu = p[dead], p[target]
                 if p[mu] != mu:
-                    mu = self.rep(dead)
+                    mu = rep(dead)
                 if p[nu] != nu:
-                    nu = self.rep(target)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x ^ 1] is not None:
-                    self._merge(mu, self.table[nu][x ^ 1], queue)
+                    nu = rep(target)
+                if table[mu][x] is not None:
+                    lo, hi = nu, rep(table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    lo, hi = mu, rep(table[nu][x ^ 1])
                 else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x ^ 1] = mu
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
                     self.deductions.append((mu, x))
+                    continue
+                if lo != hi:
+                    if hi < lo:
+                        lo, hi = hi, lo
+                    p[hi] = lo
+                    queue.append(hi)
 
     # definitions and scanning ----------------------------------------------
 
     def define(self, a: int, x: int) -> int:
+        """Define coset a*x as a new row; the one place the allowance is
+        enforced."""
         n = len(self.table)
         if n >= self.max_cosets:
             live = sum(1 for i, r in enumerate(self.p) if i == r)
@@ -196,94 +209,104 @@ class _Enumerator:
             f = self.define(f, cols[i])
             i += 1
 
-    def process_deductions(self) -> None:
-        """Scan every relator cycle through each new entry until none is left.
+    def run(self, subgroup: list[tuple[int, ...]]) -> None:
+        """Felsch's strategy with preferred definitions, as the module
+        docstring describes, until no gap is left.
 
+        Each pass drains the deduction stack, then makes one definition.
         An edge a -x-> b lies on the cycles read forward from a and backward
         from b.  Each cycle is traced from both ends, defining nothing: a
         closed cycle that ends at two cosets merges them, a one-letter gap is
         filled as a deduction, and a two-letter gap is recorded as a
         preferred definition.  Between coincidences every entry names a live
         coset."""
-        p, table, by_col, stack = self.p, self.table, self.by_col, self.deductions
-        preferred = self.preferred
-        while stack:
-            a, x = stack.pop()
-            if p[a] != a:
-                continue  # a coincidence moved a's entries and recorded them anew
-            b = table[a][x]  # a coincidence leaves no gap in a live row
-            for start, cycles in ((a, by_col[x]), (b, by_col[x ^ 1])):
-                if p[start] != start:
-                    continue
-                for w, i, j in cycles:
-                    f = start
-                    while i <= j:
-                        t = table[f][w[i]]
-                        if t is None:
-                            break
-                        f = t
-                        i += 1
-                    else:
-                        if f != start:
-                            self.coincidence(f, start)
-                            if p[start] != start:
-                                break
-                        continue
-                    e = start
-                    while j >= i:
-                        t = table[e][w[j] ^ 1]
-                        if t is None:
-                            break
-                        e = t
-                        j -= 1
-                    else:
-                        if f != e:
-                            self.coincidence(f, e)
-                            if p[start] != start:
-                                break
-                        continue
-                    if j == i:
-                        table[f][w[i]] = e
-                        table[e][w[i] ^ 1] = f
-                        stack.append((f, w[i]))
-                    elif j == i + 1:
-                        preferred.append((f, w[i]))
-
-    def run(self, subgroup: list[tuple[int, ...]]) -> None:
-        """Felsch's strategy with preferred definitions, as the module
-        docstring describes, until no gap is left."""
         for w in subgroup:
             self.scan_and_fill(0, w)
-        self.process_deductions()
-        p, table, preferred = self.p, self.table, self.preferred
-        fill = (5 * (self.ncols + 2)) // 4  # ACE's default fill factor
+        p, table, by_col, stack = self.p, self.table, self.by_col, self.deductions
+        preferred, ncols, limit = self.preferred, self.ncols, self.max_cosets
+        fill = (5 * (ncols + 2)) // 4  # ACE's default fill factor
         alpha = 0
-        while alpha < len(table):
-            row = table[alpha]
-            if p[alpha] != alpha or None not in row:
+        while True:
+            while stack:
+                a, x = stack.pop()
+                if p[a] != a:
+                    continue  # a coincidence moved a's entries and recorded them anew
+                b = table[a][x]  # a coincidence leaves no gap in a live row
+                for start, cycles in ((a, by_col[x]), (b, by_col[x ^ 1])):
+                    if p[start] != start:
+                        continue
+                    for w, i, j in cycles:
+                        f = start
+                        while i <= j:
+                            t = table[f][w[i]]
+                            if t is None:
+                                break
+                            f = t
+                            i += 1
+                        else:
+                            if f != start:
+                                self.coincidence(f, start)
+                                if p[start] != start:
+                                    break
+                            continue
+                        e = start
+                        while j >= i:
+                            t = table[e][w[j] ^ 1]
+                            if t is None:
+                                break
+                            e = t
+                            j -= 1
+                        else:
+                            if f != e:
+                                self.coincidence(f, e)
+                                if p[start] != start:
+                                    break
+                            continue
+                        if j == i:
+                            table[f][w[i]] = e
+                            table[e][w[i] ^ 1] = f
+                            stack.append((f, w[i]))
+                        elif j == i + 1:
+                            preferred.append((f, w[i]))
+            # the next definition: a preferred one while the fill factor
+            # allows, else the first gap
+            while alpha < len(table):
+                row = table[alpha]
+                if p[alpha] == alpha and None in row:
+                    break
                 alpha += 1
-                continue
-            while preferred and len(table) <= fill * (alpha + 1):
+            else:
+                return
+            n = len(table)
+            while preferred and n <= fill * (alpha + 1):
                 c, x = preferred.popleft()
                 if p[c] == c and table[c][x] is None:
-                    self.define(c, x)
                     break
             else:
-                self.define(alpha, row.index(None))
-            self.process_deductions()
+                c, x = alpha, row.index(None)
+            if n >= limit:
+                self.define(c, x)  # raises CosetLimitError
+            new = [None] * ncols
+            new[x ^ 1] = c
+            table.append(new)
+            p.append(n)
+            table[c][x] = n
+            stack.append((c, x))
 
     def standardized_rows(self) -> tuple[tuple[int, ...], ...]:
         """The live rows in standard form: cosets renumbered in the order a BFS
         from coset 0, over the columns in order, first reaches them.
 
         A coincidence clears every row it kills, so an entry naming a dead
-        coset leads the BFS to an incomplete row."""
-        p = self.p
+        coset leads the BFS to an incomplete row.  The BFS visits entry by
+        entry; the relabelling then runs in one C-level pass over the rows
+        in queue order, grouped back into rows of ncols entries."""
+        p, table, ncols = self.p, self.table, self.ncols
         order = [-1] * len(p)
         order[0] = 0
         queue = [0]
         for c in queue:
-            row = self.table[c]
+            row = table[c]
             if None in row:
                 raise InvariantError("incomplete row after enumeration")
             for t in row:
@@ -292,7 +315,10 @@ class _Enumerator:
                     queue.append(t)
         if len(queue) != sum(map(operator.eq, p, range(len(p)))):
             raise InvariantError("coset action is not transitive")
-        return tuple(_gather(order, self.table[c]) for c in queue)
+        if not ncols:
+            return ((),) * len(queue)  # zip() of no iterators yields no row
+        entries = map(order.__getitem__, chain.from_iterable(map(table.__getitem__, queue)))
+        return tuple(zip(*[entries] * ncols))
 
 
 @dataclass(frozen=True)
@@ -334,24 +360,29 @@ class CosetTable:
         return self.trace(w, 0) == 0
 
     def validate(self) -> None:
-        """Machine-check all table invariants; raises InvariantError on failure."""
+        """Machine-check all table invariants; raises InvariantError on failure.
+
+        The columns are proved permutations without building a set: every
+        entry lies in range(n) (a min/max check per column), and for each
+        generator the composite of its column with its inverse column is the
+        identity, which makes the first column injective, so a bijection of
+        range(n), and the second its inverse.  Only after a composite fails
+        are per-column sets built, to name the first column that is not a
+        permutation; if there is none, the pair is at fault."""
         n = self.index
         ncols = 2 * self.parent.ngens
         if any(len(row) != ncols for row in self.rows):
             raise InvariantError("malformed table row")
         cols = list(zip(*self.rows)) or [()] * ncols
-        cosets = set(range(n))
-        for x, column in enumerate(cols):
-            # n entries that cover range(n) are in range and a permutation
-            if set(column) != cosets:
-                if any(not 0 <= e < n for row in self.rows for e in row):
-                    raise InvariantError("malformed table row")
-                raise InvariantError(f"column {x} is not a permutation")
+        if n and any(min(column) < 0 or max(column) >= n for column in cols):
+            raise InvariantError("malformed table row")
         identity = tuple(range(n))
-        # both columns are permutations, so one composite being the identity
-        # makes each the other's inverse
         for x in range(0, ncols, 2):
             if _gather(cols[x + 1], cols[x]) != identity:
+                cosets = set(identity)
+                for y, column in enumerate(cols):
+                    if set(column) != cosets:
+                        raise InvariantError(f"column {y} is not a permutation")
                 raise InvariantError("generator/inverse columns are not paired")
         col_of = {}
         for g in range(1, self.parent.ngens + 1):

@@ -8,7 +8,8 @@ Format (UTF-8 text, `#` starts a comment):
 
 Word grammar: whitespace-separated terms; a term is an atom optionally
 followed by ^<signed integer>; an atom is a generator identifier or a
-parenthesized word.  Example: `rel (a b)^2`.
+parenthesized word.  Example: `rel (a b)^2`.  Parentheses may nest to any
+depth; only the letter cap, MAX_WORD_LETTERS, bounds a word.
 """
 from __future__ import annotations
 
@@ -58,53 +59,70 @@ class _WordParser:
                 (self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1)
         return ParseError(message, self.line, col)
 
-    def parse_word(self, stop_at_rparen: bool = False) -> list[int]:
+    def parse_word(self) -> list[int]:
+        """The letters of the word from here to the end of the tokens.
+
+        Groups are kept on an explicit stack, not parsed by recursion, so
+        Python's recursion limit does not bound their nesting; only
+        MAX_WORD_LETTERS bounds a word.  A group counts as one term of the
+        word around it, at the column of its '('."""
+        # the words around the open groups, with the columns of their '('
+        outer: list[tuple[list[int], int]] = []
         letters: list[int] = []
         while True:
             tok = self._peek()
             if tok is None:
-                if stop_at_rparen:
+                if outer:
                     raise self._error("missing closing parenthesis")
                 return letters
-            if tok[0] == ")":
-                if stop_at_rparen:
-                    return letters
-                raise self._error("unbalanced ')'", tok[1])
-            letters.extend(self._parse_term())
+            text, col = tok
+            if text == "(":
+                self.pos += 1
+                outer.append((letters, col))
+                letters = []
+                continue
+            if text == ")":
+                if not outer:
+                    raise self._error("unbalanced ')'", col)
+                self.pos += 1
+                inner = self._power(letters)
+                letters, col = outer.pop()
+            else:
+                inner = self._parse_term()
+            letters.extend(inner)
             if len(letters) > MAX_WORD_LETTERS:
-                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", tok[1])
+                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", col)
 
     def _parse_term(self) -> list[int]:
+        """A generator with its optional power; parse_word handles groups."""
         tok = self._peek()
         if tok is None:
             # parse_word checks for the end of input before every term
             raise InvariantError("term parser called at the end of input")
         text, col = tok
-        if text == "(":
-            self.pos += 1
-            inner = self.parse_word(stop_at_rparen=True)
-            self.pos += 1  # consume ')'
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
-            idx = self.gen_index.get(text)
-            if idx is None:
-                raise self._error(f"unknown generator {text!r}", col)
-            inner = [idx]
-            self.pos += 1
-        else:
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
             raise self._error(f"unexpected token {text!r}", col)
+        idx = self.gen_index.get(text)
+        if idx is None:
+            raise self._error(f"unknown generator {text!r}", col)
+        self.pos += 1
+        return self._power([idx])
+
+    def _power(self, inner: list[int]) -> list[int]:
+        """inner raised to the power that follows it, if one does."""
         nxt = self._peek()
-        if nxt is not None and nxt[0].startswith("^"):
-            sign, digits = re.fullmatch(r"\^(-?)0*(\d*)", nxt[0]).groups()
-            # cut to the cap's digits + 1: still past the cap; int() refuses 4301 digits
-            power = int(sign + (digits or "0")[:len(str(MAX_WORD_LETTERS)) + 1])
-            self.pos += 1
-            if power < 0:
-                inner = [-x for x in reversed(inner)]
-                power = -power
-            if len(inner) * power > MAX_WORD_LETTERS:
-                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", nxt[1])
-            inner = inner * power
-        return inner
+        if nxt is None or not nxt[0].startswith("^"):
+            return inner
+        sign, digits = re.fullmatch(r"\^(-?)0*(\d*)", nxt[0]).groups()
+        # cut to the cap's digits + 1: still past the cap; int() refuses 4301 digits
+        power = int(sign + (digits or "0")[:len(str(MAX_WORD_LETTERS)) + 1])
+        self.pos += 1
+        if power < 0:
+            inner = [-x for x in reversed(inner)]
+            power = -power
+        if len(inner) * power > MAX_WORD_LETTERS:
+            raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", nxt[1])
+        return inner * power
 
 
 def parse_word(text: str, pres: Presentation) -> Word:

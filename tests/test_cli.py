@@ -62,6 +62,34 @@ class TestParser:
         with pytest.raises(InvariantError):
             _WordParser([], {}, 1)._parse_term()
 
+    def test_nesting_is_bounded_by_the_letter_cap_alone(self):
+        # groups are parsed with an explicit stack; a recursive parser ended
+        # in RecursionError at about 500 levels
+        p = parse_presentation(fixture_text("p6"))
+        depth = 5000
+        assert parse_word("(" * depth + "a b" + ")" * depth + "^-1", p).letters == (-2, -1)
+        pres = parse_presentation(f"group t\ngens a\nrel {'(' * depth}a^2{')' * depth}\n")
+        assert pres.relators[0].letters == (1, 1)
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("(a b))", "unbalanced ')'", 6),
+        ("((a b)", "missing closing parenthesis", 7),
+        ("(a (b)^2", "missing closing parenthesis", 9),
+        (")", "unbalanced ')'", 1),
+        ("(" * 5000 + "a" + ")" * 4999, "missing closing parenthesis", 10001),
+        ("(" * 4999 + "a" + ")" * 5000, "unbalanced ')'", 10000),
+    ], ids=["extra-close", "missing-close", "missing-close-after-power", "lone-close",
+            "deep-missing-close", "deep-extra-close"])
+    def test_unbalanced_parentheses(self, text, message, col):
+        p = parse_presentation(fixture_text("p6"))
+        with pytest.raises(ParseError) as err:
+            parse_word(text, p)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+        # in a file the word starts after "rel " on line 3
+        with pytest.raises(ParseError) as err:
+            parse_presentation(f"group t\ngens a b\nrel {text}\n")
+        assert (err.value.message, err.value.line, err.value.col) == (message, 3, col + 4)
+
     def test_parse_word_against_presentation(self):
         p = parse_presentation(fixture_text("p6"))
         assert parse_word("b a^-2", p).letters == (2, -1, -1)
@@ -99,6 +127,23 @@ class TestParser:
         assert main(["cosets", p6_file, "--subgroup", "b a^99999999999"]) == 2
         err = capsys.readouterr().err
         assert err.count("longer than 1000000 letters") == 2
+
+
+    def test_deep_nesting_in_both_entry_points(self, p6_file, tmp_path, capsys):
+        depth = 5000
+        deep = tmp_path / "deep.txt"
+        deep.write_text(f"group deep\ngens a\nrel {'(' * depth}a^6{')' * depth}\n")
+        assert main(["abelianize", str(deep)]) == 0
+        assert capsys.readouterr().out == "deep: Z/6\n"
+        sub = f"{'(' * depth}b a^-2{')' * depth}; b^-1 a^2"
+        assert main(["cosets", p6_file, "--subgroup", sub]) == 0
+        assert "index: 6" in capsys.readouterr().out
+        deep.write_text(f"group deep\ngens a\nrel {'(' * depth}a^6{')' * (depth - 1)}\n")
+        assert main(["abelianize", str(deep)]) == 2
+        assert main(["cosets", p6_file, "--subgroup", sub[:-len("; b^-1 a^2") - 1]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].endswith(f"line 3, column {2 * depth + 7}: missing closing parenthesis")
+        assert err[1].endswith(f"line 1, column {2 * depth + 6}: missing closing parenthesis")
 
 
 class TestSubcommands:

@@ -118,6 +118,12 @@ class TestToddCoxeter:
         # and Felsch's strategy without preferred definitions 33,239
         assert todd_coxeter(fibonacci_group(2, 7), [], max_cosets=32_000).index == 29
 
+    def test_trivial_presentation_has_one_coset(self):
+        # no columns: standardization still returns the subgroup coset's row
+        table = todd_coxeter(Presentation("trivial", (), ()))
+        assert (table.index, table.rows) == (1, ((),))
+        table.validate()
+
     def test_empty_relator_holds_everywhere(self):
         c3 = Presentation("c3", ("a",), (Word(()), Word((1, 1, 1))))
         assert todd_coxeter(c3, []).index == 3
@@ -170,6 +176,7 @@ class TestInvariantChecks:
     C2 = Presentation("c2", ("a",), (Word((1, 1)),))
     C3 = Presentation("c3", ("a",), (Word((1,) * 3),))
     FREE = Presentation("f1", ("a",), ())
+    FREE2 = Presentation("f2", ("a", "b"), ())
 
     def test_valid_table_passes(self):
         CosetTable(self.C2, (), ((1, 1), (0, 0))).validate()
@@ -181,6 +188,13 @@ class TestInvariantChecks:
         (C2, (), ((1, 1), (1, 0)), "column 0 is not a permutation"),
         (C2, (), ((1, 0), (0, 0)), "column 1 is not a permutation"),
         (FREE, (), ((1, 1), (2, 2), (0, 0)), "generator/inverse columns are not paired"),
+        # columns 0/1 pair; column 2 repeats a coset, so its composite with
+        # column 3 fails and the per-column sets name column 2
+        (FREE2, (), ((0, 0, 0, 1), (1, 1, 0, 0)), "column 2 is not a permutation"),
+        # every column is a permutation, but column 3 is column 2, a 3-cycle,
+        # not its inverse
+        (FREE2, (), ((0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 0, 0)),
+         "generator/inverse columns are not paired"),
         (C2, (Word((1,)),), ((1, 1), (0, 0)), "subgroup word moves the subgroup coset"),
         (C3, (), ((1, 1), (0, 0)), "relator acts nontrivially on a coset"),
     ])

@@ -61,7 +61,6 @@ OPTIONS = [
     "knotcusp.CuspVerdict.checks=()",
     "knotcusp.verdict(run_checks=True)",
     "presfile._WordParser._error(col=None)",
-    "presfile._WordParser.parse_word(stop_at_rparen=False)",
     "verify.Check.fn=None",
     "verify.run_verification(selection=None)",
     "verify.run_verification(seed=0)",
@@ -112,11 +111,20 @@ def test_option_surface_is_pinned():
 
 
 def test_one_deduction_scan():
-    # the deduction scan lives inside _Enumerator.process_deductions alone;
+    # the deduction scan lives inside the Felsch loop, _Enumerator.run, alone;
     # a second scan path would have to keep the preferred definitions too
     from orbiforge.cosetenum import _Enumerator
 
     assert not hasattr(_Enumerator, "scan")
+
+
+def test_one_felsch_loop():
+    # run drains the deductions and makes each definition itself, and
+    # coincidence does its own union step; neither step has a second home
+    from orbiforge.cosetenum import _Enumerator
+
+    assert not hasattr(_Enumerator, "process_deductions")
+    assert not hasattr(_Enumerator, "_merge")
 
 
 def test_no_unused_module_imports():
