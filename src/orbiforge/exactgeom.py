@@ -313,16 +313,18 @@ def render_quadnum(x: QuadNum) -> str:
 
 
 # the rational part may not be a prefix of the coefficient: in `-10*rt3` it
-# would otherwise match `-1`, leaving `0*rt3`
+# would otherwise match `-1`, leaving `0*rt3`; after a rational part the rt3
+# term needs its sign, so `2rt3` is not read as 2+rt3
 _QN_RE = re.compile(
     r"""^\s*(?P<rat>[+-]?\d+(?:/\d+)?(?![\d/]|\s*\*))?\s*
-        (?:(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?rt3)?\s*$""",
+        (?:(?(rat)(?=[+-]))(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?rt3)?\s*$""",
     re.VERBOSE,
 )
 
 
 def parse_quadnum(text: str) -> QuadNum:
-    """Parse the canonical text form (also accepts `rt3`, `-rt3`, `2*rt3`)."""
+    """Parse the canonical text form (also accepts `rt3`, `-rt3`, `2*rt3`);
+    a coefficient needs its `*`, and a rational part its `+` or `-`."""
     m = _QN_RE.match(text)
     if not m or (m.group("rat") is None and "rt3" not in text):
         raise ValueError(f"cannot parse {text!r} as an element of Q(sqrt3)")
@@ -333,7 +335,7 @@ def parse_quadnum(text: str) -> QuadNum:
     b = Fraction(0)
     if "rt3" in text:
         b = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("sign") == "-" or (m.group("rat") is None and text.lstrip().startswith("-")):
+        if m.group("sign") == "-":
             b = -b
     return QuadNum(a, b)
 

@@ -6,17 +6,18 @@ Format (UTF-8 text, `#` starts a comment):
     gens <id> <id> ...
     rel <word>        # one line per relator
 
-Word grammar: whitespace-separated terms; a term is an atom optionally
-followed by ^<signed integer>; an atom is a generator identifier or a
-parenthesized word.  Example: `rel (a b)^2`.  Parentheses may nest to any
+Word grammar: whitespace-separated terms; a term is a generator identifier
+or a parenthesized word.  A power ^<signed integer>, its digits required,
+applies to the term just before it.  Example: `rel (a b)^2`.  A `^` without
+digits, or with no term before it, is an error.  Parentheses may nest to any
 depth; only the letter cap, MAX_WORD_LETTERS, bounds a word.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
-from .cosetenum import InvariantError
 from .fpgroup import Presentation, Word
 
 
@@ -33,104 +34,72 @@ class ParseError(ValueError):
 # the most letters a written word may have, powers expanded, before free reduction
 MAX_WORD_LETTERS = 1_000_000
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^-?\d+|[()]|\S")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# a word's tokens; any other non-space character is an unexpected token
+_TOKEN_RE = re.compile(
+    rf"(?P<name>{_NAME})|\^(?P<sign>-?)0*(?P<digits>\d+)|(?P<open>\()|(?P<close>\))|\S")
 
 
-def _tokenize(text: str, col0: int) -> list[tuple[str, int]]:
-    out = []
+def _letters(text: str, col0: int, line: int, gen_index: dict[str, int]) -> list[int]:
+    """The letters of the word in text, whose first character is at column
+    col0 + 1 of the line.  A power rewrites the letters from where the last
+    term began, so generators and closed groups share one path.  Open groups
+    wait on an explicit stack, so only MAX_WORD_LETTERS bounds their nesting;
+    a group is one term of the word around it, at the column of its '('."""
+    too_long = f"word longer than {MAX_WORD_LETTERS} letters"
+    # the words around the open groups, with the columns of their '('
+    outer: list[tuple[list[int], int]] = []
+    letters: list[int] = []
+    term = None  # where the last term began, while a power may follow it
+    col = 0  # the column of the last term
     for m in _TOKEN_RE.finditer(text):
-        out.append((m.group(0), col0 + m.start() + 1))
-    return out
-
-
-class _WordParser:
-    def __init__(self, tokens: list[tuple[str, int]], gen_index: dict[str, int], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.gen_index = gen_index
-        self.line = line
-
-    def _peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _error(self, message: str, col: int | None = None) -> ParseError:
-        if col is None:
-            col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else \
-                (self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1)
-        return ParseError(message, self.line, col)
-
-    def parse_word(self) -> list[int]:
-        """The letters of the word from here to the end of the tokens.
-
-        Groups are kept on an explicit stack, not parsed by recursion, so
-        Python's recursion limit does not bound their nesting; only
-        MAX_WORD_LETTERS bounds a word.  A group counts as one term of the
-        word around it, at the column of its '('."""
-        # the words around the open groups, with the columns of their '('
-        outer: list[tuple[list[int], int]] = []
-        letters: list[int] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                if outer:
-                    raise self._error("missing closing parenthesis")
-                return letters
-            text, col = tok
-            if text == "(":
-                self.pos += 1
-                outer.append((letters, col))
-                letters = []
-                continue
-            if text == ")":
-                if not outer:
-                    raise self._error("unbalanced ')'", col)
-                self.pos += 1
-                inner = self._power(letters)
-                letters, col = outer.pop()
-            else:
-                inner = self._parse_term()
+        at = col0 + m.start() + 1
+        kind = m.lastgroup
+        if kind == "digits" and term is not None:
+            # cut to the cap's digits + 1: still past the cap; int() refuses 4301 digits
+            power = int(m["sign"] + m["digits"][:len(str(MAX_WORD_LETTERS)) + 1])
+            tail = letters[term:]
+            if power < 0:
+                tail = [-x for x in reversed(tail)]
+                power = -power
+            if len(tail) * power > MAX_WORD_LETTERS:
+                raise ParseError(too_long, line, at)
+            del letters[term:]
+            letters.extend(tail * power)
+            term = None
+            continue
+        # no power follows the last term: it is whole and counts against the cap
+        if len(letters) > MAX_WORD_LETTERS:
+            raise ParseError(too_long, line, col)
+        if kind == "name":
+            term, col = len(letters), at
+            idx = gen_index.get(m[0])
+            if idx is None:
+                raise ParseError(f"unknown generator {m[0]!r}", line, at)
+            letters.append(idx)
+        elif kind == "open":
+            outer.append((letters, at))
+            letters, term = [], None
+        elif kind == "close" and outer:
+            inner = letters
+            letters, col = outer.pop()
+            term = len(letters)
             letters.extend(inner)
-            if len(letters) > MAX_WORD_LETTERS:
-                raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", col)
-
-    def _parse_term(self) -> list[int]:
-        """A generator with its optional power; parse_word handles groups."""
-        tok = self._peek()
-        if tok is None:
-            # parse_word checks for the end of input before every term
-            raise InvariantError("term parser called at the end of input")
-        text, col = tok
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
-            raise self._error(f"unexpected token {text!r}", col)
-        idx = self.gen_index.get(text)
-        if idx is None:
-            raise self._error(f"unknown generator {text!r}", col)
-        self.pos += 1
-        return self._power([idx])
-
-    def _power(self, inner: list[int]) -> list[int]:
-        """inner raised to the power that follows it, if one does."""
-        nxt = self._peek()
-        if nxt is None or not nxt[0].startswith("^"):
-            return inner
-        sign, digits = re.fullmatch(r"\^(-?)0*(\d*)", nxt[0]).groups()
-        # cut to the cap's digits + 1: still past the cap; int() refuses 4301 digits
-        power = int(sign + (digits or "0")[:len(str(MAX_WORD_LETTERS)) + 1])
-        self.pos += 1
-        if power < 0:
-            inner = [-x for x in reversed(inner)]
-            power = -power
-        if len(inner) * power > MAX_WORD_LETTERS:
-            raise self._error(f"word longer than {MAX_WORD_LETTERS} letters", nxt[1])
-        return inner * power
+        else:
+            message = "unbalanced ')'" if kind == "close" else f"unexpected token {m[0]!r}"
+            raise ParseError(message, line, at)
+    if len(letters) > MAX_WORD_LETTERS:
+        raise ParseError(too_long, line, col)
+    if outer:
+        raise ParseError("missing closing parenthesis", line, col0 + len(text.rstrip()) + 1)
+    return letters
 
 
 def parse_word(text: str, pres: Presentation) -> Word:
     """Parse a single word against a presentation's generators; error
     positions count from line 1, column 1 of the text."""
     gen_index = {name: i + 1 for i, name in enumerate(pres.generators)}
-    parser = _WordParser(_tokenize(text, 0), gen_index, 1)
-    return Word(tuple(parser.parse_word()))
+    return Word(tuple(_letters(text, 0, 1, gen_index)))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -155,13 +124,14 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "gens":
             if gens is not None:
                 raise ParseError("duplicate 'gens' line", lineno, 1)
-            gens = rest.split()
+            gens = []
+            for m in re.finditer(r"\S+", rest):
+                if not re.fullmatch(_NAME, m[0]):
+                    raise ParseError(f"bad generator name {m[0]!r}", lineno,
+                                     rest_col + m.start() + 1)
+                gens.append(m[0])
             if not gens:
                 raise ParseError("empty generator list", lineno, rest_col + 1)
-            for g in gens:
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", g):
-                    raise ParseError(f"bad generator name {g!r}", lineno,
-                                     body.index(g) + 1)
         elif keyword == "rel":
             relator_lines.append((lineno, rest_col, rest))
         else:
@@ -172,28 +142,18 @@ def parse_presentation(text: str) -> Presentation:
     if gens is None:
         raise ParseError("missing 'gens' line", 1, 1)
     gen_index = {g: i + 1 for i, g in enumerate(gens)}
-    relators = []
-    for lineno, col0, body in relator_lines:
-        parser = _WordParser(_tokenize(body, col0), gen_index, lineno)
-        letters = parser.parse_word()
-        relators.append(Word(tuple(letters)))
-    return Presentation(name, tuple(gens), tuple(relators))
+    relators = tuple(Word(tuple(_letters(body, col0, lineno, gen_index)))
+                     for lineno, col0, body in relator_lines)
+    return Presentation(name, tuple(gens), relators)
 
 
 def render_word(w: Word, pres: Presentation) -> str:
     """Canonical text for a word: runs of a letter collapse to name^k."""
     parts: list[str] = []
-    letters = list(w.letters)
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        count = j - i
-        name = pres.generators[abs(letters[i]) - 1]
-        power = count if letters[i] > 0 else -count
+    for letter, run in groupby(w.letters):
+        name, count = pres.generators[abs(letter) - 1], len(list(run))
+        power = count if letter > 0 else -count
         parts.append(name if power == 1 else f"{name}^{power}")
-        i = j
     return " ".join(parts)
 
 

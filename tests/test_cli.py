@@ -55,13 +55,6 @@ class TestParser:
         assert rendered == "group t\ngens a b\nrel a b a b\nrel a^3\n"
         assert parse_presentation(rendered) == p
 
-    def test_term_parser_at_end_of_input_is_internal(self):
-        from orbiforge.cosetenum import InvariantError
-        from orbiforge.presfile import _WordParser
-
-        with pytest.raises(InvariantError):
-            _WordParser([], {}, 1)._parse_term()
-
     def test_nesting_is_bounded_by_the_letter_cap_alone(self):
         # groups are parsed with an explicit stack; a recursive parser ended
         # in RecursionError at about 500 levels
@@ -89,6 +82,29 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_presentation(f"group t\ngens a b\nrel {text}\n")
         assert (err.value.message, err.value.line, err.value.col) == (message, 3, col + 4)
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("a^", "unexpected token '^'", 2),
+        ("(a b)^ a", "unexpected token '^'", 6),
+        ("^2 a", "unexpected token '^2'", 1),
+        ("a^2^3", "unexpected token '^3'", 4),
+    ], ids=["bare-power", "bare-power-after-group", "power-before-any-term", "power-of-power"])
+    def test_power_needs_digits_and_a_term_before_it(self, text, message, col):
+        # `a^` once read as a^0 and `(a b)^ a` as `a`
+        p = parse_presentation(fixture_text("p6"))
+        with pytest.raises(ParseError) as err:
+            parse_word(text, p)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+        with pytest.raises(ParseError) as err:
+            parse_presentation(f"group t\ngens a b\nrel {text}\n")
+        assert (err.value.message, err.value.line, err.value.col) == (message, 3, col + 4)
+
+    def test_bad_generator_name_column(self):
+        # the column of the bad name itself, not of its first occurrence as a substring
+        with pytest.raises(ParseError) as err:
+            parse_presentation("group t\ngens a1 1\n")
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "bad generator name '1'", 2, 9)
 
     def test_parse_word_against_presentation(self):
         p = parse_presentation(fixture_text("p6"))
@@ -285,6 +301,19 @@ class TestExitCodes:
     def test_zero_denominator_is_input_error(self, v1, capsys):
         assert main(["rhombic", v1, "0,1"]) == 2
         assert "zero denominator in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v2", ["1/2,1/2rt3", "1/2,1/2 rt3", "0,2rt3"])
+    def test_rt3_term_without_operator_is_input_error(self, v2, capsys):
+        # `1/2rt3` was read as 1/2+rt3, so the hexagonal lattice came out "no"
+        assert main(["rhombic", "1,0", v2]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["abelianize"], ["cosets", "--subgroup", "a"]])
+    def test_non_utf8_presentation_file_is_input_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfegroup t\ngens a\n")
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        assert f"cannot read {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
     def test_invalid_sign_is_input_error(self, capsys):
         assert main(["classify", "p6", "--sign", "b=-1"]) == 2

@@ -91,6 +91,18 @@ class TestQuadNum:
         # reading `-10*rt3` as -1
         assert parse_quadnum(text) == value
 
+    @pytest.mark.parametrize("text", ["2rt3", "2 rt3", "1/2rt3", "3/4 rt3", "2 3*rt3"])
+    def test_rational_part_needs_an_operator_before_rt3(self, text):
+        # these were read as sums: `2rt3` as 2+rt3
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_quadnum(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("2 - rt3", qn(2, -1)), ("1/2 + 1/2*rt3", qn(Fraction(1, 2), Fraction(1, 2))),
+        (" -rt3", qn(0, -1))])
+    def test_spaced_operator_before_rt3_stays_valid(self, text, value):
+        assert parse_quadnum(text) == value
+
     def test_zero_denominator_is_a_value_error(self):
         for text in ("1/0", "1/00", "2+1/0*rt3", "0/0*rt3"):
             with pytest.raises(ValueError, match="zero denominator in"):

@@ -60,7 +60,6 @@ OPTIONS = [
     "knotcusp.CuspVerdict.notes=()",
     "knotcusp.CuspVerdict.checks=()",
     "knotcusp.verdict(run_checks=True)",
-    "presfile._WordParser._error(col=None)",
     "verify.Check.fn=None",
     "verify.run_verification(selection=None)",
     "verify.run_verification(seed=0)",
@@ -125,6 +124,18 @@ def test_one_felsch_loop():
 
     assert not hasattr(_Enumerator, "process_deductions")
     assert not hasattr(_Enumerator, "_merge")
+
+
+def test_presfile_imports_only_fpgroup():
+    # the word parser is one function over one token grammar; it needs
+    # nothing from the enumerator or any other layer above fpgroup
+    path = PACKAGE / "presfile.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = [node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    absolute = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "orbiforge" in ast.unparse(node)]
+    assert local == ["fpgroup"] and absolute == []
 
 
 def test_no_unused_module_imports():
