@@ -191,10 +191,10 @@ def _cmd_verify(args) -> int:
     selection = None
     if args.only is not None:
         selection = [s.strip() for s in args.only.split(",") if s.strip()]
-        unknown = [s for s in selection if s not in verify.CHECK_IDS]
-        if unknown or not selection:
-            what = f"unknown check ids: {', '.join(unknown)}" if unknown else "no check ids given"
-            raise InputError(f"{what}; available: {', '.join(verify.CHECK_IDS)}")
+        try:
+            verify.selected_checks(selection)
+        except KeyError as exc:
+            raise InputError(exc.args[0]) from exc
     report = verify.run_verification(selection, args.seed)
     if args.format == "json":
         print(verify.report_json(report, include_timings=args.timings))

@@ -129,6 +129,9 @@ def parse_presentation(text: str) -> Presentation:
                 if not re.fullmatch(_NAME, m[0]):
                     raise ParseError(f"bad generator name {m[0]!r}", lineno,
                                      rest_col + m.start() + 1)
+                if m[0] in gens:
+                    raise ParseError(f"duplicate generator name {m[0]!r}", lineno,
+                                     rest_col + m.start() + 1)
                 gens.append(m[0])
             if not gens:
                 raise ParseError("empty generator list", lineno, rest_col + 1)

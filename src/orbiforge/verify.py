@@ -347,18 +347,21 @@ CHECKS: tuple[Check, ...] = (
 CHECK_IDS = tuple(c.id for c in CHECKS)
 
 
-def run_verification(selection: list[str] | None = None, seed: int = 0) -> Report:
-    """Run the selected checks (every one for None); deterministic given the seed.
-
-    An empty selection, or one naming an unknown id, raises KeyError."""
+def selected_checks(selection: list[str] | None) -> list[Check]:
+    """The checks a selection names, in declared order (every one for None);
+    an empty selection, or one naming an unknown id, raises KeyError."""
     if selection is None:
-        chosen = list(CHECKS)
-    else:
-        unknown = [s for s in selection if s not in CHECK_IDS]
-        if unknown or not selection:
-            what = f"unknown check ids: {unknown}" if unknown else "no check ids given"
-            raise KeyError(f"{what}; available: {', '.join(CHECK_IDS)}")
-        chosen = [c for c in CHECKS if c.id in selection]
+        return list(CHECKS)
+    unknown = [s for s in selection if s not in CHECK_IDS]
+    if unknown or not selection:
+        what = f"unknown check ids: {unknown}" if unknown else "no check ids given"
+        raise KeyError(f"{what}; available: {', '.join(CHECK_IDS)}")
+    return [c for c in CHECKS if c.id in selection]
+
+
+def run_verification(selection: list[str] | None = None, seed: int = 0) -> Report:
+    """Run the selected checks (`selected_checks`); deterministic given the seed."""
+    chosen = selected_checks(selection)
     outcomes = []
     for check in chosen:
         start = time.perf_counter()

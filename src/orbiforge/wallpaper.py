@@ -9,12 +9,14 @@ translation lattice; all of that is machine-checked at construction time.
 Classification runs in machine integers.  Each model's generators are
 rewritten once, on first use, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
-translation in (1/N)Z^2.  A subgroup's Schreier images, point group and
-lattice index are computed from those; its affine classes and the decision
-tree that names its type run in the basis of the subgroup's own translation
-lattice, where that lattice is Z^2 and linear parts are integer matrices.
-`ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
-independent check of the models.
+translation in (1/N)Z^2.  A subgroup's translation lattice comes from the
+orbit of its coset under the two translation words; one element of the model
+per linear part, checked against that orbit, gives its affine classes, in the
+basis of its own translation lattice, where that lattice is Z^2 and linear
+parts are integer matrices.  The decision tree that names its type runs on
+those classes, and its point group is read off them.  `ModelGroup.evaluate`
+stays in exact Cartesian Q(sqrt3) arithmetic, as the independent check of the
+models and of the `schreier_images` view.
 """
 from __future__ import annotations
 
@@ -519,55 +521,47 @@ class SubgroupHandle:
         return self.table.index
 
     @cached_property
-    def _affine_images(self) -> tuple[Affine, ...]:
-        """Images of `table.schreier_generators()` as integer affine maps of
-        the model's kernel, in the same order.
-
-        One map img[c] (and its inverse) per coset is built along the
-        Schreier vector; the image of the Schreier word r(c)*g*r(cg)^-1 is then
-        img[c]*g*img[cg]^-1.  Coset 0 has the identity and is never multiplied.
-        """
-        parent, letter_of, order = self.table.schreier_vector
-        kernel = self.model.kernel
-        gens, invs = kernel.gens, kernel.invs
-        img: list[Affine | None] = [None] * self.index
-        img_inv: list[Affine | None] = [None] * self.index
-        for c in order[1:]:
-            p, letter = parent[c], letter_of[c]
-            g, g_inv = (gens[letter - 1], invs[letter - 1]) if letter > 0 else \
-                (invs[-letter - 1], gens[-letter - 1])
-            img[c] = g if p == 0 else _amul(img[p], g)
-            img_inv[c] = g_inv if p == 0 else _amul(g_inv, img_inv[p])
-        out = []
-        for c, g, t in self.table.schreier_edges():
-            x = gens[g - 1]
-            if c:
-                x = _amul(img[c], x)
-            if t:
-                x = _amul(x, img_inv[t])
-            out.append(x)
-        return tuple(out)
-
-    @cached_property
     def schreier_images(self) -> tuple[Isometry, ...]:
-        """Images of `table.schreier_generators()` as Cartesian isometries, in
-        the same order."""
-        return tuple(map(self.model.kernel.isometry, self._affine_images))
-
-    @cached_property
-    def _linear_group(self) -> tuple[Linear, ...]:
-        """The point group in the model's lattice basis: the closure of the
-        integer linear parts of the subgroup generators."""
-        out = _closure((f[:4] for f in self._affine_images), _ID_LINEAR, _mmul)
-        if len(out) > 12:
-            raise InvariantError("point group larger than 12")
-        return out
+        """`table.schreier_generators()` evaluated as Cartesian isometries."""
+        return tuple(map(self.model.evaluate, self.table.schreier_generators()))
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
-        """Closure of the linear parts of the subgroup generators."""
+        """The linear parts of the subgroup, read off `integer_classes`: each
+        class matrix m is H^-1 M H for M in the model's lattice basis, so
+        M = (H m adj H) / (a g)."""
+        a, b, g = self._hermite
         cartesian = self.model.kernel.cartesian
-        return tuple(cartesian[m] for m in self._linear_group)
+        return tuple(cartesian[tuple(x // (a * g) for x in
+                                     _mmul(_mmul((a, 0, b, g), m), (g, 0, -b, a)))]
+                     for m, _ in self.integer_classes[1])
+
+    @cached_property
+    def _orbit(self) -> tuple[dict[int, tuple[int, int]], list[tuple[int, int]]]:
+        """(exponents, stabilizer): the orbit of coset 0 under the translations.
+
+        t1 and t2 act on the cosets by commuting permutations, so Z^2 acts.  A
+        BFS over the orbit maps each reached coset c to one (i, j) with
+        0 t1^i t2^j = c (a Schreier vector over Z^2); every non-tree edge
+        closes a stabilizer element, and by Schreier's lemma those generate
+        the whole stabilizer.
+        """
+        perm1, perm2 = map(self.table.permutation, self.model.translation_words)
+        if list(map(perm1.__getitem__, perm2)) != list(map(perm2.__getitem__, perm1)):
+            raise InvariantError("translation words act by non-commuting permutations")
+        exponents: dict[int, tuple[int, int]] = {0: (0, 0)}
+        queue = [0]
+        found = []
+        for c in queue:
+            i, j = exponents[c]
+            for d, e in ((perm1[c], (i + 1, j)), (perm2[c], (i, j + 1))):
+                seen = exponents.get(d)
+                if seen is None:
+                    exponents[d] = e
+                    queue.append(d)
+                elif seen != e:
+                    found.append((e[0] - seen[0], e[1] - seen[1]))
+        return exponents, found
 
     @cached_property
     def _hermite(self) -> tuple[int, int, int]:
@@ -589,30 +583,48 @@ class SubgroupHandle:
         lattice is Z^2: m is an integer matrix and (x, y)/D, 0 <= x, y < D,
         the canonical translation representative.
 
-        In the model's lattice basis the subgroup lattice has basis
-        H = [[a, 0], [b, g]] and a g H^-1 = [[g, 0], [-b, a]], so a linear
-        part M becomes H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a
-        translation (x, y)/N becomes (g x, a y - b x)/D with D = a g N; the
-        closure runs on the integer numerators modulo D."""
+        A BFS over the model's point group gives one element f per linear
+        part, with its coset 0 f^-1.  By orbit-stabilizer the subgroup holds
+        an element over f's linear part exactly when that coset is some
+        0 t1^i t2^j of the translation orbit, and t1^i t2^j f is one; its
+        translation is f's plus (i N, j N).  The subgroup lattice has basis
+        H = [[a, 0], [b, g]] in the model's lattice basis and
+        a g H^-1 = [[g, 0], [-b, a]], so a linear part M becomes
+        H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation (x, y)/N
+        becomes (g x, a y - b x)/D with D = a g N.  The classes must be
+        closed under products modulo D."""
         a, b, g = self._hermite
-        ag = a * g
-        d = ag * self.model.kernel.denominator
-        conjugated: dict[Linear, Linear] = {}
-        for m in self._linear_group:
-            scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
-            if any(x % ag for x in scaled):
-                raise InvariantError("point group does not preserve the lattice")
-            conjugated[m] = tuple(x // ag for x in scaled)
+        exponents, _ = self._orbit
+        kernel, rows = self.model.kernel, self.table.rows
+        ag, n = a * g, kernel.denominator
+        d = ag * n
+        # f |-> x f over the generators x, and its coset 0 f^-1 |-> 0 f^-1 x^-1
+        lifts = [((1, 0, 0, 1, 0, 0), 0)]
+        seen = {_ID_LINEAR}
+        gens = []
+        for f, c in lifts:
+            if c in exponents:
+                i, j = exponents[c]
+                x, y = f[4] + i * n, f[5] + j * n
+                scaled = _mmul(_mmul((g, 0, -b, a), f[:4]), (a, 0, b, g))
+                if any(v % ag for v in scaled):
+                    raise InvariantError("point group does not preserve the lattice")
+                gens.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
+            for k, gen in enumerate(kernel.gens):
+                h = _amul(gen, f)
+                if h[:4] not in seen:
+                    seen.add(h[:4])
+                    lifts.append((h, rows[c][2 * k + 1]))
+        if len(lifts) > 12:
+            raise InvariantError("point group larger than 12")
 
         def mul(p, q):
-            (m, (x, y)), (n, (u, v)) = p, q
-            return _mmul(m, n), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
+            (m, (x, y)), (m2, (u, v)) = p, q
+            return _mmul(m, m2), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
 
-        out = _closure(((conjugated[f[:4]], ((g * f[4]) % d, (a * f[5] - b * f[4]) % d))
-                        for f in self._affine_images),
-                       (_ID_LINEAR, (0, 0)), mul)
-        if len(out) != len(self._linear_group):
-            raise InvariantError("affine class count differs from point group order")
+        out = _closure(gens, (_ID_LINEAR, (0, 0)), mul)
+        if len(out) != len(gens):
+            raise InvariantError("affine classes are not closed under products")
         return d, out
 
     @cached_property
@@ -657,30 +669,9 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
 
 def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
     """(a, b, g) such that t1^i t2^j lies in the subgroup exactly when (i, j)
-    lies in the lattice with Hermite basis (a, b), (0, g).
-
-    t1 and t2 act on the cosets by commuting permutations, so Z^2 acts, and
-    t1^i t2^j lies in the subgroup exactly when (i, j) fixes coset 0.  A BFS
-    over the orbit of coset 0 keeps one exponent pair per reached coset (a
-    Schreier vector over Z^2); every non-tree edge closes a stabilizer
-    element, and by Schreier's lemma those generate the whole stabilizer.
-    """
-    perm1, perm2 = map(handle.table.permutation, handle.model.translation_words)
-    if list(map(perm1.__getitem__, perm2)) != list(map(perm2.__getitem__, perm1)):
-        raise InvariantError("translation words act by non-commuting permutations")
-    exponents: dict[int, tuple[int, int]] = {0: (0, 0)}
-    queue = [0]
-    found = []
-    for c in queue:
-        i, j = exponents[c]
-        for d, e in ((perm1[c], (i + 1, j)), (perm2[c], (i, j + 1))):
-            seen = exponents.get(d)
-            if seen is None:
-                exponents[d] = e
-                queue.append(d)
-            elif seen != e:
-                found.append((e[0] - seen[0], e[1] - seen[1]))
-    (a, b), (zero, g) = integer_lattice_basis(found)
+    lies in the lattice with Hermite basis (a, b), (0, g): the lattice that
+    the stabilizer pairs of the translation orbit generate."""
+    (a, b), (zero, g) = integer_lattice_basis(handle._orbit[1])
     if zero != 0:
         raise InvariantError("lattice basis is not in Hermite form")
     if a * g > handle.index:
@@ -821,7 +812,7 @@ def classify(handle: SubgroupHandle) -> OrbifoldSignature:
     sig = SIGNATURES[crystallographic_type(handle)]
     # index identity: [G:H] * |P(H)| = [Lat_G : Lat_H] * |P(G)|
     whole = len(handle.model.point_group)
-    if handle.index * len(handle._linear_group) != handle.lattice_index * whole:
+    if handle.index * len(handle.integer_classes[1]) != handle.lattice_index * whole:
         raise InvariantError("index identity violated")
     return sig
 

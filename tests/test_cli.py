@@ -106,6 +106,14 @@ class TestParser:
         assert (err.value.message, err.value.line, err.value.col) == (
             "bad generator name '1'", 2, 9)
 
+    def test_duplicate_generator_name_position(self):
+        # the repeat is a positioned ParseError, not an unpositioned
+        # PresentationError from building the Presentation
+        with pytest.raises(ParseError) as err:
+            parse_presentation("group t\ngens a  b a\nrel a b\n")
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "duplicate generator name 'a'", 2, 11)
+
     def test_parse_word_against_presentation(self):
         p = parse_presentation(fixture_text("p6"))
         assert parse_word("b a^-2", p).letters == (2, -1, -1)
@@ -262,6 +270,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("group t\ngens a\nrel a c\n")
         assert main(["abelianize", str(bad)]) == 2
+
+    def test_duplicate_generator_name_is_a_positioned_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "dup.txt"
+        bad.write_text("group t\ngens a a\n")
+        assert main(["abelianize", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 2, column 8: duplicate generator name 'a'\n"
 
     def test_resource_limit_is_exit_3(self, p6_file, capsys, monkeypatch):
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")

@@ -1,9 +1,10 @@
-"""The Schreier-vector transversal, the per-coset Schreier images and the
-translation lattice from coset permutations, each checked against the
-direct computation it replaces (kept here as the oracle), plus the linear
-growth of classification in the index."""
+"""The Schreier-vector transversal and the translation lattice from coset
+permutations, each checked against the direct computation it replaces (kept
+here as the oracle), plus the growth of classification in the index and its
+independence from the Schreier machinery."""
 import operator
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -161,13 +162,6 @@ def test_schreier_words_match_reference(label):
 
 
 @pytest.mark.parametrize("label", list(HANDLES))
-def test_schreier_images_match_word_evaluation(label):
-    handle = HANDLES[label]
-    assert handle.schreier_images == \
-        tuple(handle.model.evaluate(w) for w in handle.table.schreier_generators())
-
-
-@pytest.mark.parametrize("label", list(HANDLES))
 def test_translation_lattice_matches_membership_search(label):
     handle = HANDLES[label]
     assert translation_lattice(handle) == reference_translation_lattice(handle)
@@ -279,8 +273,12 @@ def test_lazy_model_data_is_cached():
 @pytest.mark.parametrize("label", list(HANDLES))
 def test_integer_point_group_and_lattice_index_match_cartesian(label):
     handle = HANDLES[label]
-    assert handle.point_group == _closure((iso.linear for iso in handle.schreier_images),
-                                          IDENTITY_MAT, operator.mul)
+    reference = dict.fromkeys(_closure((iso.linear for iso in handle.schreier_images),
+                                       IDENTITY_MAT, operator.mul))
+    # the same linear parts, each once, in the handle's own order
+    for m in handle.point_group:
+        del reference[m]
+    assert not reference
     assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
 
 
@@ -328,6 +326,8 @@ def test_classification_work_grows_linearly_in_the_index(monkeypatch):
     for key in ("amul", "letters"):
         assert at_96[key] > 0, (key, at_96)
         assert at_384[key] <= 4.5 * at_96[key], (key, at_96, at_384)
+    # the affine products walk the model's point group, whatever the index
+    assert at_96["amul"] == at_384["amul"]
 
 
 def test_classification_does_no_isometry_product(monkeypatch):
@@ -375,3 +375,46 @@ def test_classification_does_no_quadnum_product(monkeypatch):
     wallpaper.whole_group(model("p6")).schreier_images
     monkeypatch.undo()
     assert calls > 0
+
+
+def test_classification_does_not_touch_the_schreier_machinery(monkeypatch):
+    # the 17 whole groups, their sign kernels and one sublattice subgroup
+    # with a generator per model, classified with the Schreier vector, edges
+    # and words made to raise
+    pairs = []
+    for name in MODEL_NAMES:
+        m = model(name)
+        t1, t2 = m.translation_words
+        pairs.append((m, [Word((i,)) for i in range(1, m.presentation.ngens + 1)]))
+        pairs.extend((m, list(hom.kernel_words())) for hom in sign_homs(m.presentation))
+        pairs.append((m, [Word((1,)), t1 ** 2 * t2, t2 ** 3]))
+    expected = [classify(subgroup(m, words)) for m, words in pairs]
+
+    def refuse(*args):
+        raise AssertionError("classify reached the Schreier machinery")
+
+    monkeypatch.setattr(cosetenum.CosetTable, "schreier_vector", property(refuse))
+    monkeypatch.setattr(cosetenum.CosetTable, "schreier_edges", refuse)
+    monkeypatch.setattr(cosetenum.CosetTable, "schreier_generators", refuse)
+    assert [classify(subgroup(m, words)) for m, words in pairs] == expected
+    assert len({sig.names.crystallographic for sig in expected}) == len(MODEL_NAMES)
+
+
+def test_classification_memory_per_coset():
+    # p6 > <t1^64, t2^64> has 24,576 cosets; what classify allocates above
+    # subgroup() is its translation orbit (4096 cosets) and the two coset
+    # permutations that build it
+    p6 = model("p6")
+    p6.kernel
+    t1, t2 = p6.translation_words
+    handle = subgroup(p6, [t1 ** 64, t2 ** 64])
+    assert handle.index == 24576
+    tracemalloc.start()
+    try:
+        sig = classify(handle)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sig.names.crystallographic == "p1"
+    assert held <= 40 * handle.index, held / handle.index
+    assert peak <= 150 * handle.index, peak / handle.index
