@@ -1,7 +1,7 @@
-"""The Schreier-vector transversal and the translation lattice from coset
-permutations, each checked against the direct computation it replaces (kept
-here as the oracle), plus the growth of classification in the index and its
-independence from the Schreier machinery."""
+"""The Schreier-vector transversal, the Schreier images and the translation
+lattice from coset permutations, each checked against the direct computation
+it replaces (kept here as the oracle), plus the growth of classification in
+the index and its independence from the Schreier machinery."""
 import operator
 import random
 import tracemalloc
@@ -13,7 +13,7 @@ from orbiforge import cosetenum, exactgeom, wallpaper
 from orbiforge.cosetenum import InvariantError, _col, todd_coxeter
 from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.lattice import Lattice2, integer_lattice_basis
-from orbiforge.exactgeom import IDENTITY_MAT
+from orbiforge.exactgeom import IDENTITY_MAT, Isometry
 from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, _closure, classify,
                                  model, subgroup, translation_lattice)
 
@@ -159,6 +159,28 @@ def test_schreier_words_match_reference(label):
     assert table.schreier_generators() == [w for _, _, w in pairs]
     assert [(c, g, table.rows[c][_col(g)]) for c, g, _ in pairs] == \
         list(table.schreier_edges())
+
+
+@pytest.mark.parametrize("label", list(HANDLES))
+def test_schreier_images_match_word_evaluation(label):
+    # the oracle multiplies right to left and inverts each generator's image
+    # itself; every image is in the subgroup, so its linear part is in the
+    # point group and a pure translation is in the translation lattice
+    handle = HANDLES[label]
+    rep = handle.model.rep
+    reference = []
+    for w in handle.table.schreier_generators():
+        out = Isometry.identity()
+        for letter in reversed(w.letters):
+            g = rep[abs(letter) - 1]
+            out = (g if letter > 0 else g.inverse()) * out
+        reference.append(out)
+    assert handle.schreier_images == tuple(reference)
+    point_group = set(handle.point_group)
+    for iso in handle.schreier_images:
+        assert iso.linear in point_group
+        if iso.linear == IDENTITY_MAT:
+            assert handle.lattice.contains(iso.trans)
 
 
 @pytest.mark.parametrize("label", list(HANDLES))
