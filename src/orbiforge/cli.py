@@ -81,9 +81,12 @@ def _parse_signs(text: str) -> dict[str, int]:
         if "=" not in item:
             raise InputError(f"sign assignment must look like gen=-1, got {item!r}")
         name, value = item.split("=", 1)
+        name = name.strip()
         if value.strip() not in ("1", "+1", "-1"):
             raise InputError(f"sign must be +1 or -1, got {value!r}")
-        out[name.strip()] = -1 if value.strip() == "-1" else 1
+        if name in out:
+            raise InputError(f"generator {name!r} is given more than one sign")
+        out[name] = -1 if value.strip() == "-1" else 1
     return out
 
 

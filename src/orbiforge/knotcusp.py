@@ -17,9 +17,10 @@ from .cosetenum import todd_coxeter
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word,
                       abelianization, quotient, tietze_pass)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
-                        _class_has_reflection, _det, _rotation_order,
-                        classify, model, orientation_double_cover,
-                        sign_kernel, signature_by_name, whole_group)
+                        UnknownSignatureError, _class_has_reflection, _det,
+                        _rotation_order, classify, model,
+                        orientation_double_cover, sign_kernel,
+                        signature_by_name, whole_group)
 
 
 class AmalgamError(ValueError):
@@ -276,6 +277,8 @@ def verdict(signature: OrbifoldSignature | str, run_checks: bool = True) -> Cusp
     sig = signature if isinstance(signature, OrbifoldSignature) \
         else signature_by_name(signature)
     cryst = sig.names.crystallographic
+    if SIGNATURES.get(cryst) != sig:
+        raise UnknownSignatureError(f"not one of the seventeen Euclidean 2-orbifolds: {sig!r}")
     if cryst in FOUR_TORSION_EXCLUDED:
         checks = _four_torsion_checks(cryst) if run_checks else ()
         return CuspVerdict(sig, "excluded", reason="four_torsion", checks=checks)

@@ -9,18 +9,18 @@ translation lattice; all of that is machine-checked at construction time.
 Classification runs in machine integers.  Each model's generators are
 rewritten once, on first use, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
-translation in (1/N)Z^2.  A subgroup's translation lattice comes from the
-orbit of its coset under the two translation words; one element of the model
-per linear part, checked against that orbit, gives its affine classes, in the
-basis of its own translation lattice, where that lattice is Z^2 and linear
-parts are integer matrices.  The decision tree that names its type runs on
-those classes, and its point group is read off them.  `ModelGroup.evaluate`
-stays in exact Cartesian Q(sqrt3) arithmetic, as the independent check of the
-models and of the `schreier_images` view.
+translation in (1/N)Z^2.  The kernel walks the model's point group once from
+them, keeping one element of the model per linear part, with a word for it.
+A subgroup's translation lattice comes from the orbit of its coset under the
+two translation words; those elements, checked against that orbit, give its
+affine classes, in the basis of its own translation lattice, where that
+lattice is Z^2 and linear parts are integer matrices.  The decision tree that
+names its type runs on those classes, and its point group is read off them.
+`ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
+independent check of the models and of the `schreier_images` view.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -218,19 +218,14 @@ def _amul(p: Affine, q: Affine) -> Affine:
 
 class AffineKernel(NamedTuple):
     """A model's generators as integer affine maps in the basis B of its
-    translation lattice (`ModelGroup.kernel`)."""
+    translation lattice, and its point group, walked once from them
+    (`ModelGroup.kernel`)."""
 
     basis: Mat2                       # B, columns v1 and v2
     denominator: int                  # N
     gens: tuple[Affine, ...]
-    invs: tuple[Affine, ...]
+    lifts: tuple[tuple[Affine, Word], ...]  # (f, w) per linear part, w evaluating to f
     cartesian: Mapping[Linear, Mat2]  # B M B^-1 for each M of the point group
-
-    def isometry(self, f: Affine) -> Isometry:
-        """The Cartesian isometry v |-> L v + B (x, y)/N of f."""
-        n = self.denominator
-        trans = self.basis * vec(Fraction(f[4], n), Fraction(f[5], n))
-        return Isometry(self.cartesian[f[:4]], trans)
 
 
 @dataclass(frozen=True)
@@ -270,47 +265,53 @@ class ModelGroup:
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
-        """Closure of the generator linear parts."""
-        return _closure((iso.linear for iso in self.rep), IDENTITY_MAT, operator.mul)
+        """The linear parts, in the order of the kernel's walk."""
+        return tuple(self.kernel.cartesian.values())
 
     @cached_property
     def kernel(self) -> AffineKernel:
-        """The generators and their inverses as integer affine maps in the
-        basis B = (v1, v2) of `translation_images()`.
+        """The generators as integer affine maps in the basis
+        B = (v1, v2) of `translation_images()`, and one lift per linear part.
 
-        Each linear part L of the point group is conjugated to M = B^-1 L B,
-        which must be integral with determinant +-1 and keep the Gram matrix
-        G = B^T B (M^T G M = G); every translation must lie in (1/N)Z^2 for N
-        the lcm of the translation denominators."""
+        Each generator's linear part L is conjugated to M = B^-1 L B, which
+        must be integral with determinant +-1 and keep the Gram matrix
+        G = B^T B (M^T G M = G); its translation must lie in (1/N)Z^2 for N
+        the lcm of the translation denominators.  Products and inverses keep
+        all of that, so the whole group does.  A BFS from the identity,
+        f |-> g f over the generators g, then gives each linear part one
+        element f of the model, with a word w whose image is f."""
         basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
         gram = basis.transpose() * basis
-        cartesian: dict[Linear, Mat2] = {}
-        integer: dict[Mat2, Linear] = {}
-        for m in self.point_group:
-            c = inverse * m * basis
+        coords = [inverse * iso.trans for iso in self.rep]
+        n = lcm(*(x.a.denominator for v in coords for x in (v.x, v.y)))
+        gens = []
+        for iso, v in zip(self.rep, coords):
+            c = inverse * iso.linear * basis
             entries = (c.m11, c.m12, c.m21, c.m22)
             if not all(x.is_integer() for x in entries):
-                raise InvariantError(f"linear part {m} of {self.presentation.name} "
+                raise InvariantError(f"linear part {iso.linear} of {self.presentation.name} "
                                      "is not integral in the lattice basis")
             if c.det() not in (QuadNum.of(1), QuadNum.of(-1)):
                 raise InvariantError("lattice-basis linear part has determinant other than +-1")
             if c.transpose() * gram * c != gram:
                 raise InvariantError("lattice-basis linear part does not keep the Gram matrix")
-            key = tuple(int(x.a) for x in entries)
-            cartesian[key] = m
-            integer[m] = key
-        isos = self.rep + self.inverse_rep
-        coords = [inverse * iso.trans for iso in isos]
-        n = lcm(*(x.a.denominator for v in coords for x in (v.x, v.y)))
-        affine = []
-        for iso, v in zip(isos, coords):
             scaled = (v.x * n, v.y * n)
             if not all(x.is_integer() for x in scaled):
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
-            affine.append(integer[iso.linear] + tuple(int(x.a) for x in scaled))
-        k = len(self.rep)
-        return AffineKernel(basis, n, tuple(affine[:k]), tuple(affine[k:]), cartesian)
+            gens.append(tuple(int(x.a) for x in entries + scaled))
+        lifts = [((1, 0, 0, 1, 0, 0), Word(()))]
+        seen = {_ID_LINEAR}
+        for f, w in lifts:
+            for k, gen in enumerate(gens, 1):
+                h = _amul(gen, f)
+                if h[:4] not in seen:
+                    seen.add(h[:4])
+                    lifts.append((h, Word((k,)) * w))
+            if len(lifts) > 12:
+                raise InvariantError("point group larger than 12")
+        cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f, _ in lifts}
+        return AffineKernel(basis, n, tuple(gens), tuple(lifts), cartesian)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -583,26 +584,24 @@ class SubgroupHandle:
         lattice is Z^2: m is an integer matrix and (x, y)/D, 0 <= x, y < D,
         the canonical translation representative.
 
-        A BFS over the model's point group gives one element f per linear
-        part, with its coset 0 f^-1.  By orbit-stabilizer the subgroup holds
-        an element over f's linear part exactly when that coset is some
-        0 t1^i t2^j of the translation orbit, and t1^i t2^j f is one; its
-        translation is f's plus (i N, j N).  The subgroup lattice has basis
-        H = [[a, 0], [b, g]] in the model's lattice basis and
+        The model's kernel holds one element f per linear part, with a word
+        w for it, whose coset is 0 f^-1 = 0 w^-1.  By orbit-stabilizer the
+        subgroup holds an element over f's linear part exactly when that
+        coset is some 0 t1^i t2^j of the translation orbit, and t1^i t2^j f
+        is one; its translation is f's plus (i N, j N).  The subgroup lattice
+        has basis H = [[a, 0], [b, g]] in the model's lattice basis and
         a g H^-1 = [[g, 0], [-b, a]], so a linear part M becomes
         H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation (x, y)/N
         becomes (g x, a y - b x)/D with D = a g N.  The classes must be
         closed under products modulo D."""
         a, b, g = self._hermite
         exponents, _ = self._orbit
-        kernel, rows = self.model.kernel, self.table.rows
+        kernel = self.model.kernel
         ag, n = a * g, kernel.denominator
         d = ag * n
-        # f |-> x f over the generators x, and its coset 0 f^-1 |-> 0 f^-1 x^-1
-        lifts = [((1, 0, 0, 1, 0, 0), 0)]
-        seen = {_ID_LINEAR}
         gens = []
-        for f, c in lifts:
+        for f, w in kernel.lifts:
+            c = self.table.trace(w.inverse())
             if c in exponents:
                 i, j = exponents[c]
                 x, y = f[4] + i * n, f[5] + j * n
@@ -610,13 +609,6 @@ class SubgroupHandle:
                 if any(v % ag for v in scaled):
                     raise InvariantError("point group does not preserve the lattice")
                 gens.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
-            for k, gen in enumerate(kernel.gens):
-                h = _amul(gen, f)
-                if h[:4] not in seen:
-                    seen.add(h[:4])
-                    lifts.append((h, rows[c][2 * k + 1]))
-        if len(lifts) > 12:
-            raise InvariantError("point group larger than 12")
 
         def mul(p, q):
             (m, (x, y)), (m2, (u, v)) = p, q

@@ -1,17 +1,34 @@
 """Each model's integer affine kernel: its generators as integer matrices plus
-translations in (1/N)Z^2 in the basis of the model's translation lattice,
-and the checks made once when it is built."""
+translations in (1/N)Z^2 in the basis of the model's translation lattice, one
+lift per linear part of its point group, and the checks made once when it is
+built."""
+import itertools
+import operator
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from orbiforge import wallpaper
 from orbiforge.cosetenum import InvariantError
-from orbiforge.exactgeom import IDENTITY_MAT, QuadNum, Vec2, mat, vec
+from orbiforge.exactgeom import IDENTITY_MAT, Isometry, QuadNum, Vec2, _isometry, mat, vec
+from orbiforge.fpgroup import Word
 from orbiforge.lattice import Lattice2
-from orbiforge.wallpaper import MODEL_NAMES, _amul, _mmul, model
+from orbiforge.wallpaper import MODEL_NAMES, _closure, model
 
 IDENTITY_AFFINE = (1, 0, 0, 1, 0, 0)
+
+# |P| in MODEL_NAMES order
+POINT_GROUP_ORDERS = dict(zip(MODEL_NAMES, (1, 2, 3, 4, 6, 2, 2, 2, 4, 4, 4, 4, 8, 8, 6, 6, 12)))
+
+
+def _cartesian(m, f):
+    """The Cartesian isometry v |-> L v + B (x, y)/N of an integer affine map,
+    with L = B M B^-1 computed here."""
+    kernel = m.kernel
+    basis, n = kernel.basis, kernel.denominator
+    linear = basis * mat(*f[:4]) * m.lattice()._inverse_basis
+    return Isometry(linear, basis * vec(Fraction(f[4], n), Fraction(f[5], n)))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -31,24 +48,29 @@ def test_linear_parts_are_integral_unimodular_isometries(name):
         integer = mat(*key)
         assert integer.transpose() * gram * integer == gram
         assert basis * integer == cartesian * basis
-    for f in kernel.gens + kernel.invs:
+    lifts = [f for f, _ in kernel.lifts]
+    for f in kernel.gens + tuple(lifts):
         assert len(f) == 6 and all(isinstance(x, int) for x in f)
         assert f[:4] in kernel.cartesian
+    # one lift per linear part, in the point group's order, identity first
+    assert [f[:4] for f in lifts] == list(kernel.cartesian)
+    assert kernel.lifts[0] == (IDENTITY_AFFINE, Word(()))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_each_image_composed_with_its_inverse_is_the_identity(name):
-    kernel = model(name).kernel
-    for g, g_inv in zip(kernel.gens, kernel.invs):
-        assert _amul(g, g_inv) == _amul(g_inv, g) == IDENTITY_AFFINE
-        assert _mmul(g[:4], g_inv[:4]) == (1, 0, 0, 1)
-
-
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_cartesian_view_of_each_generator_is_the_model_image(name):
+def test_each_lift_is_the_image_of_its_word(name):
     m = model(name)
-    assert tuple(map(m.kernel.isometry, m.kernel.gens)) == m.rep
-    assert tuple(map(m.kernel.isometry, m.kernel.invs)) == m.inverse_rep
+    assert tuple(_cartesian(m, f) for f in m.kernel.gens) == m.rep
+    for f, w in m.kernel.lifts:
+        assert m.evaluate(w) == _cartesian(m, f), (f, w)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_point_group_is_the_closure_of_the_generator_linear_parts(name):
+    m = model(name)
+    closure = _closure((iso.linear for iso in m.rep), IDENTITY_MAT, operator.mul)
+    assert len(closure) == len(m.point_group) == POINT_GROUP_ORDERS[name]
+    assert set(m.point_group) == set(closure)
 
 
 def test_building_a_model_does_not_build_its_kernel():
@@ -73,17 +95,33 @@ def test_linear_part_must_be_integral_in_the_lattice_basis():
         fake.kernel
 
 
+def _with_first_linear_part(name, linear):
+    """A copy of a model whose first generator has the given linear part,
+    built without the orthogonality check of `Isometry`."""
+    m = model(name)
+    return replace(m, rep=(_isometry(linear, m.rep[0].trans),) + m.rep[1:])
+
+
 def test_linear_part_must_have_determinant_one():
-    fake = _copy("p1", point_group=(IDENTITY_MAT, mat(2, 0, 0, 1)))
+    fake = _with_first_linear_part("p1", mat(2, 0, 0, 1))
     with pytest.raises(InvariantError, match="determinant other than"):
         fake.kernel
 
 
 def test_linear_part_must_keep_the_gram_matrix():
     # a shear is unimodular but not an isometry of the square lattice
-    fake = _copy("p1", point_group=(IDENTITY_MAT, mat(1, 1, 0, 1)))
+    fake = _with_first_linear_part("p1", mat(1, 1, 0, 1))
     with pytest.raises(InvariantError, match="does not keep the Gram matrix"):
         fake.kernel
+
+
+def test_point_group_walk_is_bounded(monkeypatch):
+    # the checks above keep the point group finite; were they to fail, the
+    # walk stops at 12 linear parts instead of running on
+    shears = itertools.count(1)
+    monkeypatch.setattr(wallpaper, "_amul", lambda p, q: (1, next(shears), 0, 1, 0, 0))
+    with pytest.raises(InvariantError, match="point group larger than 12"):
+        _copy("p1").kernel
 
 
 def test_generator_translation_must_be_rational_in_the_lattice_basis():

@@ -333,6 +333,15 @@ class TestExitCodes:
     def test_invalid_sign_is_input_error(self, capsys):
         assert main(["classify", "p6", "--sign", "b=-1"]) == 2
 
+    @pytest.mark.parametrize("signs", ["a=1,a=-1", "a=-1,a=1", "a=-1, a=-1", "a=-1,b=1,a=+1"])
+    def test_repeated_sign_generator_is_input_error(self, signs, capsys):
+        # the last value used to win: a=1,a=-1 classified as S2(3,3,3), and
+        # a=-1,a=1 as the whole group
+        assert main(["classify", "p6", "--sign", signs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: generator 'a' is given more than one sign\n"
+
     def test_internal_key_error_is_not_an_input_error(self, capsys, monkeypatch):
         from orbiforge import verify
 

@@ -1,5 +1,6 @@
 """Amalgam presentations, collapse certificates, and the verdict table."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,8 @@ from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
                                 random_knot_presentation, verdict,
                                 verdict_table, _certify_order_two,
                                 _minimal_knot, _trivial_gluings)
-from orbiforge.wallpaper import SIGNATURES, model, subgroup
+from orbiforge.wallpaper import (SIGNATURES, OrbifoldSignature, UnknownSignatureError,
+                                 model, subgroup)
 
 HARNESS_SAMPLES = 100
 
@@ -190,6 +192,18 @@ class TestVerdicts:
     def test_unconstrained_degrees(self):
         v = verdict("T2", run_checks=False)
         assert v.degree_allowed(5) and not v.degree_allowed(0)
+
+    @pytest.mark.parametrize("signature", [
+        OrbifoldSignature(True, False, "sphere", (2, 2), ()),
+        # the cone orders of S2(2,3,6), but without its names
+        OrbifoldSignature(True, False, "sphere", (2, 3, 6), ()),
+        replace(SIGNATURES["p6"], cone_orders=(2, 4, 4)),
+    ])
+    def test_unknown_signature_is_named(self, signature):
+        # it used to raise KeyError('') from the witness table
+        with pytest.raises(UnknownSignatureError, match="not one of the seventeen") as info:
+            verdict(signature, run_checks=False)
+        assert repr(signature) in str(info.value)
 
 
 class TestOrderTwoCertificate:

@@ -126,6 +126,15 @@ def test_one_felsch_loop():
     assert not hasattr(_Enumerator, "_merge")
 
 
+def test_one_point_group_walk():
+    # the model's kernel walks its point group once and keeps one lift per
+    # linear part; it holds no inverses and no second Cartesian view
+    from orbiforge.wallpaper import AffineKernel
+
+    assert "invs" not in AffineKernel._fields
+    assert not hasattr(AffineKernel, "isometry")
+
+
 def test_presfile_imports_only_fpgroup():
     # the word parser is one function over one token grammar; it needs
     # nothing from the enumerator or any other layer above fpgroup
