@@ -531,7 +531,7 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
         if w.max_index() > p.ngens:
             raise ValueError("subgroup word uses a generator not in the presentation")
     limit = max_cosets if max_cosets is not None else default_max_cosets()
-    if not isinstance(limit, int) or limit < 1:
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
         raise ValueError(f"max_cosets must be a positive integer, got {limit!r}")
     enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators],
                        limit)

@@ -204,7 +204,8 @@ def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary precision."""
+    """Dense integer matrix, row-major, arbitrary precision.  An entry that
+    is not an integer, such as a float or a Fraction, raises TypeError."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -213,7 +214,7 @@ class IntMatrix:
             raise ValueError("entry count must equal rows*cols")
         self.rows = rows
         self.cols = cols
-        self.entries = [int(e) for e in entries]
+        self.entries = [operator.index(e) for e in entries]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -235,7 +236,7 @@ class IntMatrix:
 
     def __setitem__(self, ij: tuple[int, int], v: int) -> None:
         i, j = ij
-        self.entries[i * self.cols + j] = int(v)
+        self.entries[i * self.cols + j] = operator.index(v)
 
     def row(self, i: int) -> list[int]:
         return self.entries[i * self.cols:(i + 1) * self.cols]

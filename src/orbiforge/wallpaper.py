@@ -14,8 +14,11 @@ them, keeping one element of the model per linear part, with a word for it.
 A subgroup's translation lattice comes from the orbit of its coset under the
 two translation words; those elements, checked against that orbit, give its
 affine classes, in the basis of its own translation lattice, where that
-lattice is Z^2 and linear parts are integer matrices.  The decision tree that
-names its type runs on those classes, and its point group is read off them.
+lattice is Z^2 and linear parts are integer matrices.  Its point group is read
+off those classes, and the decision tree names its type from them: from the
+highest rotation order and the mirror matrices, the det -1 linear parts whose
+class holds a reflection, by their number and by how they act on Z^2/2Z^2 or,
+in a three-fold group with rotation R, on Z^2/(R - I)Z^2.
 `ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
 independent check of the models and of the `schreier_images` view.
 """
@@ -706,78 +709,58 @@ def _class_has_reflection(m: Linear, v: tuple[int, int], d: int) -> bool:
     return (r0 * v[0] + r1 * v[1]) % (gcd(r0, r1) * d) == 0
 
 
-def _rotation_center_reps(m: Linear, v: tuple[int, int], d: int) -> set[tuple[int, int]]:
-    """Centres of the rotations (m, v + lambda), one per lattice class, as
-    numerators over k d for k = det(I - m): adj(I - m)(v + d(i, j)) reduced
-    mod k d for 0 <= i, j < k, which must give k of them."""
-    k = _det((1 - m[0], -m[1], -m[2], 1 - m[3]))
-    if k <= 0:
-        raise InvariantError("det(I - rotation) is not a positive integer")
-    e = k * d
-    centres = set()
-    for x in range(v[0], v[0] + e, d):
-        for y in range(v[1], v[1] + e, d):
-            centres.add((((1 - m[3]) * x + m[1] * y) % e, (m[2] * x + (1 - m[0]) * y) % e))
-    if len(centres) != k:
-        raise InvariantError("wrong number of rotation-center classes")
-    return centres
+def _fixes_rows_mod(a: Linear, m: Linear, k: int) -> bool:
+    """Whether a m = a modulo k: m fixes each row of a, as a linear form
+    modulo k."""
+    return all(x % k == 0 for x in _mmul(a, (m[0] - 1, m[1], m[2], m[3] - 1)))
 
 
-def _point_on_some_mirror(p: tuple[int, int], k: int, neg: list[Class], d: int) -> bool:
-    """Whether the point p/(k d) is fixed by a reflection in the group: some
-    class (m, v) has a lattice translate fixing it, (I - m)p = k v mod k d
-    (a det -1 isometry with a fixed point is a reflection)."""
-    e = k * d
-    return any(((1 - m[0]) * p[0] - m[1] * p[1] - k * x) % e == 0 and
-               (-m[2] * p[0] + (1 - m[3]) * p[1] - k * y) % e == 0
-               for m, (x, y) in neg)
-
-
-def _exists_glide_off_mirrors(neg: list[Class], d: int) -> bool:
-    for m, (x, y) in neg:
-        same = [c for c in neg if c[0] == m]
-        for tx in (x, x + d):
-            for ty in (y, y + d):
-                # t = (tx, ty)/d; (m + I)t = 0 makes it a reflection, not a glide
-                if (m[0] + 1) * tx + m[1] * ty == 0 and m[2] * tx + (m[3] + 1) * ty == 0:
-                    continue
-                # the glide axis passes through (I - m)t/4
-                axis_point = ((1 - m[0]) * tx - m[1] * ty, (1 - m[3]) * ty - m[2] * tx)
-                if not _point_on_some_mirror(axis_point, 4, same, d):
-                    return True
-    return False
-
-
-_CENTRES_ON_MIRRORS = {2: ("pmm", "cmm"), 3: ("p3m1", "p31m"), 4: ("p4m", "p4g")}
+# (highest rotation order, number of mirror matrices) of the ten groups with
+# mirrors: pm/cm, pmg, pmm/cmm, p3m1/p31m, p4g, p4m, p6m
+_MIRROR_COUNTS = {(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (4, 4), (6, 6)}
 
 
 def crystallographic_type(handle: SubgroupHandle) -> str:
-    """Crystallographic type of the subgroup, via the standard decision tree
-    on its integer affine classes in the lattice basis."""
+    """Crystallographic type of the subgroup, from its integer affine classes
+    in the lattice basis: the highest rotation order n and the mirror
+    matrices, the det -1 linear parts whose class holds a reflection.
+
+    n and their number decide all but three pairs, which the arithmetic
+    class splits (International Tables A).  A mirror matrix is = I mod 2
+    exactly when the lattice has a basis along and across its axis: pm, pmm
+    against cm, cmm; Gamma(2) is normal in GL(2, Z), so this does not depend
+    on the basis.  For n = 3 and R of order 3, p31m is the case where a
+    mirror matrix acts trivially on Z^2/(R - I)Z^2, a group of order 3 whose
+    linear forms mod 3 are the rows of adj(R - I)."""
     d, classes = handle.integer_classes
-    rotations = [(_rotation_order(m), m, v) for m, v in classes if _det(m) == 1]
+    rotations = [(_rotation_order(m), m) for m, _ in classes if _det(m) == 1]
     neg = [(m, v) for m, v in classes if _det(m) == -1]
     # the identity class is first, so the maximum is 1 when nothing rotates
-    n = max(order for order, _, _ in rotations)
+    n = max(order for order, _ in rotations)
     if not neg:
         return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
-    mirrors = [(m, v) for (m, v) in neg if _class_has_reflection(m, v, d)]
+    mirrors = [m for m, v in neg if _class_has_reflection(m, v, d)]
     if not mirrors:
         if n > 2:
             raise InvariantError(f"{n}-fold group with glides but no mirrors")
         return "pg" if n == 1 else "pgg"
-    if n == 1:
-        return "cm" if _exists_glide_off_mirrors(neg, d) else "pm"
+    if ((n, len(mirrors)) not in _MIRROR_COUNTS
+            or n <= 2 and len({tuple(x % 2 for x in m) for m in mirrors}) > 1):
+        raise InvariantError(f"{n}-fold group with mirror matrices {mirrors}")
     if n == 6:
         return "p6m"
-    # a reflection matrix is fixed by its axis, so one matrix means one axis
-    if n == 2 and len({m for (m, _) in mirrors}) == 1:
+    if n == 4:
+        return "p4m" if len(mirrors) == 4 else "p4g"
+    if n == 3:
+        r = next(m for order, m in rotations if order == 3)
+        adj = (r[3] - 1, -r[1], -r[2], r[0] - 1)
+        return "p31m" if any(_fixes_rows_mod(adj, m, 3) for m in mirrors) else "p3m1"
+    if n == 2 and len(mirrors) == 1:
         return "pmg"
-    # whether every rotation centre of the top order lies on a mirror
-    on, off = _CENTRES_ON_MIRRORS[n]
-    centres = [_rotation_center_reps(m, v, d) for order, m, v in rotations if order == n]
-    on_mirrors = all(_point_on_some_mirror(c, len(cs), neg, d) for cs in centres for c in cs)
-    return on if on_mirrors else off
+    # the mirror matrices agree mod 2, so the first one decides
+    if _fixes_rows_mod(_ID_LINEAR, mirrors[0], 2):
+        return "pm" if n == 1 else "pmm"
+    return "cm" if n == 1 else "cmm"
 
 
 def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:

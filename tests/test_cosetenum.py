@@ -108,7 +108,8 @@ class TestToddCoxeter:
         defined, live = int(match.group(1)), int(match.group(2))
         assert defined == 1000 and live < defined
 
-    @pytest.mark.parametrize("value", [0, -5, 2.5])
+    # True is an int, but not an allowance of one coset
+    @pytest.mark.parametrize("value", [0, -5, 2.5, True, False])
     def test_allowance_must_be_a_positive_int(self, value):
         with pytest.raises(ValueError, match="max_cosets must be a positive integer"):
             todd_coxeter(P6, [], max_cosets=value)

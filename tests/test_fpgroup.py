@@ -1,5 +1,6 @@
 """Words, Smith normal form, abelianization, and sign homomorphisms."""
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -138,6 +139,18 @@ def _assert_smith_form(a, u, d, v):
     assert nonzero == diagonal_of(d)[:len(nonzero)]
     assert all(x > 0 for x in nonzero)
     assert all(nonzero[i] % nonzero[i - 1] == 0 for i in range(1, len(nonzero)))
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize("entry", [2.7, Fraction(7, 2), 2.0, Fraction(2)])
+    def test_entries_must_be_integers(self, entry):
+        # int() would truncate 2.7 to 2 and Smith normal form would run on it
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [entry, 1])
+        m = IntMatrix(1, 2, [0, 1])
+        with pytest.raises(TypeError):
+            m[0, 1] = entry
+        assert m.entries == [0, 1]
 
 
 class TestSmithNormalFormGrowth:

@@ -14,10 +14,8 @@ from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
                                  reflection_axis_direction, rotation_order, vec)
 from orbiforge.fpgroup import Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
-                                 _closure, _det, _exists_glide_off_mirrors,
-                                 _point_on_some_mirror, _rotation_center_reps,
-                                 _rotation_order, classify, crystallographic_type,
-                                 model, subgroup)
+                                 _closure, _det, _rotation_order, classify,
+                                 crystallographic_type, model, subgroup, whole_group)
 
 
 # -- oracle: the Cartesian computation ----------------------------------------
@@ -159,6 +157,31 @@ CORPUS = corpus()
 HANDLES = {label: subgroup(model(name), words) for label, name, words in CORPUS}
 
 
+def random_word(rng, ngens, shortest, longest):
+    return Word(tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+                      for _ in range(rng.randint(shortest, longest))))
+
+
+def random_corpus(per_model):
+    """Seeded random subgroups of every model: <t1^a t2^b, t2^c> with a, c <= 4,
+    plus up to three random words, all conjugated by a random word."""
+    rng = random.Random(7)
+    out = {}
+    for name in MODEL_NAMES:
+        m = model(name)
+        ngens = m.presentation.ngens
+        t1, t2 = m.translation_words
+        for k in range(per_model):
+            words = [t1 ** rng.randint(1, 4) * t2 ** rng.randint(0, 3), t2 ** rng.randint(1, 4)]
+            words += [random_word(rng, ngens, 1, 4) for _ in range(rng.randint(0, 3))]
+            by = random_word(rng, ngens, 0, 4)
+            out[f"{name} random {k}"] = subgroup(m, [w.conjugate(by) for w in words])
+    return out
+
+
+RANDOM_HANDLES = random_corpus(12)
+
+
 def test_corpus_is_wide():
     assert len(HANDLES) >= 200
     assert {name for _, name, _ in CORPUS} == set(MODEL_NAMES)
@@ -184,8 +207,6 @@ def test_lattice_basis_agrees_with_cartesian_tree(label):
     assert handle.classes == tuple((inverse * m * basis, inverse * v) for m, v in reference)
     assert handle.classes == tuple((mat(*m), vec(Fraction(x, d), Fraction(y, d)))
                                    for m, (x, y) in classes)
-    neg = [(m, v) for m, v in classes if _det(m) == -1]
-    neg_ref = [(m, v) for m, v in reference if m.det() != QuadNum.of(1)]
     for (m, v), (m_ref, v_ref) in zip(classes, reference):
         assert all(0 <= x < d for x in v)
         if _det(m) == -1:
@@ -193,20 +214,20 @@ def test_lattice_basis_agrees_with_cartesian_tree(label):
                 reference_class_has_reflection(m_ref, v_ref, lat)
         elif m != (1, 0, 0, 1):
             assert _rotation_order(m) == rotation_order(m_ref)
-            centers = _rotation_center_reps(m, v, d)
-            reference_centers = reference_rotation_center_reps(m_ref, v_ref, lat)
-            k = len(centers)
-            assert k == 2 - m[0] - m[3] == len(reference_centers)
-            assert {vec(Fraction(x, k * d), Fraction(y, k * d)) for x, y in centers} == \
-                {inverse * c for c in reference_centers}
-            for c in centers:
-                c_ref = basis * vec(Fraction(c[0], k * d), Fraction(c[1], k * d))
-                assert _point_on_some_mirror(c, k, neg, d) == \
-                    reference_point_on_some_mirror(c_ref, neg_ref, lat)
-    assert _exists_glide_off_mirrors(neg, d) == reference_exists_glide_off_mirrors(neg_ref, lat)
     cryst = reference_type(handle, reference)
     assert crystallographic_type(handle) == cryst
     assert classify(handle) == SIGNATURES[cryst]
+
+
+def test_random_corpus_is_wide():
+    assert len(RANDOM_HANDLES) >= 200
+    assert {crystallographic_type(h) for h in RANDOM_HANDLES.values()} == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("label", list(RANDOM_HANDLES))
+def test_random_subgroup_agrees_with_cartesian_tree(label):
+    handle = RANDOM_HANDLES[label]
+    assert crystallographic_type(handle) == reference_type(handle, reference_classes(handle))
 
 
 @pytest.mark.parametrize("label", list(HANDLES))
@@ -228,6 +249,33 @@ def test_point_group_must_preserve_the_lattice(monkeypatch):
     monkeypatch.setattr(wallpaper, "_hermite_triple", lambda handle: (1, 0, 2))
     with pytest.raises(InvariantError, match="does not preserve the lattice"):
         wallpaper.whole_group(model("p4")).classes
+
+
+# The tree's own checks: p4m's classes, with the reflection test narrowed,
+# and classes that no group has.
+
+def test_tree_needs_a_mirror_in_a_group_beyond_two_fold(monkeypatch):
+    monkeypatch.setattr(wallpaper, "_class_has_reflection", lambda m, v, d: False)
+    with pytest.raises(InvariantError, match="4-fold group with glides but no mirrors"):
+        crystallographic_type(whole_group(model("p4m")))
+
+
+def test_tree_needs_a_known_count_of_mirror_matrices(monkeypatch):
+    handle = whole_group(model("p4m"))
+    first = next(m for m, _ in handle.integer_classes[1] if _det(m) == -1)
+    monkeypatch.setattr(wallpaper, "_class_has_reflection", lambda m, v, d: m == first)
+    with pytest.raises(InvariantError, match="4-fold group with mirror matrices"):
+        crystallographic_type(handle)
+
+
+def test_tree_needs_mirror_matrices_that_agree_mod_2():
+    # a mirror along a basis vector and one along the diagonal, in a two-fold
+    # group; in a group the two would be m and -m
+    handle = whole_group(model("pmm"))
+    handle.integer_classes = (1, (((1, 0, 0, 1), (0, 0)), ((-1, 0, 0, -1), (0, 0)),
+                                  ((1, 0, 0, -1), (0, 0)), ((0, 1, 1, 0), (0, 0))))
+    with pytest.raises(InvariantError, match="2-fold group with mirror matrices"):
+        crystallographic_type(handle)
 
 
 # A class matrix that is not integral, such as [[1, 1/2], [0, -1]], cannot

@@ -135,6 +135,16 @@ def test_one_point_group_walk():
     assert not hasattr(AffineKernel, "isometry")
 
 
+def test_tree_reads_no_rotation_centres():
+    # the decision tree names the type from the mirror matrices alone; it
+    # lists no rotation centre and looks for no glide axis
+    from orbiforge import wallpaper
+
+    for name in ("_rotation_center_reps", "_point_on_some_mirror",
+                 "_exists_glide_off_mirrors", "_CENTRES_ON_MIRRORS"):
+        assert not hasattr(wallpaper, name)
+
+
 def test_presfile_imports_only_fpgroup():
     # the word parser is one function over one token grammar; it needs
     # nothing from the enumerator or any other layer above fpgroup
