@@ -104,11 +104,7 @@ class Presentation:
         object.__setattr__(self, "relators", tuple(self.relators))
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError(f"duplicate generator names in {self.name!r}")
-        for rel in self.relators:
-            if rel.max_index() > len(self.generators):
-                raise PresentationError(
-                    f"relator {rel.letters} references generator "
-                    f"#{rel.max_index()} but only {len(self.generators)} exist")
+        _check_relators(self.relators, len(self.generators))
 
     @property
     def ngens(self) -> int:
@@ -135,12 +131,36 @@ class Presentation:
         return " ".join(parts) if parts else "1"
 
 
+def _check_relators(relators: Iterable[Word], ngens: int) -> None:
+    for rel in relators:
+        if rel.max_index() > ngens:
+            raise PresentationError(
+                f"relator {rel.letters} references generator "
+                f"#{rel.max_index()} but only {ngens} exist")
+
+
+def _presentation(name: str, generators: tuple[str, ...],
+                  relators: tuple[Word, ...]) -> Presentation:
+    """A Presentation over distinct generator names and relators known to
+    use only those generators, stored as they are; callers own that proof."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "name", name)
+    object.__setattr__(p, "generators", generators)
+    object.__setattr__(p, "relators", relators)
+    return p
+
+
 def quotient(p: Presentation, extra: Sequence[Word], name: str | None = None) -> Presentation:
-    """Presentation of p modulo the normal closure of the extra words."""
+    """Presentation of p modulo the normal closure of the extra words.
+
+    p's generators and relators were validated when p was built, so only the
+    extra words are checked against its generators (with the message the
+    public constructor gives); p's relators are reused as they are."""
     if not extra:
         return p
-    return Presentation(name or f"{p.name}_mod", p.generators,
-                        p.relators + tuple(extra))
+    extra = tuple(extra)
+    _check_relators(extra, p.ngens)
+    return _presentation(name or f"{p.name}_mod", p.generators, p.relators + extra)
 
 
 def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
@@ -151,11 +171,18 @@ def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
     into the relators that contain it.  Returns a presentation of the same
     group on the survivors, renumbered in order under their names, with the
     surviving relators in their original order, and the survivors' 1-based
-    indices in p."""
+    indices in p.
+
+    A relator's key (the lesser of it and its inverse) is computed once, when
+    it is placed, and stored beside it for the repeat test and its removal.
+    Each substituted relator is freely reduced once.  The result is not
+    validated again: its names are some of p's, and every letter is
+    renumbered through the survivors."""
     def key(r):
         return min(r, tuple(map(operator.neg, reversed(r))))
 
     rels: list[tuple[int, ...] | None] = [None] * len(p.relators)
+    keys: list[tuple[int, ...] | None] = [None] * len(p.relators)
     first: dict[tuple[int, ...], int] = {}  # key -> the position holding it
     where = {g: set() for g in range(1, p.ngens + 1)}  # survivor -> positions that held it
     short: list[int] = []                   # heap of positions placed at length <= 2
@@ -166,7 +193,7 @@ def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
         other = first.get(k, pos) if r else -1
         if other >= pos:
             rels[other] = None
-            first[k], rels[pos] = pos, r
+            first[k], rels[pos], keys[pos] = pos, r, k
             if len(r) <= 2:
                 heapq.heappush(short, pos)
 
@@ -184,8 +211,8 @@ def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
         values = {g: h, -g: -h}
         changed = [(pos, rels[pos]) for pos in where.pop(g)
                    if rels[pos] and (g in rels[pos] or -g in rels[pos])]
-        for pos, old in changed:
-            del first[key(old)]
+        for pos, _ in changed:
+            del first[keys[pos]]
             rels[pos] = None
         for pos, old in changed:
             place(pos, _reduce_letters(filter(None, map(values.get, old, old))))
@@ -195,7 +222,7 @@ def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
     renum = {old: i + 1 for i, old in enumerate(survivors)}
     renum.update({-old: -new for old, new in renum.items()})
     relators = tuple(_reduced_word(tuple(map(renum.__getitem__, r))) for r in rels if r)
-    return (Presentation(p.name, tuple(p.generators[g - 1] for g in survivors), relators),
+    return (_presentation(p.name, tuple(p.generators[g - 1] for g in survivors), relators),
             survivors)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cosetenum import todd_coxeter
-from .fpgroup import (AbelianGroup, Presentation, SignHom, Word,
+from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _presentation,
                       abelianization, quotient, tietze_pass)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
                         UnknownSignatureError, _class_has_reflection, _det,
@@ -62,6 +62,10 @@ class AmalgamSpec:
             raise AmalgamError("need exactly one gluing per "
                                "(cusp generator, knot generator) pair")
         for g in self.gluings:
+            for exponent in (g.r, g.s):
+                if not isinstance(exponent, int) or isinstance(exponent, bool):
+                    raise AmalgamError(
+                        f"gluing exponents r and s must be ints, not {exponent!r}")
             if g.conjugator.max_index() > self.knot_presentation.ngens:
                 raise AmalgamError("conjugator uses an unknown knot generator")
         ab = abelianization(self.knot_presentation)
@@ -72,7 +76,14 @@ class AmalgamSpec:
 
 def build_amalgam(spec: AmalgamSpec) -> Presentation:
     """Presentation of the one-cusped amalgam: cusp relators, knot relators,
-    and one conjugation relator g mu g^-1 (w t1^r t2^s w^-1)^-1 per gluing."""
+    and one conjugation relator g mu g^-1 (w t1^r t2^s w^-1)^-1 per gluing.
+
+    Each conjugation relator is spelled out as one letter sequence,
+    g mu g^-1 w t2^-s t1^-r w^-1, and freely reduced once; free reduction is
+    confluent, so this is the word the stepwise products give.  The relators
+    are not checked again against the generators: the cusp's and the knot's
+    were checked when their presentations were built, `AmalgamSpec.validate`
+    checks the conjugators, and the other letters come from `gen_index`."""
     spec.validate()
     cusp = model(spec.cusp_model)
     cp = cusp.presentation
@@ -83,15 +94,18 @@ def build_amalgam(spec: AmalgamSpec) -> Presentation:
         raise AmalgamError("knot generator names collide with cusp generators")
     relators = list(cp.relators)
     relators += [w.shift(offset) for w in knot.relators]
-    t1, t2 = cusp.translation_words
+    t1, t2 = (t.letters for t in cusp.translation_words)
+    t1_inv, t2_inv = (t.inverse().letters for t in cusp.translation_words)
     for g in spec.gluings:
         gi = cp.gen_index(g.peripheral_generator)
-        mu = Word((knot.gen_index(g.knot_generator) + offset,))
-        w = g.conjugator.shift(offset)
-        parabolic = w * (t1 ** g.r) * (t2 ** g.s) * w.inverse()
-        relators.append(Word((gi,)) * mu * Word((-gi,)) * parabolic.inverse())
-    return Presentation(f"amalgam[{spec.cusp_model}+{knot.name}]",
-                        gens, tuple(relators))
+        mu = knot.gen_index(g.knot_generator) + offset
+        w = tuple(x + offset if x > 0 else x - offset for x in g.conjugator.letters)
+        w_inv = tuple(-x for x in reversed(w))
+        relators.append(Word((gi, mu, -gi) + w
+                             + (t2 * -g.s if g.s < 0 else t2_inv * g.s)
+                             + (t1 * -g.r if g.r < 0 else t1_inv * g.r) + w_inv))
+    return _presentation(f"amalgam[{spec.cusp_model}+{knot.name}]",
+                         gens, tuple(relators))
 
 
 def _knot_letters(p: Presentation, cusp_ngens: int) -> list[Word]:

@@ -207,6 +207,20 @@ class TestAbelianization:
         with pytest.raises(PresentationError, match="generator #3 but only 2 exist"):
             quotient(load_fixture("p6"), [Word((1,)), Word((-3,))])
 
+    @pytest.mark.parametrize("name", [None, "p6.T"])
+    def test_quotient_equals_the_public_constructor(self, name):
+        # quotient skips re-validating p's relators; its result must still be
+        # the value the validating constructor builds, hash included
+        p6 = load_fixture("p6")
+        extra = [Word((1, 2)), Word((-2, -2, 1))]
+        q = quotient(p6, extra, name=name)
+        public = Presentation(name or "p6_mod", p6.generators, p6.relators + tuple(extra))
+        assert type(q) is Presentation
+        assert type(q.generators) is tuple and type(q.relators) is tuple
+        assert q == public
+        assert hash(q) == hash(public)
+        assert q.relators[:len(p6.relators)] == p6.relators
+
 
 class TestSignHoms:
     def test_p6_has_exactly_one(self):

@@ -1,4 +1,5 @@
 """Amalgam presentations, collapse certificates, and the verdict table."""
+import hashlib
 import random
 from dataclasses import replace
 
@@ -20,6 +21,24 @@ from orbiforge.wallpaper import (SIGNATURES, OrbifoldSignature, UnknownSignature
                                  model, subgroup)
 
 HARNESS_SAMPLES = 100
+
+
+def _stepwise_amalgam_relators(spec):
+    """Reference for build_amalgam's relators: each gluing relator formed as
+    the product of reduced Words, one step at a time."""
+    cusp = model(spec.cusp_model)
+    cp = cusp.presentation
+    knot = spec.knot_presentation
+    offset = cp.ngens
+    t1, t2 = cusp.translation_words
+    relators = list(cp.relators) + [w.shift(offset) for w in knot.relators]
+    for g in spec.gluings:
+        gi = cp.gen_index(g.peripheral_generator)
+        mu = Word((knot.gen_index(g.knot_generator) + offset,))
+        w = g.conjugator.shift(offset)
+        parabolic = w * (t1 ** g.r) * (t2 ** g.s) * w.inverse()
+        relators.append(Word((gi,)) * mu * Word((-gi,)) * parabolic.inverse())
+    return tuple(relators)
 
 
 class TestBuildAmalgam:
@@ -62,6 +81,44 @@ class TestBuildAmalgam:
                         for c in cusp.generators)
         with pytest.raises(AmalgamError):
             build_amalgam(AmalgamSpec("p6", bad, gluings))
+
+    def test_relators_match_the_stepwise_products(self):
+        # 300 random specs per cusp model, each also with every exponent
+        # set to 0, where w w^-1 cancels and leaves g mu g^-1
+        rng = random.Random(19)
+        specs = []
+        for cusp in ("p6", "p4"):
+            for _ in range(300):
+                spec = random_amalgam(rng, cusp)
+                zeroed = tuple(replace(g, r=0, s=0) for g in spec.gluings)
+                specs += [spec, replace(spec, gluings=zeroed)]
+        negative = cancelled = 0
+        for spec in specs:
+            p = build_amalgam(spec)
+            assert p.relators == _stepwise_amalgam_relators(spec)
+            negative += any(g.r < 0 or g.s < 0 for g in spec.gluings)
+            offset = model(spec.cusp_model).presentation.ngens
+            for g, rel in zip(spec.gluings, p.relators[-len(spec.gluings):]):
+                if g.r == g.s == 0 and len(g.conjugator):
+                    cancelled += 1
+                    gi = p.gen_index(g.peripheral_generator)
+                    mu = spec.knot_presentation.gen_index(g.knot_generator) + offset
+                    assert rel.letters == (gi, mu, -gi)
+        assert len(specs) == 1200
+        assert negative > 400 and cancelled > 1000
+
+    @pytest.mark.parametrize("field", ["r", "s"])
+    @pytest.mark.parametrize("exponent", [1.5, "2", None, True])
+    def test_non_int_exponent_rejected(self, field, exponent):
+        # 1.5 used to escape as TypeError from Word.__pow__, "2" and None as
+        # TypeError from a comparison, and True was read as 1
+        gluings = list(_trivial_gluings("p6"))
+        gluings[0] = replace(gluings[0], **{field: exponent})
+        spec = AmalgamSpec("p6", _minimal_knot(), tuple(gluings))
+        with pytest.raises(AmalgamError, match=f"must be ints, not {exponent!r}"):
+            spec.validate()
+        with pytest.raises(AmalgamError):
+            build_amalgam(spec)
 
     def test_random_knot_presentations_abelianize_to_z(self):
         rng = random.Random(5)
@@ -295,3 +352,38 @@ class TestOrderTwoCertificate:
 
         with pytest.raises(TheoremCheckError, match="random amalgam #2: boom"):
             verify._sample_amalgams("p6", certify, 0)
+
+
+# sha256 of repr() of the (presentation, tietze_pass result) pairs the test
+# below collects, recorded when build_amalgam still formed the stepwise
+# products of _stepwise_amalgam_relators, quotient re-validated every relator
+# and tietze_pass recomputed each relator's key on removal
+CERTIFICATE_GOLDEN_HASH = "fc654091efe9177c6a0f10b4f8eae895fa4825dbd2cf5c3a4ae226ccacd8fe69"
+
+
+class TestCertificateGoldenHash:
+    def test_amalgams_and_reduced_certificates_are_unchanged(self, monkeypatch):
+        # for verify-paper seeds 0 and 1, as its checks draw them: the bare
+        # cusp group, the minimal amalgam, and the random amalgams of each cusp
+        from orbiforge import knotcusp
+        from orbiforge.verify import AMALGAM_SAMPLES
+
+        reduced = []
+        real = knotcusp.tietze_pass
+        monkeypatch.setattr(knotcusp, "tietze_pass",
+                            lambda p: reduced.append(real(p)) or reduced[-1])
+        pairs = []
+        for seed in (0, 1):
+            for cusp, certify, rng_seed in (("p6", collapse_236, seed),
+                                            ("p4", h_map_244, seed + 1)):
+                rng = random.Random(rng_seed)
+                ps = [model(cusp).presentation,
+                      build_amalgam(AmalgamSpec(cusp, _minimal_knot(), _trivial_gluings(cusp)))]
+                ps += [build_amalgam(random_amalgam(rng, cusp)) for _ in range(AMALGAM_SAMPLES)]
+                for p in ps:
+                    reduced.clear()
+                    certify(p)
+                    assert len(reduced) == 1
+                    pairs.append((p, reduced[0]))
+        assert len(pairs) == 2 * 2 * (2 + AMALGAM_SAMPLES)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == CERTIFICATE_GOLDEN_HASH
