@@ -24,6 +24,14 @@ the identity, which makes both columns bijections, each the other's inverse.
 
 Columns: generator g (1-based) acts through column 2(g-1); its inverse
 through column 2(g-1)+1, so column x ^ 1 holds the inverse of column x.
+
+Each presentation is encoded for enumeration once, on its first
+enumeration, into a plan (`_plan`): the letter -> column map, its relators
+as column tuples, and the Felsch cycle lists, each relator's distinct
+conjugates by first column.  The plan is kept on the presentation object,
+outside its fields, so its equality, hash, repr and pickle stay as they
+are; every later enumeration of the same object, and each `validate` of a
+table over it, reads the plan instead of encoding the relators again.
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .fpgroup import Presentation, Word, _reduced_word, tietze_pass
 
@@ -79,9 +87,53 @@ def _gather(seq, indices) -> tuple:
     return tuple(seq[i] for i in indices)
 
 
+class _Plan(NamedTuple):
+    """A presentation encoded for enumeration (see the module docstring)."""
+
+    col_of: dict[int, int]                   # letter -> column
+    relators: tuple[tuple[int, ...], ...]    # each relator as columns
+    # relator conjugates by first column, for the deduction scans: an edge
+    # a -x-> b lies on a relator cycle read forward from a (a conjugate
+    # starting with x) or backward from b (one starting with x^1).  The
+    # conjugate at position i of r is kept as (r + r, i, i + |r| - 1), not
+    # sliced; a proper power u^k has only |u| distinct conjugates.
+    by_col: tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]
+
+
+def _build_plan(p: Presentation) -> _Plan:
+    col_of = {}
+    for g in range(1, p.ngens + 1):
+        col_of[g], col_of[-g] = _col(g), _col(-g)
+    relators = tuple(tuple(map(col_of.__getitem__, r.letters)) for r in p.relators)
+    by_col: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(2 * p.ngens)]
+    for rel in relators:
+        n = len(rel)
+        if not n:
+            continue  # the empty relator holds at every coset
+        doubled = rel + rel
+        period = 1
+        while n % period or doubled[period:period + n] != rel:
+            period += 1
+        for i in range(period):
+            by_col[rel[i]].append((doubled, i, i + n - 1))
+    return _Plan(col_of, relators, tuple(map(tuple, by_col)))
+
+
+def _plan(p: Presentation) -> _Plan:
+    """p's plan, built on first use and kept in p's instance dict; a frozen
+    dataclass sets it through object.__setattr__, and
+    `Presentation.__getstate__` leaves it out of a pickle."""
+    plan = p.__dict__.get("_plan")
+    if plan is None:
+        plan = _build_plan(p)
+        object.__setattr__(p, "_plan", plan)
+    return plan
+
+
 class _Enumerator:
-    def __init__(self, ngens: int, relators: list[tuple[int, ...]], max_cosets: int):
-        self.ncols = 2 * ngens
+    def __init__(self, plan: _Plan, max_cosets: int):
+        self.by_col = plan.by_col
+        self.ncols = len(plan.by_col)
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
@@ -90,23 +142,6 @@ class _Enumerator:
         # preferred definitions: open entries (coset, column) whose definition
         # closes a relator cycle at once; a full ring drops its oldest entry
         self.preferred: deque[tuple[int, int]] = deque(maxlen=_PREFERRED_RING)
-        # relator conjugates by first column, for the deduction scans: an edge
-        # a -x-> b lies on a relator cycle read forward from a (a conjugate
-        # starting with x) or backward from b (one starting with x^1).  The
-        # conjugate at position i of r is kept as (r + r, i, i + |r| - 1), not
-        # sliced; a proper power u^k has only |u| distinct conjugates.
-        self.by_col: list[list[tuple[tuple[int, ...], int, int]]] = \
-            [[] for _ in range(self.ncols)]
-        for rel in relators:
-            n = len(rel)
-            if not n:
-                continue  # the empty relator holds at every coset
-            doubled = rel + rel
-            period = 1
-            while n % period or doubled[period:period + n] != rel:
-                period += 1
-            for i in range(period):
-                self.by_col[rel[i]].append((doubled, i, i + n - 1))
 
     # union-find ------------------------------------------------------------
 
@@ -369,12 +404,13 @@ class CosetTable:
         range(n), and the second its inverse.  Only after a composite fails
         are per-column sets built, to name the first column that is not a
         permutation; if there is none, the pair is at fault."""
-        n = self.index
-        ncols = 2 * self.parent.ngens
-        if any(len(row) != ncols for row in self.rows):
+        n, rows = self.index, self.rows
+        plan = _plan(self.parent)
+        ncols = len(plan.by_col)
+        if n and (min(map(len, rows)) != ncols or max(map(len, rows)) != ncols):
             raise InvariantError("malformed table row")
-        cols = list(zip(*self.rows)) or [()] * ncols
-        if n and any(min(column) < 0 or max(column) >= n for column in cols):
+        cols = list(zip(*rows)) or [()] * ncols
+        if n and cols and (min(map(min, cols)) < 0 or max(map(max, cols)) >= n):
             raise InvariantError("malformed table row")
         identity = tuple(range(n))
         for x in range(0, ncols, 2):
@@ -384,20 +420,18 @@ class CosetTable:
                     if set(column) != cosets:
                         raise InvariantError(f"column {y} is not a permutation")
                 raise InvariantError("generator/inverse columns are not paired")
-        col_of = {}
-        for g in range(1, self.parent.ngens + 1):
-            col_of[g], col_of[-g] = cols[_col(g)], cols[_col(-g)]
+        col_of = plan.col_of
         for w in self.subgroup_words:
             c = 0
             for letter in w.letters:
-                c = col_of[letter][c]
+                c = cols[col_of[letter]][c]
             if c != 0:
                 raise InvariantError("subgroup word moves the subgroup coset")
-        # compose each relator a column at a time over every coset
-        for rel in self.parent.relators:
+        # compose each relator, as the plan's columns, over every coset
+        for rel in plan.relators:
             perm = identity
-            for letter in rel.letters:
-                perm = _gather(col_of[letter], perm)
+            for x in rel:
+                perm = _gather(cols[x], perm)
             if perm != identity:
                 raise InvariantError("relator acts nontrivially on a coset")
 
@@ -524,18 +558,24 @@ def todd_coxeter(p: Presentation, sub: list[Word] | tuple[Word, ...] = (),
     Returns the complete standardized table; raises CosetLimitError if the
     enumeration would allocate more than max_cosets rows (the index is then
     unknown, not necessarily infinite).  Without max_cosets the allowance is
-    `default_max_cosets()`.
+    `default_max_cosets()`.  Each subgroup word must be a `Word`
+    (TypeError) over p's generators (ValueError).
     """
     sub = tuple(sub)
+    plan = _plan(p)
+    words = []
     for w in sub:
-        if w.max_index() > p.ngens:
-            raise ValueError("subgroup word uses a generator not in the presentation")
+        if not isinstance(w, Word):
+            raise TypeError(f"subgroup word {w!r} is not a Word")
+        try:
+            words.append(tuple(map(plan.col_of.__getitem__, w.letters)))
+        except KeyError:
+            raise ValueError("subgroup word uses a generator not in the presentation") from None
     limit = max_cosets if max_cosets is not None else default_max_cosets()
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
         raise ValueError(f"max_cosets must be a positive integer, got {limit!r}")
-    enum = _Enumerator(p.ngens, [tuple(_col(x) for x in r.letters) for r in p.relators],
-                       limit)
-    enum.run([tuple(_col(x) for x in w.letters) for w in sub])
+    enum = _Enumerator(plan, limit)
+    enum.run(words)
     table = CosetTable(p, sub, enum.standardized_rows())
     table.validate()
     return table

@@ -130,9 +130,16 @@ class Presentation:
             parts.append(name if letter > 0 else f"{name}^-1")
         return " ".join(parts) if parts else "1"
 
+    def __getstate__(self):
+        # the fields alone: the enumeration plan that `cosetenum` keeps on a
+        # presentation it has enumerated is not part of its value
+        return {"name": self.name, "generators": self.generators, "relators": self.relators}
+
 
 def _check_relators(relators: Iterable[Word], ngens: int) -> None:
     for rel in relators:
+        if not isinstance(rel, Word):
+            raise PresentationError(f"relator {rel!r} is not a Word")
         if rel.max_index() > ngens:
             raise PresentationError(
                 f"relator {rel.letters} references generator "

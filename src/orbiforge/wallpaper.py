@@ -28,16 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Iterable, Mapping, NamedTuple
 
-from .cosetenum import CosetTable, InvariantError, todd_coxeter
+from .cosetenum import CosetTable, InvariantError, _plan, todd_coxeter
 from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
                         classify_isometry, mat, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import Lattice2, integer_lattice_basis
 
 
-T = TypeVar("T")
 Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
 Affine = tuple[int, int, int, int, int, int]  # v |-> [[a, b], [c, d]] v + (x, y)/N
 Class = tuple[Linear, tuple[int, int]]        # v |-> m v + (x, y)/D modulo Z^2
@@ -316,6 +315,14 @@ class ModelGroup:
         cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f, _ in lifts}
         return AffineKernel(basis, n, tuple(gens), tuple(lifts), cartesian)
 
+    @cached_property
+    def _inverse_lift_columns(self) -> tuple[tuple[int, ...], ...]:
+        """w^-1 for each lift (f, w) of `kernel`, as coset-table columns, so
+        that 0 f^-1 is read off a table without building a word."""
+        col_of = _plan(self.presentation).col_of
+        return tuple(tuple(col_of[-x] for x in reversed(w.letters))
+                     for _, w in self.kernel.lifts)
+
     def validate(self) -> None:
         for rel in self.presentation.relators:
             if not self.evaluate(rel).is_identity():
@@ -588,23 +595,36 @@ class SubgroupHandle:
         the canonical translation representative.
 
         The model's kernel holds one element f per linear part, with a word
-        w for it, whose coset is 0 f^-1 = 0 w^-1.  By orbit-stabilizer the
+        w for it, whose coset is 0 f^-1 = 0 w^-1, traced through the table
+        as the columns of w^-1 that the model keeps.  By orbit-stabilizer the
         subgroup holds an element over f's linear part exactly when that
         coset is some 0 t1^i t2^j of the translation orbit, and t1^i t2^j f
         is one; its translation is f's plus (i N, j N).  The subgroup lattice
         has basis H = [[a, 0], [b, g]] in the model's lattice basis and
         a g H^-1 = [[g, 0], [-b, a]], so a linear part M becomes
         H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation (x, y)/N
-        becomes (g x, a y - b x)/D with D = a g N.  The classes must be
-        closed under products modulo D."""
+        becomes (g x, a y - b x)/D with D = a g N.
+
+        The classes S, in lift order with the identity first, must be closed
+        under products modulo D.  `_check_closed` picks generators Gamma from
+        S greedily, in that order, each class not yet reached joining Gamma,
+        and runs a BFS from the identity over Gamma alone, raising at the
+        first product outside S.  This is the full check: the BFS reaches all
+        of S, as every class joins Gamma or is reached, so if it stays inside
+        S then S is the set of products of Gamma, which is closed; and if S
+        is closed, no product leaves it.  It costs |S| |Gamma| products, not
+        |S|^2, and cannot run away on a set that is not closed."""
         a, b, g = self._hermite
         exponents, _ = self._orbit
         kernel = self.model.kernel
         ag, n = a * g, kernel.denominator
         d = ag * n
+        rows = self.table.rows
         gens = []
-        for f, w in kernel.lifts:
-            c = self.table.trace(w.inverse())
+        for (f, _), cols in zip(kernel.lifts, self.model._inverse_lift_columns):
+            c = 0
+            for x in cols:
+                c = rows[c][x]
             if c in exponents:
                 i, j = exponents[c]
                 x, y = f[4] + i * n, f[5] + j * n
@@ -612,15 +632,9 @@ class SubgroupHandle:
                 if any(v % ag for v in scaled):
                     raise InvariantError("point group does not preserve the lattice")
                 gens.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
-
-        def mul(p, q):
-            (m, (x, y)), (m2, (u, v)) = p, q
-            return _mmul(m, m2), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
-
-        out = _closure(gens, (_ID_LINEAR, (0, 0)), mul)
-        if len(out) != len(gens):
-            raise InvariantError("affine classes are not closed under products")
-        return d, out
+        classes = tuple(gens)
+        _check_closed(classes, d)
+        return d, classes
 
     @cached_property
     def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
@@ -763,23 +777,42 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
     return "cm" if n == 1 else "cmm"
 
 
-def _closure(gens: Iterable[T], identity: T, mul: Callable[[T, T], T]) -> tuple[T, ...]:
-    """Identity first, then every product in BFS discovery order."""
-    # a repeated generator only yields products already seen, so dropping
-    # repeats keeps the discovery order
-    gens = list(dict.fromkeys(gens))
-    seen: dict[T, None] = {identity: None}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                prod = mul(x, g)
-                if prod not in seen:
-                    seen[prod] = None
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(seen)
+def _check_closed(classes: tuple[Class, ...], d: int) -> None:
+    """Raise InvariantError unless the classes S, translations modulo d,
+    hold the identity and are closed under products, by the BFS over a
+    greedy generating set that `SubgroupHandle.integer_classes` describes.
+    When a class joins Gamma, the elements already multiplied by every
+    earlier generator are multiplied by it, so each element meets each
+    generator once."""
+    members = set(classes)
+    identity = (_ID_LINEAR, (0, 0))
+    if identity not in members:
+        raise InvariantError("affine classes are not closed under products")
+    seen = {identity}
+    queue = [identity]
+    gamma: list[Class] = []
+    done = 0  # queue[:done] has been multiplied by every generator in gamma
+
+    def visit(p, q):
+        (m, (x, y)), (m2, (u, v)) = p, q
+        prod = _mmul(m, m2), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
+        if prod not in seen:
+            if prod not in members:
+                raise InvariantError("affine classes are not closed under products")
+            seen.add(prod)
+            queue.append(prod)
+
+    for s in classes:
+        if s in seen:
+            continue
+        gamma.append(s)
+        for x in queue[:done]:
+            visit(x, s)
+        while done < len(queue):
+            x = queue[done]
+            done += 1
+            for g in gamma:
+                visit(x, g)
 
 
 def classify(handle: SubgroupHandle) -> OrbifoldSignature:

@@ -14,7 +14,8 @@ from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import IDENTITY_MAT, Isometry, QuadNum, Vec2, _isometry, mat, vec
 from orbiforge.fpgroup import Word
 from orbiforge.lattice import Lattice2
-from orbiforge.wallpaper import MODEL_NAMES, _closure, model
+from orbiforge.wallpaper import MODEL_NAMES, model
+from oracle import closure
 
 IDENTITY_AFFINE = (1, 0, 0, 1, 0, 0)
 
@@ -68,9 +69,9 @@ def test_each_lift_is_the_image_of_its_word(name):
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_point_group_is_the_closure_of_the_generator_linear_parts(name):
     m = model(name)
-    closure = _closure((iso.linear for iso in m.rep), IDENTITY_MAT, operator.mul)
-    assert len(closure) == len(m.point_group) == POINT_GROUP_ORDERS[name]
-    assert set(m.point_group) == set(closure)
+    linear = closure((iso.linear for iso in m.rep), IDENTITY_MAT, operator.mul)
+    assert len(linear) == len(m.point_group) == POINT_GROUP_ORDERS[name]
+    assert set(m.point_group) == set(linear)
 
 
 def test_building_a_model_does_not_build_its_kernel():

@@ -1,12 +1,13 @@
 """Coset enumeration, table queries, Schreier generators, subgroup presentations."""
 import hashlib
+import pickle
 import re
 
 import pytest
 
-from orbiforge import fpgroup
+from orbiforge import cosetenum, fpgroup
 from orbiforge.cosetenum import (CosetLimitError, CosetTable, InvariantError,
-                                 _Enumerator, reidemeister_schreier,
+                                 _Enumerator, _plan, reidemeister_schreier,
                                  todd_coxeter)
 from orbiforge.fixtures import load_fixture
 from orbiforge.fpgroup import (AbelianGroup, Presentation, Word,
@@ -170,6 +171,47 @@ class TestRowsDefined:
             todd_coxeter(pres, sub, max_cosets=index + extra - 1)
 
 
+class TestPlan:
+    """The enumeration plan each presentation keeps after its first
+    enumeration."""
+
+    def test_plan_is_built_once_per_presentation(self, monkeypatch):
+        builds = []
+        build = cosetenum._build_plan
+        monkeypatch.setattr(cosetenum, "_build_plan", lambda p: builds.append(p) or build(p))
+        s4 = coxeter_symmetric(4)
+        first = todd_coxeter(s4, [Word((1,))])
+        second = todd_coxeter(s4, [Word((2,)), Word((3,))])
+        first.validate()
+        second.validate()
+        assert len(builds) == 1 and builds[0] is s4
+        # an equal presentation is another object, with a plan of its own
+        todd_coxeter(coxeter_symmetric(4), [Word((1,))])
+        assert len(builds) == 2
+
+    def test_plan_is_not_part_of_the_value(self):
+        s4, twin = coxeter_symmetric(4), coxeter_symmetric(4)
+        before = (hash(s4), repr(s4), pickle.dumps(s4))
+        table = todd_coxeter(s4, [Word((1,))])
+        assert "_plan" in vars(s4)
+        assert (hash(s4), repr(s4), pickle.dumps(s4)) == before
+        assert s4 == twin and hash(s4) == hash(twin)
+        copy = pickle.loads(pickle.dumps(s4))
+        assert copy == s4 and "_plan" not in vars(copy)
+        # a fresh equal presentation enumerates to the identical table
+        assert todd_coxeter(twin, [Word((1,))]) == table
+        assert todd_coxeter(copy, [Word((1,))]).rows == table.rows
+
+    def test_subgroup_word_on_an_unknown_generator(self):
+        with pytest.raises(ValueError,
+                           match="^subgroup word uses a generator not in the presentation$"):
+            todd_coxeter(P6, [Word((1,)), Word((-3,))])
+
+    def test_subgroup_word_must_be_a_word(self):
+        with pytest.raises(TypeError, match=r"^subgroup word \(1,\) is not a Word$"):
+            todd_coxeter(P6, [(1,)])
+
+
 class TestInvariantChecks:
     """Every failure branch of CosetTable.validate and of standardization,
     on hand-built corrupt tables."""
@@ -184,6 +226,7 @@ class TestInvariantChecks:
 
     @pytest.mark.parametrize("pres, sub, rows, message", [
         (C2, (), ((1,), (0, 0)), "malformed table row"),
+        (C2, (), ((1, 1), (0, 0, 0)), "malformed table row"),
         (C2, (), ((2, 1), (0, 0)), "malformed table row"),
         (C2, (), ((1, 1), (0, -1)), "malformed table row"),
         (C2, (), ((1, 1), (1, 0)), "column 0 is not a permutation"),
@@ -210,14 +253,14 @@ class TestInvariantChecks:
             CosetTable(self.C2, (), ((0, 1), (0, 2))).validate()
 
     def test_intransitive_action_rejected(self):
-        enum = _Enumerator(1, [], 10)
+        enum = _Enumerator(_plan(self.FREE), 10)
         enum.table = [[0, 0], [1, 1]]
         enum.p = [0, 1]
         with pytest.raises(InvariantError, match="^coset action is not transitive$"):
             enum.standardized_rows()
 
     def test_incomplete_row_rejected(self):
-        enum = _Enumerator(1, [], 10)
+        enum = _Enumerator(_plan(self.FREE), 10)
         with pytest.raises(InvariantError, match="^incomplete row after enumeration$"):
             enum.standardized_rows()
 

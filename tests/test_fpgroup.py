@@ -50,6 +50,10 @@ class TestWords:
         with pytest.raises(PresentationError):
             p.word([3])
 
+    def test_relator_must_be_a_word(self):
+        with pytest.raises(PresentationError, match=r"^relator \(1, 1\) is not a Word$"):
+            Presentation("x", ("a",), [(1, 1)])
+
 
 def _minor_gcd_invariant_factors(rows):
     """Independent oracle: d_k = gcd(k-minors) / gcd((k-1)-minors)."""
@@ -206,6 +210,11 @@ class TestAbelianization:
     def test_quotient_word_on_an_unknown_generator(self):
         with pytest.raises(PresentationError, match="generator #3 but only 2 exist"):
             quotient(load_fixture("p6"), [Word((1,)), Word((-3,))])
+
+    def test_quotient_word_must_be_a_word(self):
+        # quotient's extra words go through the constructor's relator check
+        with pytest.raises(PresentationError, match=r"^relator \(1,\) is not a Word$"):
+            quotient(load_fixture("p6"), [Word((1,)), (1,)])
 
     @pytest.mark.parametrize("name", [None, "p6.T"])
     def test_quotient_equals_the_public_constructor(self, name):

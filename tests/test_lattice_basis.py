@@ -14,8 +14,9 @@ from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
                                  reflection_axis_direction, rotation_order, vec)
 from orbiforge.fpgroup import Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
-                                 _closure, _det, _rotation_order, classify,
+                                 _det, _rotation_order, classify,
                                  crystallographic_type, model, subgroup, whole_group)
+from oracle import closure
 
 
 # -- oracle: the Cartesian computation ----------------------------------------
@@ -29,9 +30,9 @@ def reference_classes(handle):
         (m1, v1), (m2, v2) = x, y
         return m1 * m2, lat.reduce_mod(m1 * v2 + v1)
 
-    return _closure(((iso.linear, lat.reduce_mod(iso.trans))
-                     for iso in handle.schreier_images),
-                    (IDENTITY_MAT, lat.reduce_mod(vec(0, 0))), mul)
+    return closure(((iso.linear, lat.reduce_mod(iso.trans))
+                    for iso in handle.schreier_images),
+                   (IDENTITY_MAT, lat.reduce_mod(vec(0, 0))), mul)
 
 
 def reference_scalar_along(v, u):
@@ -233,13 +234,92 @@ def test_random_subgroup_agrees_with_cartesian_tree(label):
 @pytest.mark.parametrize("label", list(HANDLES))
 def test_integer_point_group_and_lattice_index_match_cartesian(label):
     handle = HANDLES[label]
-    reference = dict.fromkeys(_closure((iso.linear for iso in handle.schreier_images),
-                                       IDENTITY_MAT, operator.mul))
+    reference = dict.fromkeys(closure((iso.linear for iso in handle.schreier_images),
+                                      IDENTITY_MAT, operator.mul))
     # the same linear parts, each once, in the handle's own order
     for m in handle.point_group:
         del reference[m]
     assert not reference
     assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
+
+
+# -- the closure check of the affine classes ----------------------------------
+
+def reference_closed(classes, d):
+    """The full check over all classes: S holds the identity and every
+    product x y of two of its classes, translations modulo d."""
+    members = set(classes)
+
+    def mul(p, q):
+        (m, (x, y)), (n, (u, v)) = p, q
+        return ((m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+                 m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]),
+                ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d))
+
+    return ((1, 0, 0, 1), (0, 0)) in members and \
+        all(mul(p, q) in members for p in classes for q in classes)
+
+
+def shifted_variants(classes, d):
+    """The classes as they are, then with one class's translation moved by
+    (1, 0)/d or (0, 1)/d, for every class in turn."""
+    yield classes
+    for k, (m, (x, y)) in enumerate(classes):
+        for u, v in ((1, 0), (0, 1)):
+            yield classes[:k] + ((m, ((x + u) % d, (y + v) % d)),) + classes[k + 1:]
+
+
+def closure_check_accepts(classes, d):
+    try:
+        wallpaper._check_closed(classes, d)
+    except InvariantError as err:
+        assert str(err) == "affine classes are not closed under products"
+        return False
+    return True
+
+
+# the 17 whole groups, their 74 sign kernels and the random corpus
+CLOSURE_HANDLES = {label: h for label, h in HANDLES.items()
+                   if label.endswith(" whole") or " kernel " in label} | RANDOM_HANDLES
+
+
+@pytest.mark.parametrize("label", list(CLOSURE_HANDLES))
+def test_closure_check_agrees_with_the_full_closure(label):
+    d, classes = CLOSURE_HANDLES[label].integer_classes
+    assert reference_closed(classes, d)
+    for variant in shifted_variants(classes, d):
+        assert closure_check_accepts(variant, d) == reference_closed(variant, d), variant
+
+
+def test_closure_corpus_accepts_and_rejects_shifted_classes():
+    assert len(CLOSURE_HANDLES) == 17 + 74 + len(RANDOM_HANDLES)
+    verdicts = {reference_closed(variant, d)
+                for d, classes in (h.integer_classes for h in CLOSURE_HANDLES.values())
+                for variant in list(shifted_variants(classes, d))[1:]}
+    assert verdicts == {True, False}
+
+
+def test_affine_classes_must_be_closed():
+    # move the orbit exponents of coset 0 b^-1, the coset of the lift b (a
+    # three-fold rotation), by t1, which the subgroup does not hold: the
+    # classes over b and over b a move off the subgroup's, and b b = b^2
+    # leaves them
+    m = model("p6")
+    t1, t2 = m.translation_words
+    handle = subgroup(m, [Word((1,)), t1 ** 2, t2 ** 2])
+    exponents, found = handle._orbit
+    c = handle.table.trace(Word((-2,)))
+    i, j = exponents[c]
+    handle._orbit = ({**exponents, c: (i + 1, j)}, found)
+    with pytest.raises(InvariantError, match="^affine classes are not closed under products$"):
+        handle.integer_classes
+
+
+def test_index_identity_is_checked():
+    handle = whole_group(model("p4"))
+    handle.lattice_index = 2
+    with pytest.raises(InvariantError, match="^index identity violated$"):
+        classify(handle)
 
 
 # -- the invariant checks of the lattice basis --------------------------------

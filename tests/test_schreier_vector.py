@@ -14,8 +14,9 @@ from orbiforge.cosetenum import InvariantError, _col, todd_coxeter
 from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.lattice import Lattice2, integer_lattice_basis
 from orbiforge.exactgeom import IDENTITY_MAT, Isometry
-from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, _closure, classify,
+from orbiforge.wallpaper import (MODEL_NAMES, SubgroupHandle, classify,
                                  model, subgroup, translation_lattice)
+from oracle import closure
 
 
 # -- oracles: the direct computations ---------------------------------------
@@ -276,7 +277,16 @@ def test_non_commuting_translation_words_are_rejected():
 def test_lattice_basis_shape_is_checked(monkeypatch):
     monkeypatch.setattr(wallpaper, "integer_lattice_basis",
                         lambda pairs: ((1, 0), (1, 1)))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^lattice basis is not in Hermite form$"):
+        translation_lattice(wallpaper.whole_group(model("p6")))
+
+
+def test_lattice_index_is_bounded_by_the_coset_count(monkeypatch):
+    # the whole group has one coset, so its lattice is the model's, of index 1
+    monkeypatch.setattr(wallpaper, "integer_lattice_basis",
+                        lambda pairs: ((2, 0), (0, 2)))
+    with pytest.raises(InvariantError,
+                       match="^translation lattice index exceeds the coset count$"):
         translation_lattice(wallpaper.whole_group(model("p6")))
 
 
@@ -295,8 +305,8 @@ def test_lazy_model_data_is_cached():
 @pytest.mark.parametrize("label", list(HANDLES))
 def test_integer_point_group_and_lattice_index_match_cartesian(label):
     handle = HANDLES[label]
-    reference = dict.fromkeys(_closure((iso.linear for iso in handle.schreier_images),
-                                       IDENTITY_MAT, operator.mul))
+    reference = dict.fromkeys(closure((iso.linear for iso in handle.schreier_images),
+                                      IDENTITY_MAT, operator.mul))
     # the same linear parts, each once, in the handle's own order
     for m in handle.point_group:
         del reference[m]
