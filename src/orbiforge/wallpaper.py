@@ -10,15 +10,19 @@ Classification runs in machine integers.  Each model's generators are
 rewritten once, on first use, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
 translation in (1/N)Z^2.  The kernel walks the model's point group once from
-them, keeping one element of the model per linear part, with a word for it.
-A subgroup's translation lattice comes from the orbit of its coset under the
-two translation words; those elements, checked against that orbit, give its
-affine classes, in the basis of its own translation lattice, where that
-lattice is Z^2 and linear parts are integer matrices.  Its point group is read
-off those classes, and the decision tree names its type from them: from the
-highest rotation order and the mirror matrices, the det -1 linear parts whose
-class holds a reflection, by their number and by how they act on Z^2/2Z^2 or,
-in a three-fold group with rotation R, on Z^2/(R - I)Z^2.
+them, which fixes the order of its linear parts.  A subgroup is classified
+from its generating words alone (`_word_closure`): each word becomes one
+integer affine map, a BFS over those maps keeps one element of the subgroup
+per linear part, and every product that lands on a linear part already held
+gives a translation of the subgroup.  By Schreier's lemma those translations
+span its translation lattice, and in the basis of that lattice, where it is
+Z^2 and linear parts are integer matrices, the elements are its affine
+classes.  The coset table only cross-checks the result, through its index.
+The point group is read off the classes, and the decision tree names the type
+from them: from the highest rotation order and the mirror matrices, the
+det -1 linear parts whose class holds a reflection, by their number and by
+how they act on Z^2/2Z^2 or, in a three-fold group with rotation R, on
+Z^2/(R - I)Z^2.
 `ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
 independent check of the models and of the `schreier_images` view.
 """
@@ -30,11 +34,11 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
-from .cosetenum import CosetTable, InvariantError, _plan, todd_coxeter
+from .cosetenum import CosetTable, InvariantError, todd_coxeter
 from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
                         classify_isometry, mat, Translation, vec)
 from .fpgroup import Presentation, SignHom, Word
-from .lattice import Lattice2, integer_lattice_basis
+from .lattice import InvalidLatticeError, Lattice2, integer_lattice_basis
 
 
 Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
@@ -202,6 +206,7 @@ def _mirror_through(linear: Mat2, px, py) -> Isometry:
 # model groups
 
 _ID_LINEAR: Linear = (1, 0, 0, 1)
+_ID_AFFINE: Affine = (1, 0, 0, 1, 0, 0)
 
 
 def _mmul(p: Linear, q: Linear) -> Linear:
@@ -218,6 +223,14 @@ def _amul(p: Affine, q: Affine) -> Affine:
             a * u + b * v + x, c * u + d * v + y)
 
 
+def _ainv(f: Affine) -> Affine:
+    """Inverse of an integer affine map whose matrix has determinant +-1."""
+    a, b, c, d, x, y = f
+    e = a * d - b * c  # +-1, its own inverse
+    a, b, c, d = d * e, -b * e, -c * e, a * e
+    return a, b, c, d, -(a * x + b * y), -(c * x + d * y)
+
+
 class AffineKernel(NamedTuple):
     """A model's generators as integer affine maps in the basis B of its
     translation lattice, and its point group, walked once from them
@@ -226,7 +239,7 @@ class AffineKernel(NamedTuple):
     basis: Mat2                       # B, columns v1 and v2
     denominator: int                  # N
     gens: tuple[Affine, ...]
-    lifts: tuple[tuple[Affine, Word], ...]  # (f, w) per linear part, w evaluating to f
+    lifts: tuple[Affine, ...]         # one element of the model per linear part
     cartesian: Mapping[Linear, Mat2]  # B M B^-1 for each M of the point group
 
 
@@ -281,7 +294,7 @@ class ModelGroup:
         the lcm of the translation denominators.  Products and inverses keep
         all of that, so the whole group does.  A BFS from the identity,
         f |-> g f over the generators g, then gives each linear part one
-        element f of the model, with a word w whose image is f."""
+        element f of the model, and the linear parts their order."""
         basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
         gram = basis.transpose() * basis
         coords = [inverse * iso.trans for iso in self.rep]
@@ -302,26 +315,18 @@ class ModelGroup:
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
             gens.append(tuple(int(x.a) for x in entries + scaled))
-        lifts = [((1, 0, 0, 1, 0, 0), Word(()))]
+        lifts = [_ID_AFFINE]
         seen = {_ID_LINEAR}
-        for f, w in lifts:
-            for k, gen in enumerate(gens, 1):
+        for f in lifts:
+            for gen in gens:
                 h = _amul(gen, f)
                 if h[:4] not in seen:
                     seen.add(h[:4])
-                    lifts.append((h, Word((k,)) * w))
+                    lifts.append(h)
             if len(lifts) > 12:
                 raise InvariantError("point group larger than 12")
-        cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f, _ in lifts}
+        cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f in lifts}
         return AffineKernel(basis, n, tuple(gens), tuple(lifts), cartesian)
-
-    @cached_property
-    def _inverse_lift_columns(self) -> tuple[tuple[int, ...], ...]:
-        """w^-1 for each lift (f, w) of `kernel`, as coset-table columns, so
-        that 0 f^-1 is read off a table without building a word."""
-        col_of = _plan(self.presentation).col_of
-        return tuple(tuple(col_of[-x] for x in reversed(w.letters))
-                     for _, w in self.kernel.lifts)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -518,8 +523,9 @@ def model(name: str) -> ModelGroup:
 
 
 class SubgroupHandle:
-    """A finite-index subgroup of a model group, held as a coset table with
-    cached lattice, point-group and affine-class data."""
+    """A finite-index subgroup of a model group, held as a coset table.  It
+    is classified from the table's subgroup words; the table's index
+    cross-checks the result."""
 
     def __init__(self, model_group: ModelGroup, table: CosetTable):
         if table.parent != model_group.presentation:
@@ -541,42 +547,24 @@ class SubgroupHandle:
         """The linear parts of the subgroup, read off `integer_classes`: each
         class matrix m is H^-1 M H for M in the model's lattice basis, so
         M = (H m adj H) / (a g)."""
-        a, b, g = self._hermite
+        a, b, g = self._closure[0]
         cartesian = self.model.kernel.cartesian
         return tuple(cartesian[tuple(x // (a * g) for x in
                                      _mmul(_mmul((a, 0, b, g), m), (g, 0, -b, a)))]
                      for m, _ in self.integer_classes[1])
 
     @cached_property
-    def _orbit(self) -> tuple[dict[int, tuple[int, int]], list[tuple[int, int]]]:
-        """(exponents, stabilizer): the orbit of coset 0 under the translations.
-
-        t1 and t2 act on the cosets by commuting permutations, so Z^2 acts.  A
-        BFS over the orbit maps each reached coset c to one (i, j) with
-        0 t1^i t2^j = c (a Schreier vector over Z^2); every non-tree edge
-        closes a stabilizer element, and by Schreier's lemma those generate
-        the whole stabilizer.
-        """
-        perm1, perm2 = map(self.table.permutation, self.model.translation_words)
-        if list(map(perm1.__getitem__, perm2)) != list(map(perm2.__getitem__, perm1)):
-            raise InvariantError("translation words act by non-commuting permutations")
-        exponents: dict[int, tuple[int, int]] = {0: (0, 0)}
-        queue = [0]
-        found = []
-        for c in queue:
-            i, j = exponents[c]
-            for d, e in ((perm1[c], (i + 1, j)), (perm2[c], (i, j + 1))):
-                seen = exponents.get(d)
-                if seen is None:
-                    exponents[d] = e
-                    queue.append(d)
-                elif seen != e:
-                    found.append((e[0] - seen[0], e[1] - seen[1]))
-        return exponents, found
-
-    @cached_property
-    def _hermite(self) -> tuple[int, int, int]:
-        return _hermite_triple(self)
+    def _closure(self) -> tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]]]:
+        """`_word_closure` of the table's subgroup words, checked against the
+        table, which shares no code with it: [G:H] |P_H| = [L_G:L_H] |P_G|.
+        A closure that missed an element or a translation of the subgroup, or
+        found one outside it, breaks the identity, and so does a table that
+        is not the subgroup's."""
+        hermite, classes = _word_closure(self.model, self.table.subgroup_words)
+        a, _, g = hermite
+        if self.index * len(classes[1]) != a * g * len(self.model.point_group):
+            raise InvariantError("index identity violated")
+        return hermite, classes
 
     @cached_property
     def lattice(self) -> Lattice2:
@@ -584,7 +572,7 @@ class SubgroupHandle:
 
     @cached_property
     def lattice_index(self) -> int:
-        a, _, g = self._hermite
+        a, _, g = self._closure[0]
         return a * g
 
     @cached_property
@@ -592,49 +580,10 @@ class SubgroupHandle:
         """(D, classes): the finite quotient (subgroup mod its translation
         lattice) as pairs (m, (x, y)) in the basis of `lattice`, where the
         lattice is Z^2: m is an integer matrix and (x, y)/D, 0 <= x, y < D,
-        the canonical translation representative.
-
-        The model's kernel holds one element f per linear part, with a word
-        w for it, whose coset is 0 f^-1 = 0 w^-1, traced through the table
-        as the columns of w^-1 that the model keeps.  By orbit-stabilizer the
-        subgroup holds an element over f's linear part exactly when that
-        coset is some 0 t1^i t2^j of the translation orbit, and t1^i t2^j f
-        is one; its translation is f's plus (i N, j N).  The subgroup lattice
-        has basis H = [[a, 0], [b, g]] in the model's lattice basis and
-        a g H^-1 = [[g, 0], [-b, a]], so a linear part M becomes
-        H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation (x, y)/N
-        becomes (g x, a y - b x)/D with D = a g N.
-
-        The classes S, in lift order with the identity first, must be closed
-        under products modulo D.  `_check_closed` picks generators Gamma from
-        S greedily, in that order, each class not yet reached joining Gamma,
-        and runs a BFS from the identity over Gamma alone, raising at the
-        first product outside S.  This is the full check: the BFS reaches all
-        of S, as every class joins Gamma or is reached, so if it stays inside
-        S then S is the set of products of Gamma, which is closed; and if S
-        is closed, no product leaves it.  It costs |S| |Gamma| products, not
-        |S|^2, and cannot run away on a set that is not closed."""
-        a, b, g = self._hermite
-        exponents, _ = self._orbit
-        kernel = self.model.kernel
-        ag, n = a * g, kernel.denominator
-        d = ag * n
-        rows = self.table.rows
-        gens = []
-        for (f, _), cols in zip(kernel.lifts, self.model._inverse_lift_columns):
-            c = 0
-            for x in cols:
-                c = rows[c][x]
-            if c in exponents:
-                i, j = exponents[c]
-                x, y = f[4] + i * n, f[5] + j * n
-                scaled = _mmul(_mmul((g, 0, -b, a), f[:4]), (a, 0, b, g))
-                if any(v % ag for v in scaled):
-                    raise InvariantError("point group does not preserve the lattice")
-                gens.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
-        classes = tuple(gens)
-        _check_closed(classes, d)
-        return d, classes
+        the canonical translation representative.  One class per linear part
+        of the subgroup, in the order of the model's point-group walk, with
+        the identity first; `_word_closure` finds them."""
+        return self._closure[1]
 
     @cached_property
     def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
@@ -671,21 +620,75 @@ def sign_kernel(model_group: ModelGroup,
 def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     """Lattice of the translations lying in the subgroup: the images of
     t1^a t2^b and t2^g for its Hermite triple (a, b, g)."""
-    a, b, g = handle._hermite
+    a, b, g = handle._closure[0]
     v1, v2 = handle.model.translation_images()
     return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
 
 
-def _hermite_triple(handle: SubgroupHandle) -> tuple[int, int, int]:
-    """(a, b, g) such that t1^i t2^j lies in the subgroup exactly when (i, j)
-    lies in the lattice with Hermite basis (a, b), (0, g): the lattice that
-    the stabilizer pairs of the translation orbit generate."""
-    (a, b), (zero, g) = integer_lattice_basis(handle._orbit[1])
+def _word_closure(model_group: ModelGroup, words: Iterable[Word]
+                  ) -> tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]]]:
+    """((a, b, g), (D, classes)) of the subgroup the words generate: its
+    Hermite triple and its `integer_classes`, from the words alone.
+
+    Each word is evaluated once as an integer affine map of the model's
+    kernel.  A BFS from the identity, f |-> f s over those images s, keeps
+    the first element it meets over each linear part; the point group is
+    finite, so it ends.  Every product h = f s over a linear part already
+    held by e gives the translation h e^-1 of the subgroup, whose vector is
+    h's translation minus e's, an element of N Z^2.  By Schreier's lemma
+    those translations generate every translation of the subgroup, so t1^i
+    t2^j lies in it exactly when (i, j) lies in the lattice with Hermite
+    basis (a, b), (0, g).  The table that proved the index finite proved that
+    lattice of rank 2.
+
+    The subgroup lattice has basis H = [[a, 0], [b, g]] in the model's
+    lattice basis and a g H^-1 = [[g, 0], [-b, a]], so a linear part M
+    becomes H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation
+    (x, y)/N becomes (g x, a y - b x)/D with D = a g N.  The classes follow
+    the order of the model's point-group walk."""
+    kernel = model_group.kernel
+    n = kernel.denominator
+    maps = {}
+    for k, gen in enumerate(kernel.gens, 1):
+        maps[k], maps[-k] = gen, _ainv(gen)
+    images = []
+    for w in words:
+        f = _ID_AFFINE
+        for letter in w.letters:
+            f = _amul(f, maps[letter])
+        images.append(f)
+    held = {_ID_LINEAR: _ID_AFFINE}
+    queue = [_ID_AFFINE]
+    pairs = []
+    for f in queue:
+        for s in images:
+            h = _amul(f, s)
+            e = held.setdefault(h[:4], h)
+            if e is h:
+                queue.append(h)
+                continue
+            x, y = h[4] - e[4], h[5] - e[5]
+            if x % n or y % n:
+                raise InvariantError("translation of the subgroup is not a lattice translation")
+            pairs.append((x // n, y // n))
+    try:
+        (a, b), (zero, g) = integer_lattice_basis(pairs)
+    except InvalidLatticeError as exc:
+        raise InvariantError("translations of the subgroup do not span a rank-2 lattice") from exc
     if zero != 0:
         raise InvariantError("lattice basis is not in Hermite form")
-    if a * g > handle.index:
-        raise InvariantError("translation lattice index exceeds the coset count")
-    return a, b, g
+    ag = a * g
+    d = ag * n
+    classes = []
+    for m in kernel.cartesian:
+        f = held.get(m)
+        if f is not None:
+            scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
+            if any(v % ag for v in scaled):
+                raise InvariantError("point group does not preserve the lattice")
+            x, y = f[4], f[5]
+            classes.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
+    return (a, b, g), (d, tuple(classes))
 
 
 # --------------------------------------------------------------------------
@@ -777,52 +780,11 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
     return "cm" if n == 1 else "cmm"
 
 
-def _check_closed(classes: tuple[Class, ...], d: int) -> None:
-    """Raise InvariantError unless the classes S, translations modulo d,
-    hold the identity and are closed under products, by the BFS over a
-    greedy generating set that `SubgroupHandle.integer_classes` describes.
-    When a class joins Gamma, the elements already multiplied by every
-    earlier generator are multiplied by it, so each element meets each
-    generator once."""
-    members = set(classes)
-    identity = (_ID_LINEAR, (0, 0))
-    if identity not in members:
-        raise InvariantError("affine classes are not closed under products")
-    seen = {identity}
-    queue = [identity]
-    gamma: list[Class] = []
-    done = 0  # queue[:done] has been multiplied by every generator in gamma
-
-    def visit(p, q):
-        (m, (x, y)), (m2, (u, v)) = p, q
-        prod = _mmul(m, m2), ((m[0] * u + m[1] * v + x) % d, (m[2] * u + m[3] * v + y) % d)
-        if prod not in seen:
-            if prod not in members:
-                raise InvariantError("affine classes are not closed under products")
-            seen.add(prod)
-            queue.append(prod)
-
-    for s in classes:
-        if s in seen:
-            continue
-        gamma.append(s)
-        for x in queue[:done]:
-            visit(x, s)
-        while done < len(queue):
-            x = queue[done]
-            done += 1
-            for g in gamma:
-                visit(x, g)
-
-
 def classify(handle: SubgroupHandle) -> OrbifoldSignature:
-    """Euclidean 2-orbifold signature of the subgroup's quotient orbifold."""
-    sig = SIGNATURES[crystallographic_type(handle)]
-    # index identity: [G:H] * |P(H)| = [Lat_G : Lat_H] * |P(G)|
-    whole = len(handle.model.point_group)
-    if handle.index * len(handle.integer_classes[1]) != handle.lattice_index * whole:
-        raise InvariantError("index identity violated")
-    return sig
+    """Euclidean 2-orbifold signature of the subgroup's quotient orbifold;
+    the classes it reads are checked by the index identity
+    (`SubgroupHandle._closure`)."""
+    return SIGNATURES[crystallographic_type(handle)]
 
 
 def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, OrbifoldSignature]:

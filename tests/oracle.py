@@ -1,4 +1,11 @@
 """Test-side oracles that share no code with the classifier."""
+from fractions import Fraction
+from functools import lru_cache
+from math import floor, gcd, lcm
+
+from orbiforge.exactgeom import Isometry
+from orbiforge.fpgroup import Word
+from orbiforge.lattice import Lattice2
 
 
 def closure(gens, identity, mul):
@@ -16,3 +23,110 @@ def closure(gens, identity, mul):
                     nxt.append(prod)
         frontier = nxt
     return tuple(seen)
+
+
+def hermite(pairs):
+    """(a, b, g) such that (a, b), (0, g) is the Hermite basis of the lattice
+    the integer pairs span, by a Euclidean elimination of its own; None when
+    they span no rank-2 lattice."""
+    a = b = g = 0
+    for x, y in pairs:
+        while x:
+            q = a // x
+            (a, b), (x, y) = (x, y), (a - q * x, b - q * y)
+        g = gcd(g, y)
+    if a == 0 or g == 0:
+        return None
+    if a < 0:
+        a, b = -a, -b
+    return a, b % g, g
+
+
+@lru_cache(maxsize=None)
+def model_lifts(model):
+    """One element of the model per linear part, with a word evaluating to
+    it: a BFS from the identity, f |-> g f over the generator images, in
+    exact Cartesian arithmetic."""
+    lifts = [(Isometry.identity(), Word(()))]
+    seen = {lifts[0][0].linear}
+    for f, w in lifts:
+        for k, g in enumerate(model.rep, 1):
+            h = g * f
+            if h.linear not in seen:
+                seen.add(h.linear)
+                lifts.append((h, Word((k,)) * w))
+    return tuple(lifts)
+
+
+def model_denominator(model):
+    """N: the lcm of the denominators of the generators' translations in
+    the basis of the model's translation lattice."""
+    inverse = model.lattice()._inverse_basis
+    coords = [inverse * iso.trans for iso in model.rep]
+    return lcm(*(c.a.denominator for v in coords for c in (v.x, v.y)))
+
+
+def _integer(x):
+    assert x.b == 0 and x.a.denominator == 1, x
+    return int(x.a)
+
+
+def table_path(handle):
+    """((a, b, g), classes, point group) of a subgroup, read off its coset
+    table the way classification did before it read the subgroup's words.
+
+    t1 and t2 act on the cosets by commuting permutations.  A BFS over the
+    orbit of coset 0 maps each coset c it reaches to one (i, j) with
+    c = 0 t1^i t2^j, and each edge into a coset already reached gives a pair
+    (i, j) with t1^i t2^j in the subgroup; those pairs generate all such
+    (Schreier's lemma), and their Hermite form gives (a, b, g).  A lift f of
+    the model, with word w, has an element of the subgroup over its linear
+    part exactly when the coset 0 w^-1 is in the orbit, at (i, j): then
+    t1^i t2^j f is one.  Each class is (m, (x, y)): the linear part and the
+    translation in the basis of the subgroup's lattice, x and y Fractions
+    reduced into [0, 1), in lift order; the point group is the Cartesian
+    linear parts in the same order."""
+    model, table = handle.model, handle.table
+    perm1, perm2 = map(table.permutation, model.translation_words)
+    assert all(perm1[perm2[c]] == perm2[perm1[c]] for c in range(table.index))
+    exponents = {0: (0, 0)}
+    queue = [0]
+    pairs = []
+    for c in queue:
+        i, j = exponents[c]
+        for d, e in ((perm1[c], (i + 1, j)), (perm2[c], (i, j + 1))):
+            if d not in exponents:
+                exponents[d] = e
+                queue.append(d)
+            elif exponents[d] != e:
+                pairs.append((e[0] - exponents[d][0], e[1] - exponents[d][1]))
+    a, b, g = hermite(pairs)
+    v1, v2 = model.translation_images()
+    lattice = Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
+    basis, inverse = lattice.basis_matrix(), lattice._inverse_basis
+    classes, linear = [], []
+    for f, w in model_lifts(model):
+        c = table.trace(w.inverse())
+        if c in exponents:
+            i, j = exponents[c]
+            m = inverse * f.linear * basis
+            t = inverse * (f.trans + v1.scale(i) + v2.scale(j))
+            x, y = t.x.a, t.y.a
+            assert t.x.b == t.y.b == 0
+            classes.append((tuple(map(_integer, (m.m11, m.m12, m.m21, m.m22))),
+                            (x - floor(x), y - floor(y))))
+            linear.append(f.linear)
+    return (a, b, g), tuple(classes), tuple(linear)
+
+
+def assert_matches_table_path(handle):
+    """The handle's Hermite triple, lattice index, integer classes and point
+    group equal the table path's, value for value and in lift order."""
+    triple, classes, linear = table_path(handle)
+    a, _, g = triple
+    d, got = handle.integer_classes
+    assert handle._closure[0] == triple
+    assert handle.lattice_index == a * g
+    assert d == a * g * model_denominator(handle.model)
+    assert tuple((m, (Fraction(x, d), Fraction(y, d))) for m, (x, y) in got) == classes
+    assert handle.point_group == linear

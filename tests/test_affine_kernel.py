@@ -12,10 +12,9 @@ import pytest
 from orbiforge import wallpaper
 from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import IDENTITY_MAT, Isometry, QuadNum, Vec2, _isometry, mat, vec
-from orbiforge.fpgroup import Word
 from orbiforge.lattice import Lattice2
 from orbiforge.wallpaper import MODEL_NAMES, model
-from oracle import closure
+from oracle import closure, model_lifts
 
 IDENTITY_AFFINE = (1, 0, 0, 1, 0, 0)
 
@@ -49,21 +48,25 @@ def test_linear_parts_are_integral_unimodular_isometries(name):
         integer = mat(*key)
         assert integer.transpose() * gram * integer == gram
         assert basis * integer == cartesian * basis
-    lifts = [f for f, _ in kernel.lifts]
-    for f in kernel.gens + tuple(lifts):
+    lifts = kernel.lifts
+    for f in kernel.gens + lifts:
         assert len(f) == 6 and all(isinstance(x, int) for x in f)
         assert f[:4] in kernel.cartesian
     # one lift per linear part, in the point group's order, identity first
     assert [f[:4] for f in lifts] == list(kernel.cartesian)
-    assert kernel.lifts[0] == (IDENTITY_AFFINE, Word(()))
+    assert lifts[0] == IDENTITY_AFFINE
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_each_lift_is_the_image_of_its_word(name):
+def test_lifts_match_the_cartesian_walk(name):
+    # the oracle walks the generator isometries in the same order and keeps
+    # a word for each lift, which evaluates to it
     m = model(name)
     assert tuple(_cartesian(m, f) for f in m.kernel.gens) == m.rep
-    for f, w in m.kernel.lifts:
-        assert m.evaluate(w) == _cartesian(m, f), (f, w)
+    reference = model_lifts(m)
+    assert tuple(_cartesian(m, f) for f in m.kernel.lifts) == tuple(f for f, _ in reference)
+    for f, w in reference:
+        assert m.evaluate(w) == f, (f, w)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -302,6 +302,34 @@ class TestOrderTwoCertificate:
         with pytest.raises(TheoremCheckError, match=r"\.h has order 1"):
             h_map_244(p)
 
+    def test_h_map_244_needs_a_sign_map_that_holds(self):
+        # c appears once in the extra relator c d, so c |-> -1 breaks it
+        p4 = model("p4").presentation
+        bad = Presentation("p4+cd", p4.generators, p4.relators + (Word((1, 2)),))
+        with pytest.raises(TheoremCheckError,
+                           match="^sign map killing d and c\\^2 violates a relator$"):
+            h_map_244(bad)
+
+    def test_double_cover_cusp_needs_the_cusp_translations(self, monkeypatch):
+        # <c, t1^2, t2^2> in p4 holds neither t1 nor t2
+        from orbiforge import knotcusp
+
+        p4 = model("p4")
+        t1, t2 = p4.translation_words
+        monkeypatch.setattr(knotcusp, "sign_kernel",
+                            lambda m, hom: subgroup(p4, [Word((1,)), t1 ** 2, t2 ** 2]))
+        with pytest.raises(TheoremCheckError,
+                           match="^cusp translations missing from the double cover$"):
+            double_cover_cusp_244()
+
+    def test_double_cover_cusp_must_be_the_pillowcase(self, monkeypatch):
+        from orbiforge import knotcusp
+
+        monkeypatch.setattr(knotcusp, "classify", lambda handle: SIGNATURES["p4"])
+        with pytest.raises(TheoremCheckError,
+                           match=r"^double cover cusp is S2\(2,4,4\), not S2\(2,2,2,2\)$"):
+            double_cover_cusp_244()
+
     def test_single_letter_extras_never_reach_the_enumeration(self, monkeypatch):
         # b, d and the meridians are single-letter extras; the Tietze pass
         # deletes their generators before todd_coxeter and abelianization

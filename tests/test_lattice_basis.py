@@ -1,22 +1,27 @@
 """The affine classes and the crystallographic decision tree in the basis of
 the subgroup's translation lattice, checked against the Cartesian Q(sqrt3)
-computation they replace (kept here as the oracle)."""
+computation they replace (kept here as the oracle); the word closure that
+finds the classes, checked against the coset-table path it replaced
+(`oracle.table_path`), past the table's reach, and by the index identity."""
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from orbiforge import wallpaper
-from orbiforge.cosetenum import InvariantError
+from orbiforge.cosetenum import CosetLimitError, InvariantError, todd_coxeter
 from orbiforge.exactgeom import (IDENTITY_MAT, QuadNum, mat,
                                  reflection_axis_direction, rotation_order, vec)
 from orbiforge.fpgroup import Word, sign_homs
-from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, _class_has_reflection,
-                                 _det, _rotation_order, classify,
-                                 crystallographic_type, model, subgroup, whole_group)
-from oracle import closure
+from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, SubgroupHandle,
+                                 _class_has_reflection, _det, _rotation_order,
+                                 _word_closure, classify, crystallographic_type,
+                                 model, subgroup, whole_group)
+from oracle import assert_matches_table_path, closure
 
 
 # -- oracle: the Cartesian computation ----------------------------------------
@@ -163,20 +168,25 @@ def random_word(rng, ngens, shortest, longest):
                       for _ in range(rng.randint(shortest, longest))))
 
 
+def random_subgroup_words(rng, m):
+    """<t1^a t2^b, t2^c> with a, c <= 4, plus up to three random words, all
+    conjugated by a random word."""
+    ngens = m.presentation.ngens
+    t1, t2 = m.translation_words
+    words = [t1 ** rng.randint(1, 4) * t2 ** rng.randint(0, 3), t2 ** rng.randint(1, 4)]
+    words += [random_word(rng, ngens, 1, 4) for _ in range(rng.randint(0, 3))]
+    by = random_word(rng, ngens, 0, 4)
+    return [w.conjugate(by) for w in words]
+
+
 def random_corpus(per_model):
-    """Seeded random subgroups of every model: <t1^a t2^b, t2^c> with a, c <= 4,
-    plus up to three random words, all conjugated by a random word."""
+    """Seeded random subgroups of every model (`random_subgroup_words`)."""
     rng = random.Random(7)
     out = {}
     for name in MODEL_NAMES:
         m = model(name)
-        ngens = m.presentation.ngens
-        t1, t2 = m.translation_words
         for k in range(per_model):
-            words = [t1 ** rng.randint(1, 4) * t2 ** rng.randint(0, 3), t2 ** rng.randint(1, 4)]
-            words += [random_word(rng, ngens, 1, 4) for _ in range(rng.randint(0, 3))]
-            by = random_word(rng, ngens, 0, 4)
-            out[f"{name} random {k}"] = subgroup(m, [w.conjugate(by) for w in words])
+            out[f"{name} random {k}"] = subgroup(m, random_subgroup_words(rng, m))
     return out
 
 
@@ -243,7 +253,7 @@ def test_integer_point_group_and_lattice_index_match_cartesian(label):
     assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
 
 
-# -- the closure check of the affine classes ----------------------------------
+# -- the word closure against the table path ----------------------------------
 
 def reference_closed(classes, d):
     """The full check over all classes: S holds the identity and every
@@ -269,29 +279,27 @@ def shifted_variants(classes, d):
             yield classes[:k] + ((m, ((x + u) % d, (y + v) % d)),) + classes[k + 1:]
 
 
-def closure_check_accepts(classes, d):
-    try:
-        wallpaper._check_closed(classes, d)
-    except InvariantError as err:
-        assert str(err) == "affine classes are not closed under products"
-        return False
-    return True
-
-
 # the 17 whole groups, their 74 sign kernels and the random corpus
 CLOSURE_HANDLES = {label: h for label, h in HANDLES.items()
                    if label.endswith(" whole") or " kernel " in label} | RANDOM_HANDLES
 
 
-@pytest.mark.parametrize("label", list(CLOSURE_HANDLES))
-def test_closure_check_agrees_with_the_full_closure(label):
-    d, classes = CLOSURE_HANDLES[label].integer_classes
+ALL_HANDLES = HANDLES | RANDOM_HANDLES
+
+
+@pytest.mark.parametrize("label", list(ALL_HANDLES))
+def test_word_closure_matches_the_table_path(label):
+    # the table path (tests/oracle.py) reads the translation orbit of the
+    # subgroup coset and the model's Cartesian lifts; the closure reads the
+    # subgroup's words through the integer kernel
+    handle = ALL_HANDLES[label]
+    assert_matches_table_path(handle)
+    d, classes = handle.integer_classes
     assert reference_closed(classes, d)
-    for variant in shifted_variants(classes, d):
-        assert closure_check_accepts(variant, d) == reference_closed(variant, d), variant
 
 
 def test_closure_corpus_accepts_and_rejects_shifted_classes():
+    # the full-closure oracle can fail: some shifted classes are not a group
     assert len(CLOSURE_HANDLES) == 17 + 74 + len(RANDOM_HANDLES)
     verdicts = {reference_closed(variant, d)
                 for d, classes in (h.integer_classes for h in CLOSURE_HANDLES.values())
@@ -299,34 +307,110 @@ def test_closure_corpus_accepts_and_rejects_shifted_classes():
     assert verdicts == {True, False}
 
 
-def test_affine_classes_must_be_closed():
-    # move the orbit exponents of coset 0 b^-1, the coset of the lift b (a
-    # three-fold rotation), by t1, which the subgroup does not hold: the
-    # classes over b and over b a move off the subgroup's, and b b = b^2
-    # leaves them
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_word_closure_matches_the_table_path_on_seeded_subgroups(name):
+    # 120 subgroups per model, 2040 in all, beyond the random corpus
+    m = model(name)
+    rng = random.Random(f"word closure {name}")
+    for _ in range(120):
+        assert_matches_table_path(subgroup(m, random_subgroup_words(rng, m)))
+
+
+# -- the word closure where the coset table cannot go ------------------------
+
+def test_word_closure_past_the_coset_allowance():
+    # p6 > <t1^n, t2^n> has 6 n^2 cosets, 6,000,000 at n = 1000
+    p6 = model("p6")
+    t1, t2 = p6.translation_words
+    n = 1000
+    triple, (d, classes) = _word_closure(p6, [t1 ** n, t2 ** n])
+    assert triple == (n, 0, n)
+    assert classes == (((1, 0, 0, 1), (0, 0)),)
+    assert d == n * n * p6.kernel.denominator
+
+
+def test_word_closure_of_translation_subgroups():
+    # <t1^a t2^b, t2^c> is the lattice with Hermite basis (a, b mod c), (0, c)
+    rng = random.Random(31)
+    for name in MODEL_NAMES:
+        m = model(name)
+        t1, t2 = m.translation_words
+        for _ in range(3):
+            a, b, c = rng.randint(1, 1000), rng.randint(-1000, 1000), rng.randint(1, 1000)
+            triple, (_, classes) = _word_closure(m, [t1 ** a * t2 ** b, t2 ** c])
+            assert triple == (a, b % c, c), (name, a, b, c)
+            assert len(classes) == 1
+
+
+def test_word_closure_proves_an_infinite_index():
+    # <t1> in p6 has translations of rank 1; coset enumeration can only run
+    # out of room
+    p6 = model("p6")
+    t1, _ = p6.translation_words
+    with pytest.raises(InvariantError,
+                       match="^translations of the subgroup do not span a rank-2 lattice$"):
+        _word_closure(p6, [t1])
+    with pytest.raises(CosetLimitError):
+        todd_coxeter(p6.presentation, [t1], max_cosets=50)
+
+
+def test_translation_differences_must_be_lattice_translations():
+    # a p1 whose kernel claims N = 2: the translation t of <t, u> then reads
+    # (1, 0)/2, outside the lattice
+    fake = replace(model("p1"))
+    vars(fake)["kernel"] = model("p1").kernel._replace(denominator=2)
+    with pytest.raises(InvariantError,
+                       match="^translation of the subgroup is not a lattice translation$"):
+        _word_closure(fake, [Word((1,)), Word((2,))])
+
+
+# -- the index identity: the closure against the coset table -----------------
+
+@pytest.mark.parametrize("reader", ["integer_classes", "point_group", "lattice_index",
+                                    "lattice", "classes"])
+def test_index_identity_is_checked(reader):
+    # the table says two cosets where the whole group has one; every reader
+    # of the closure meets the check, not only classify
+    m = model("p4")
+    table = whole_group(m).table
+    handle = SubgroupHandle(m, replace(table, rows=table.rows * 2))
+    with pytest.raises(InvariantError, match="^index identity violated$"):
+        getattr(handle, reader)
+
+
+def test_index_identity_rejects_the_words_of_another_subgroup():
+    # the table of p6 > <a, t1^2, t2^2> (index 4) with the words of
+    # <t1^2, t2^2> alone: a closure that misses the rotations
     m = model("p6")
     t1, t2 = m.translation_words
-    handle = subgroup(m, [Word((1,)), t1 ** 2, t2 ** 2])
-    exponents, found = handle._orbit
-    c = handle.table.trace(Word((-2,)))
-    i, j = exponents[c]
-    handle._orbit = ({**exponents, c: (i + 1, j)}, found)
-    with pytest.raises(InvariantError, match="^affine classes are not closed under products$"):
-        handle.integer_classes
-
-
-def test_index_identity_is_checked():
-    handle = whole_group(model("p4"))
-    handle.lattice_index = 2
+    table = subgroup(m, [Word((1,)), t1 ** 2, t2 ** 2]).table
+    assert table.index == 4
+    handle = SubgroupHandle(m, replace(table, subgroup_words=(t1 ** 2, t2 ** 2)))
     with pytest.raises(InvariantError, match="^index identity violated$"):
         classify(handle)
+
+
+def test_classification_reads_only_the_index_and_the_words_of_the_table():
+    # a stand-in table with no rows classifies every whole group and sign
+    # kernel as the real one does
+    for name in MODEL_NAMES:
+        m = model(name)
+        homs = [None] + sign_homs(m.presentation)
+        for hom in homs:
+            handle = whole_group(m) if hom is None else wallpaper.sign_kernel(m, hom)
+            stand_in = SimpleNamespace(parent=m.presentation, index=handle.index,
+                                       subgroup_words=handle.table.subgroup_words)
+            bare = SubgroupHandle(m, stand_in)
+            assert classify(bare) == classify(handle)
+            assert (bare.point_group, bare.lattice_index, bare.integer_classes) == \
+                (handle.point_group, handle.lattice_index, handle.integer_classes)
 
 
 # -- the invariant checks of the lattice basis --------------------------------
 
 def test_point_group_must_preserve_the_lattice(monkeypatch):
     # a rectangular lattice is not preserved by the quarter-turns of p4
-    monkeypatch.setattr(wallpaper, "_hermite_triple", lambda handle: (1, 0, 2))
+    monkeypatch.setattr(wallpaper, "integer_lattice_basis", lambda pairs: ((1, 0), (0, 2)))
     with pytest.raises(InvariantError, match="does not preserve the lattice"):
         wallpaper.whole_group(model("p4")).classes
 

@@ -135,6 +135,37 @@ def test_one_point_group_walk():
     assert not hasattr(AffineKernel, "isometry")
 
 
+def _holds_word(value) -> bool:
+    from orbiforge.fpgroup import Word
+
+    if isinstance(value, Word):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_word, value.items()))
+    return isinstance(value, (tuple, list)) and any(map(_holds_word, value))
+
+
+def test_one_classification_path():
+    # a subgroup is classified from its words through the model's kernel;
+    # the coset table cross-checks the result by its index alone, and the
+    # word closure is a group by construction, so no table walk, second
+    # closure check or lift word is left
+    from orbiforge import wallpaper
+
+    path = PACKAGE / "wallpaper.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "cosetenum"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    assert not hasattr(wallpaper.SubgroupHandle, "_orbit")
+    assert not hasattr(wallpaper, "_check_closed")
+    assert not hasattr(wallpaper.ModelGroup, "_inverse_lift_columns")
+    for name in wallpaper.MODEL_NAMES:
+        kernel = wallpaper.model(name).kernel
+        assert [f for f in kernel._fields if _holds_word(getattr(kernel, f))] == []
+
+
 def test_tree_reads_no_rotation_centres():
     # the decision tree names the type from the mirror matrices alone; it
     # lists no rotation centre and looks for no glide axis

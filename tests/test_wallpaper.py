@@ -1,11 +1,13 @@
 """Model groups, classification, lattices, covers, Euler characteristics."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import QuadNum, Translation, classify_isometry, vec
-from orbiforge.fpgroup import Word, sign_homs
+from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
                                  SIGNATURES, UnknownModelError,
                                  UnknownSignatureError, classify,
@@ -19,6 +21,24 @@ class TestModels:
     def test_all_models_validate(self):
         for name in MODEL_NAMES:
             model(name).validate()
+
+    @pytest.mark.parametrize("name, words", [("p6", ((1,), (2, -1, -1))),
+                                             ("pg", ((2,), (1,))),
+                                             ("p4m", ((1,), (2, 3, 2, 1)))])
+    def test_translation_words_must_be_translations(self, name, words):
+        # a rotation of p6, the glide of pg, a mirror of p4m
+        fake = replace(model(name), translation_words=tuple(map(Word, words)))
+        with pytest.raises(InvariantError, match="^translation word image is not a translation$"):
+            fake.validate()
+
+    @pytest.mark.parametrize("name", ["p1", "p6", "cmm"])
+    def test_translation_words_must_be_independent(self, name):
+        t1, t2 = model(name).translation_words
+        for words in ((t1, t1), (t2, t2.inverse()), (t1 ** 2, t1 ** -3)):
+            fake = replace(model(name), translation_words=words)
+            with pytest.raises(InvariantError,
+                               match="^translation images are linearly dependent$"):
+                fake.validate()
 
     def test_p6_matches_required_images(self):
         p6 = model("p6")
@@ -166,6 +186,26 @@ class TestOrientationDoubleCover:
             handle, _ = orientation_double_cover(m)
             for w in m.translation_words:
                 assert handle.table.contains(w)
+
+    def test_determinant_sign_map_must_hold(self):
+        # pm with the extra relator s t: s reverses orientation and t keeps
+        # it, so the determinant sign of s t is -1
+        pm = model("pm")
+        pres = pm.presentation
+        bad = Presentation(pres.name, pres.generators, pres.relators + (Word((1, 3)),))
+        with pytest.raises(InvariantError, match="^determinant sign map violates a relator$"):
+            orientation_double_cover(replace(pm, presentation=bad))
+
+    @pytest.mark.parametrize("name", ["pm", "pg", "p4m", "p6m"])
+    def test_translation_words_must_lift_to_the_double_cover(self, name):
+        # a generator that reverses orientation, as a translation word,
+        # leaves the double cover
+        m = model(name)
+        k = next(k for k, iso in enumerate(m.rep, 1) if iso.linear.det() == QuadNum.of(-1))
+        fake = replace(m, translation_words=(Word((k,)), m.translation_words[1]))
+        with pytest.raises(InvariantError,
+                           match="^translation fails to lift to the double cover$"):
+            orientation_double_cover(fake)
 
 
 class TestEulerCharacteristic:
