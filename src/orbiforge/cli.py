@@ -118,11 +118,15 @@ def _cmd_cosets(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _model(name: str):
     try:
-        m = model(args.model)
+        return model(name)
     except UnknownModelError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _cmd_classify(args) -> int:
+    m = _model(args.model)
     if args.sign:
         signs = _parse_signs(args.sign)
         try:
@@ -143,10 +147,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_double_cover(args) -> int:
-    try:
-        m = model(args.model)
-    except UnknownModelError as exc:
-        raise InputError(str(exc)) from exc
+    m = _model(args.model)
     handle, sig = orientation_double_cover(m)
     print(f"orientation double cover of {m.presentation.name}: "
           f"{sig.names.thurston} (index {handle.index})")

@@ -17,8 +17,7 @@ from .cosetenum import todd_coxeter
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _presentation,
                       abelianization, quotient, tietze_pass)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
-                        UnknownSignatureError, _class_has_reflection, _det,
-                        _rotation_order, classify, model,
+                        UnknownSignatureError, _class_orders, classify, model,
                         orientation_double_cover, sign_kernel,
                         signature_by_name, whole_group)
 
@@ -187,14 +186,10 @@ def peripheral_order_profile(group: ModelGroup) -> frozenset[int]:
     orientation-reversing class contributes 2 exactly when it contains a true
     reflection (glides have infinite order).
     """
-    d, classes = whole_group(group).integer_classes
-    orders: set[int] = set()
-    for (m, v) in classes:
-        if _det(m) == 1:
-            orders.add(_rotation_order(m))
-        elif _class_has_reflection(m, v, d):
-            orders.add(2)
-    orders.discard(1)
+    rotations, _, mirrors = _class_orders(whole_group(group))
+    orders = {order for order, _ in rotations if order > 1}
+    if mirrors:
+        orders.add(2)
     return frozenset(orders)
 
 

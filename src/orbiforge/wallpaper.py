@@ -9,20 +9,17 @@ translation lattice; all of that is machine-checked at construction time.
 Classification runs in machine integers.  Each model's generators are
 rewritten once, on first use, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
-translation in (1/N)Z^2.  The kernel walks the model's point group once from
-them, which fixes the order of its linear parts.  A subgroup is classified
-from its generating words alone (`_word_closure`): each word becomes one
-integer affine map, a BFS over those maps keeps one element of the subgroup
-per linear part, and every product that lands on a linear part already held
-gives a translation of the subgroup.  By Schreier's lemma those translations
-span its translation lattice, and in the basis of that lattice, where it is
-Z^2 and linear parts are integer matrices, the elements are its affine
+translation in (1/N)Z^2.  One walk over such maps, `_walk`, fixes the order
+of the model's linear parts from its generators, and from the images of a
+subgroup's generating words (`_word_closure`) keeps one element of the
+subgroup per linear part and the translations that, by Schreier's lemma,
+span its translation lattice.  In the basis of that lattice, where it is Z^2
+and linear parts are integer matrices, those elements are its affine
 classes.  The coset table only cross-checks the result, through its index.
-The point group is read off the classes, and the decision tree names the type
-from them: from the highest rotation order and the mirror matrices, the
-det -1 linear parts whose class holds a reflection, by their number and by
-how they act on Z^2/2Z^2 or, in a three-fold group with rotation R, on
-Z^2/(R - I)Z^2.
+One scan of the classes (`_class_orders`) gives the rotation orders and the
+mirror matrices, the det -1 linear parts whose class holds a reflection; the
+decision tree names the type from them, by their number and by how they act
+on Z^2/2Z^2 or, in a three-fold group with rotation R, on Z^2/(R - I)Z^2.
 `ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
 independent check of the models and of the `schreier_images` view.
 """
@@ -44,6 +41,7 @@ from .lattice import InvalidLatticeError, Lattice2, integer_lattice_basis
 Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
 Affine = tuple[int, int, int, int, int, int]  # v |-> [[a, b], [c, d]] v + (x, y)/N
 Class = tuple[Linear, tuple[int, int]]        # v |-> m v + (x, y)/D modulo Z^2
+Closure = tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]], tuple[Linear, ...]]
 
 
 class UnknownModelError(LookupError):
@@ -231,12 +229,40 @@ def _ainv(f: Affine) -> Affine:
     return a, b, c, d, -(a * x + b * y), -(c * x + d * y)
 
 
+def _walk(maps: list[Affine], n: int) -> tuple[dict[Linear, Affine], list[tuple[int, int]]]:
+    """The point group and the translations of the group that integer affine
+    maps over the same N generate.  A BFS from the identity, f |-> f s over
+    the maps s, keeps the first element it meets over each linear part, in
+    the order met; a thirteenth linear part is an `InvariantError`.  Every
+    product h = f s over a linear part already held by e gives the
+    translation h e^-1, whose vector, h's translation minus e's, must lie in
+    N Z^2; it is returned in units of N.  By Schreier's lemma those
+    translations generate every translation of the group."""
+    held = {_ID_LINEAR: _ID_AFFINE}
+    queue = [_ID_AFFINE]
+    pairs = []
+    for f in queue:
+        for s in maps:
+            h = _amul(f, s)
+            e = held.setdefault(h[:4], h)
+            if e is h:
+                queue.append(h)
+                if len(queue) > 12:
+                    raise InvariantError("point group larger than 12")
+                continue
+            x, y = h[4] - e[4], h[5] - e[5]
+            if x % n or y % n:
+                raise InvariantError("translation of the subgroup is not a lattice translation")
+            pairs.append((x // n, y // n))
+    return held, pairs
+
+
 class AffineKernel(NamedTuple):
     """A model's generators as integer affine maps in the basis B of its
-    translation lattice, and its point group, walked once from them
+    translation lattice (`lattice().basis_matrix()`), and one lift per
+    linear part of its point group, walked once from them
     (`ModelGroup.kernel`)."""
 
-    basis: Mat2                       # B, columns v1 and v2
     denominator: int                  # N
     gens: tuple[Affine, ...]
     lifts: tuple[Affine, ...]         # one element of the model per linear part
@@ -292,9 +318,10 @@ class ModelGroup:
         must be integral with determinant +-1 and keep the Gram matrix
         G = B^T B (M^T G M = G); its translation must lie in (1/N)Z^2 for N
         the lcm of the translation denominators.  Products and inverses keep
-        all of that, so the whole group does.  A BFS from the identity,
-        f |-> g f over the generators g, then gives each linear part one
-        element f of the model, and the linear parts their order."""
+        all of that, so the whole group does.  `_walk` over the inverses g^-1,
+        each element inverted, gives the lifts in the order of a BFS
+        f |-> g f, since (g f)^-1 = f^-1 g^-1; it also refuses a translation
+        outside the lattice of the translation words."""
         basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
         gram = basis.transpose() * basis
         coords = [inverse * iso.trans for iso in self.rep]
@@ -315,18 +342,10 @@ class ModelGroup:
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
             gens.append(tuple(int(x.a) for x in entries + scaled))
-        lifts = [_ID_AFFINE]
-        seen = {_ID_LINEAR}
-        for f in lifts:
-            for gen in gens:
-                h = _amul(gen, f)
-                if h[:4] not in seen:
-                    seen.add(h[:4])
-                    lifts.append(h)
-            if len(lifts) > 12:
-                raise InvariantError("point group larger than 12")
+        held, _ = _walk([_ainv(g) for g in gens], n)
+        lifts = tuple(map(_ainv, held.values()))
         cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f in lifts}
-        return AffineKernel(basis, n, tuple(gens), tuple(lifts), cartesian)
+        return AffineKernel(n, tuple(gens), lifts, cartesian)
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -544,27 +563,22 @@ class SubgroupHandle:
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
-        """The linear parts of the subgroup, read off `integer_classes`: each
-        class matrix m is H^-1 M H for M in the model's lattice basis, so
-        M = (H m adj H) / (a g)."""
-        a, b, g = self._closure[0]
+        """The linear parts of the subgroup, in the order of `integer_classes`."""
         cartesian = self.model.kernel.cartesian
-        return tuple(cartesian[tuple(x // (a * g) for x in
-                                     _mmul(_mmul((a, 0, b, g), m), (g, 0, -b, a)))]
-                     for m, _ in self.integer_classes[1])
+        return tuple(cartesian[m] for m in self._closure[2])
 
     @cached_property
-    def _closure(self) -> tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]]]:
+    def _closure(self) -> Closure:
         """`_word_closure` of the table's subgroup words, checked against the
         table, which shares no code with it: [G:H] |P_H| = [L_G:L_H] |P_G|.
         A closure that missed an element or a translation of the subgroup, or
         found one outside it, breaks the identity, and so does a table that
         is not the subgroup's."""
-        hermite, classes = _word_closure(self.model, self.table.subgroup_words)
-        a, _, g = hermite
-        if self.index * len(classes[1]) != a * g * len(self.model.point_group):
+        closure = _word_closure(self.model, self.table.subgroup_words)
+        a, _, g = closure[0]
+        if self.index * len(closure[2]) != a * g * len(self.model.point_group):
             raise InvariantError("index identity violated")
-        return hermite, classes
+        return closure
 
     @cached_property
     def lattice(self) -> Lattice2:
@@ -625,20 +639,16 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
 
 
-def _word_closure(model_group: ModelGroup, words: Iterable[Word]
-                  ) -> tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]]]:
-    """((a, b, g), (D, classes)) of the subgroup the words generate: its
-    Hermite triple and its `integer_classes`, from the words alone.
+def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
+    """((a, b, g), (D, classes), linear) of the subgroup the words generate:
+    its Hermite triple, its `integer_classes` and its linear parts in the
+    model's lattice basis, from the words alone.
 
     Each word is evaluated once as an integer affine map of the model's
-    kernel.  A BFS from the identity, f |-> f s over those images s, keeps
-    the first element it meets over each linear part; the point group is
-    finite, so it ends.  Every product h = f s over a linear part already
-    held by e gives the translation h e^-1 of the subgroup, whose vector is
-    h's translation minus e's, an element of N Z^2.  By Schreier's lemma
-    those translations generate every translation of the subgroup, so t1^i
-    t2^j lies in it exactly when (i, j) lies in the lattice with Hermite
-    basis (a, b), (0, g).  The table that proved the index finite proved that
+    kernel, and `_walk` over those maps keeps one element of the subgroup
+    per linear part and gives its translations.  So t1^i t2^j lies in the
+    subgroup exactly when (i, j) lies in the lattice with Hermite basis
+    (a, b), (0, g).  The table that proved the index finite proved that
     lattice of rank 2.
 
     The subgroup lattice has basis H = [[a, 0], [b, g]] in the model's
@@ -657,20 +667,7 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]
         for letter in w.letters:
             f = _amul(f, maps[letter])
         images.append(f)
-    held = {_ID_LINEAR: _ID_AFFINE}
-    queue = [_ID_AFFINE]
-    pairs = []
-    for f in queue:
-        for s in images:
-            h = _amul(f, s)
-            e = held.setdefault(h[:4], h)
-            if e is h:
-                queue.append(h)
-                continue
-            x, y = h[4] - e[4], h[5] - e[5]
-            if x % n or y % n:
-                raise InvariantError("translation of the subgroup is not a lattice translation")
-            pairs.append((x // n, y // n))
+    held, pairs = _walk(images, n)
     try:
         (a, b), (zero, g) = integer_lattice_basis(pairs)
     except InvalidLatticeError as exc:
@@ -679,16 +676,15 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]
         raise InvariantError("lattice basis is not in Hermite form")
     ag = a * g
     d = ag * n
+    linear = tuple(m for m in kernel.cartesian if m in held)
     classes = []
-    for m in kernel.cartesian:
-        f = held.get(m)
-        if f is not None:
-            scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
-            if any(v % ag for v in scaled):
-                raise InvariantError("point group does not preserve the lattice")
-            x, y = f[4], f[5]
-            classes.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
-    return (a, b, g), (d, tuple(classes))
+    for m in linear:
+        scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
+        if any(v % ag for v in scaled):
+            raise InvariantError("point group does not preserve the lattice")
+        x, y = held[m][4:]
+        classes.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
+    return (a, b, g), (d, tuple(classes)), linear
 
 
 # --------------------------------------------------------------------------
@@ -732,6 +728,16 @@ def _fixes_rows_mod(a: Linear, m: Linear, k: int) -> bool:
     return all(x % k == 0 for x in _mmul(a, (m[0] - 1, m[1], m[2], m[3] - 1)))
 
 
+def _class_orders(handle: SubgroupHandle) -> tuple[list[tuple[int, Linear]], bool, list[Linear]]:
+    """The subgroup's rotations with their orders, whether some class
+    reverses orientation, and its mirror matrices, the det -1 linear parts
+    whose class holds a reflection, from one scan of `integer_classes`."""
+    d, classes = handle.integer_classes
+    rotations = [(_rotation_order(m), m) for m, _ in classes if _det(m) == 1]
+    mirrors = [m for m, v in classes if _det(m) == -1 and _class_has_reflection(m, v, d)]
+    return rotations, len(rotations) < len(classes), mirrors
+
+
 # (highest rotation order, number of mirror matrices) of the ten groups with
 # mirrors: pm/cm, pmg, pmm/cmm, p3m1/p31m, p4g, p4m, p6m
 _MIRROR_COUNTS = {(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (4, 4), (6, 6)}
@@ -749,14 +755,11 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
     on the basis.  For n = 3 and R of order 3, p31m is the case where a
     mirror matrix acts trivially on Z^2/(R - I)Z^2, a group of order 3 whose
     linear forms mod 3 are the rows of adj(R - I)."""
-    d, classes = handle.integer_classes
-    rotations = [(_rotation_order(m), m) for m, _ in classes if _det(m) == 1]
-    neg = [(m, v) for m, v in classes if _det(m) == -1]
+    rotations, reverses, mirrors = _class_orders(handle)
     # the identity class is first, so the maximum is 1 when nothing rotates
     n = max(order for order, _ in rotations)
-    if not neg:
+    if not reverses:
         return {1: "p1", 2: "p2", 3: "p3", 4: "p4", 6: "p6"}[n]
-    mirrors = [m for m, v in neg if _class_has_reflection(m, v, d)]
     if not mirrors:
         if n > 2:
             raise InvariantError(f"{n}-fold group with glides but no mirrors")
@@ -801,7 +804,7 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
     hom = SignHom(model_group.presentation, signs)
     if not hom.holds():
         raise InvariantError("determinant sign map violates a relator")
-    handle = subgroup(model_group, hom.kernel_words())
+    handle = sign_kernel(model_group, hom)
     for w in model_group.translation_words:
         if hom.evaluate(w) != 1 or not handle.table.contains(w):
             raise InvariantError("translation fails to lift to the double cover")

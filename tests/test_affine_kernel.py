@@ -26,7 +26,7 @@ def _cartesian(m, f):
     """The Cartesian isometry v |-> L v + B (x, y)/N of an integer affine map,
     with L = B M B^-1 computed here."""
     kernel = m.kernel
-    basis, n = kernel.basis, kernel.denominator
+    basis, n = m.lattice().basis_matrix(), kernel.denominator
     linear = basis * mat(*f[:4]) * m.lattice()._inverse_basis
     return Isometry(linear, basis * vec(Fraction(f[4], n), Fraction(f[5], n)))
 
@@ -35,7 +35,7 @@ def _cartesian(m, f):
 def test_linear_parts_are_integral_unimodular_isometries(name):
     m = model(name)
     kernel = m.kernel
-    basis = kernel.basis
+    basis = m.lattice().basis_matrix()
     assert (basis.m11, basis.m21, basis.m12, basis.m22) == \
         (m.lattice().b1.x, m.lattice().b1.y, m.lattice().b2.x, m.lattice().b2.y)
     gram = basis.transpose() * basis
@@ -126,6 +126,18 @@ def test_point_group_walk_is_bounded(monkeypatch):
     monkeypatch.setattr(wallpaper, "_amul", lambda p, q: (1, next(shears), 0, 1, 0, 0))
     with pytest.raises(InvariantError, match="point group larger than 12"):
         _copy("p1").kernel
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "pm", "pmm"])
+def test_translations_must_lie_in_the_lattice_of_the_translation_words(name):
+    # t1^2 and t2 span a sublattice of index 2: the model still validates,
+    # but its own translation t1 is half a basis vector of that lattice
+    t1, t2 = model(name).translation_words
+    fake = replace(model(name), translation_words=(t1 ** 2, t2))
+    fake.validate()
+    with pytest.raises(InvariantError,
+                       match="^translation of the subgroup is not a lattice translation$"):
+        fake.kernel
 
 
 def test_generator_translation_must_be_rational_in_the_lattice_basis():

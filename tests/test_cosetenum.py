@@ -390,6 +390,14 @@ class TestReidemeisterSchreier:
         assert sub.presentation.generators == ()
         assert sub.presentation.relators == ()
 
+    def test_inclusion_words_must_lie_in_the_subgroup(self, monkeypatch):
+        # a table that claims no word lies in the subgroup refuses every
+        # Schreier generator the simplifier keeps
+        table = todd_coxeter(P6, sign_homs(P6)[0].kernel_words())
+        monkeypatch.setattr(CosetTable, "contains", lambda self, w: False)
+        with pytest.raises(InvariantError, match="^inclusion word leaves the subgroup$"):
+            reidemeister_schreier(table)
+
     def test_index_multiplicativity(self):
         # [G : K] = [G : H] * [H : K] with G = Z/6, H = <a^2>, K = 1
         c6 = Presentation("c6", ("a",), (Word((1,) * 6),))

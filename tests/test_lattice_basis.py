@@ -323,7 +323,7 @@ def test_word_closure_past_the_coset_allowance():
     p6 = model("p6")
     t1, t2 = p6.translation_words
     n = 1000
-    triple, (d, classes) = _word_closure(p6, [t1 ** n, t2 ** n])
+    triple, (d, classes), _ = _word_closure(p6, [t1 ** n, t2 ** n])
     assert triple == (n, 0, n)
     assert classes == (((1, 0, 0, 1), (0, 0)),)
     assert d == n * n * p6.kernel.denominator
@@ -337,7 +337,7 @@ def test_word_closure_of_translation_subgroups():
         t1, t2 = m.translation_words
         for _ in range(3):
             a, b, c = rng.randint(1, 1000), rng.randint(-1000, 1000), rng.randint(1, 1000)
-            triple, (_, classes) = _word_closure(m, [t1 ** a * t2 ** b, t2 ** c])
+            triple, (_, classes), _ = _word_closure(m, [t1 ** a * t2 ** b, t2 ** c])
             assert triple == (a, b % c, c), (name, a, b, c)
             assert len(classes) == 1
 
@@ -362,6 +362,12 @@ def test_translation_differences_must_be_lattice_translations():
     with pytest.raises(InvariantError,
                        match="^translation of the subgroup is not a lattice translation$"):
         _word_closure(fake, [Word((1,)), Word((2,))])
+
+
+def test_subgroup_walk_is_bounded():
+    # a shear has infinite order; the walk stops at 12 linear parts
+    with pytest.raises(InvariantError, match="^point group larger than 12$"):
+        wallpaper._walk([(1, 1, 0, 1, 0, 0)], 1)
 
 
 # -- the index identity: the closure against the coset table -----------------
@@ -451,7 +457,8 @@ def test_tree_needs_mirror_matrices_that_agree_mod_2():
     (0, -1, 1, 0),                      # a quarter turn: m + I has rank 2
 ])
 def test_reflection_class_needs_a_rank_one_integer_matrix(m):
-    with pytest.raises(InvariantError, match="rank-1 integer matrix"):
+    with pytest.raises(InvariantError, match=r"^m \+ I of a reflection class is not a "
+                                             "nonzero rank-1 integer matrix$"):
         _class_has_reflection(m, (0, 0), 1)
 
 

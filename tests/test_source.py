@@ -126,13 +126,41 @@ def test_one_felsch_loop():
     assert not hasattr(_Enumerator, "_merge")
 
 
+def _parse(name: str) -> ast.Module:
+    path = PACKAGE / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_one_point_group_walk():
-    # the model's kernel walks its point group once and keeps one lift per
-    # linear part; it holds no inverses and no second Cartesian view
+    # one BFS, wallpaper._walk, closes integer affine maps over their point
+    # group: the model's kernel runs it instead of a loop of its own, a
+    # subgroup's point group is a lookup in the kernel's Cartesian view, and
+    # knotcusp reads element orders from the decision tree's own scan.  The
+    # kernel holds no inverses and no second Cartesian view.
     from orbiforge.wallpaper import AffineKernel
 
     assert "invs" not in AffineKernel._fields
     assert not hasattr(AffineKernel, "isometry")
+    tree = _parse("wallpaper.py")
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    # a BFS is a for loop over a list that the loop appends to
+    walks = [fn.name for fn in functions for loop in ast.walk(fn)
+             if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name)
+             and any(ast.unparse(call.func) == f"{loop.iter.id}.append"
+                     for call in ast.walk(loop) if isinstance(call, ast.Call))]
+    assert walks == ["_walk"]
+    methods = {f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    loops = [node for node in ast.walk(methods["ModelGroup.kernel"])
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                  ast.DictComp, ast.GeneratorExp))]
+    assert not [node for loop in loops for node in ast.walk(loop)
+                if isinstance(node, ast.Name) and node.id == "_amul"]
+    assert "_mmul" not in {node.id for node in ast.walk(methods["SubgroupHandle.point_group"])
+                           if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(_parse("knotcusp.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"_rotation_order", "_det", "_class_has_reflection"})
 
 
 def _holds_word(value) -> bool:
@@ -152,8 +180,7 @@ def test_one_classification_path():
     # closure check or lift word is left
     from orbiforge import wallpaper
 
-    path = PACKAGE / "wallpaper.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse("wallpaper.py")
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "cosetenum"
                for alias in node.names if alias.name.startswith("_")]
@@ -179,8 +206,7 @@ def test_tree_reads_no_rotation_centres():
 def test_presfile_imports_only_fpgroup():
     # the word parser is one function over one token grammar; it needs
     # nothing from the enumerator or any other layer above fpgroup
-    path = PACKAGE / "presfile.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse("presfile.py")
     local = [node.module for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level > 0]
     absolute = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -227,3 +253,155 @@ def test_no_float_outside_quadnum_float():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "float" and id(node) not in allowed]
     assert found == []
+
+
+# -- every invariant raised by a test -----------------------------------------
+
+TESTS = Path(__file__).parent
+CHECKED = ("InvariantError", "TheoremCheckError")
+FIELD = "\0"  # a formatted value in a message skeleton
+
+# raise sites that no input can reach, as "module:message skeleton"; each
+# has a note in CHANGES.md saying why it cannot fire
+UNREACHABLE: list[str] = []
+
+
+def _skeleton(node: ast.AST) -> str:
+    """A message as its literal text, each formatted value one FIELD."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else FIELD for v in node.values)
+    raise ValueError(f"message {ast.unparse(node)} is not a string literal")
+
+
+def _raise_sites() -> list[tuple[str, str, str]]:
+    """(module, exception, message skeleton) of every checked raise in src/."""
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id in CHECKED):
+                sites.append((path.stem, node.exc.func.id, _skeleton(node.exc.args[0])))
+    return sites
+
+
+def _parametrized(fn: ast.FunctionDef, name: str) -> list[ast.AST]:
+    """The values a parametrize decorator of fn gives the argument name."""
+    values = []
+    for dec in fn.decorator_list:
+        if (isinstance(dec, ast.Call) and ast.unparse(dec.func).endswith("parametrize")
+                and isinstance(dec.args[0], ast.Constant)):
+            names = [n.strip() for n in dec.args[0].value.split(",")]
+            if name in names and isinstance(dec.args[1], (ast.List, ast.Tuple)):
+                k = names.index(name)
+                values += [v.elts[k] if len(names) > 1 else v for v in dec.args[1].elts]
+    return values
+
+
+def _texts(node: ast.AST, fn: ast.FunctionDef) -> list[str] | None:
+    """The strings node can stand for in fn, through its assignments and
+    parametrize lists and f-string fields (a field it cannot resolve reads
+    as `.*`); None when node cannot be read."""
+    if isinstance(node, ast.Constant):
+        return [node.value] if isinstance(node.value, str) else None
+    if isinstance(node, ast.Name):
+        sources = _parametrized(fn, node.id) + [
+            a.value for a in ast.walk(fn) if isinstance(a, ast.Assign)
+            and [ast.unparse(t) for t in a.targets] == [node.id]]
+        found = [t for s in sources for t in (_texts(s, fn) or [])]
+        return found or None
+    if isinstance(node, ast.JoinedStr):
+        out = [""]
+        for v in node.values:
+            parts = _texts(v.value if isinstance(v, ast.FormattedValue) else v, fn) or [".*"]
+            out = [o + p for o in out for p in parts]
+        return out
+    return None
+
+
+def _match_patterns() -> list[tuple[str, str]]:
+    """(exception, pattern) of every `pytest.raises(..., match=...)` in tests/."""
+    found = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "pytest.raises"
+                        and call.args):
+                    continue
+                for kw in call.keywords:
+                    if kw.arg == "match":
+                        exc = ast.unparse(call.args[0]).rpartition(".")[2]
+                        found += [(exc, p) for p in _texts(kw.value, fn) or []]
+    return found
+
+
+def _literal(pattern: str) -> tuple[str, bool, bool]:
+    """(text, anchored at start, anchored at end) of a pattern made of
+    literal characters, escapes and `.*`/`.+`; the wildcards read as nothing."""
+    start, end = pattern.startswith("^"), pattern.endswith("$") and not pattern.endswith("\\$")
+    body, text, i = pattern[start:len(pattern) - end], [], 0
+    while i < len(body):
+        if body[i] == "\\":
+            text.append(body[i + 1])
+            i += 2
+        elif body[i:i + 2] in (".*", ".+"):
+            i += 2
+        elif body[i] in ".^$*+?{}[]|()":
+            raise ValueError(f"pattern {pattern!r} is too rich for this check")
+        else:
+            text.append(body[i])
+            i += 1
+    return "".join(text), start, end
+
+
+def _reads_in(text: str, skeleton: str, start: bool, end: bool) -> bool:
+    """Whether text occurs in some message with the skeleton, each FIELD
+    standing for a value written without spaces, and at least one character
+    of text read against the skeleton's own text; at the message's start if
+    `start`, at its end if `end`.  A state is (position, literal read)."""
+    def skip_fields(states):
+        states, todo = set(states), list(states)
+        while todo:
+            q, lit = todo.pop()
+            if q < len(skeleton) and skeleton[q] == FIELD and (q + 1, lit) not in states:
+                states.add((q + 1, lit))
+                todo.append((q + 1, lit))
+        return states
+
+    states = skip_fields({(q, False) for q in ([0] if start else range(len(skeleton) + 1))})
+    for ch in text:
+        states = skip_fields(
+            {(q + 1, True) if skeleton[q] == ch else (q, lit) for q, lit in states
+             if q < len(skeleton) and (skeleton[q] == ch
+                                       or skeleton[q] == FIELD and not ch.isspace())})
+    return any(lit and (not end or q == len(skeleton)) for q, lit in states)
+
+
+def test_reads_in_follows_fields_and_anchors():
+    skeleton = f"rotation matrix {FIELD} has no crystallographic order"
+    assert _reads_in("has no crystallographic", skeleton, False, False)
+    assert _reads_in("matrix (1,0,0,1) has", skeleton, False, False)
+    assert not _reads_in("matrix (1, 0) has", skeleton, False, False)
+    assert not _reads_in("(1,0,0,1)", skeleton, False, False)
+    assert not _reads_in("has no crystallographic", skeleton, True, False)
+    assert not _reads_in("rotation matrix", skeleton, False, True)
+    assert _reads_in("rotation matrix  has no crystallographic order", skeleton, True, True)
+    assert _literal(r"^not in \(1/1\)Z\^2$") == ("not in (1/1)Z^2", True, True)
+    assert _literal("coset .* is") == ("coset  is", False, False)
+
+
+def test_every_invariant_is_raised_by_a_test():
+    # an invariant may move but not vanish, and a check that no test
+    # reaches may have gone wrong unseen.  Each site's message must be
+    # matched by some `pytest.raises(<its exception>, match=...)` in tests/.
+    patterns = [(exc, _literal(p)) for exc, p in _match_patterns() if exc in CHECKED]
+    sites = _raise_sites()
+    assert len(sites) > 30
+    unreached = [f"{module}:{skeleton}" for module, exc, skeleton in sites
+                 if not any(e == exc and _reads_in(text, skeleton, start, end)
+                            for e, (text, start, end) in patterns)]
+    assert unreached == UNREACHABLE

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from orbiforge.cosetenum import InvariantError
-from orbiforge.exactgeom import QuadNum, Translation, classify_isometry, vec
+from orbiforge.exactgeom import (IDENTITY_MAT, Isometry, QuadNum, Translation,
+                                 classify_isometry, vec)
 from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
                                  SIGNATURES, UnknownModelError,
@@ -39,6 +40,14 @@ class TestModels:
             with pytest.raises(InvariantError,
                                match="^translation images are linearly dependent$"):
                 fake.validate()
+
+    def test_relators_must_act_trivially(self):
+        # a translation in place of p2's half-turn w breaks the relator w^2
+        p2 = model("p2")
+        fake = replace(p2, rep=(Isometry(IDENTITY_MAT, vec(1, 0)),) + p2.rep[1:])
+        with pytest.raises(InvariantError,
+                           match="^relator .* does not act trivially in model p2$"):
+            fake.validate()
 
     def test_p6_matches_required_images(self):
         p6 = model("p6")
