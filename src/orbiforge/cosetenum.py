@@ -382,14 +382,6 @@ class CosetTable:
             c = self.rows[c][_col(letter)]
         return c
 
-    def permutation(self, w: Word) -> list[int]:
-        """[trace(w, c) for c in range(index)], composed a column at a time:
-        each letter maps the whole coset list through its column."""
-        perm = range(self.index)
-        for letter in w.letters:
-            perm = _gather(list(map(operator.itemgetter(_col(letter)), self.rows)), perm)
-        return list(perm)
-
     def contains(self, w: Word) -> bool:
         """Whether w lies in the subgroup (fixes the subgroup coset)."""
         return self.trace(w, 0) == 0

@@ -165,18 +165,27 @@ def h_map_244(p: Presentation) -> tuple[SignHom, AbelianGroup]:
     return hom, _certify_order_two(p, extras, f"{p.name}.h")
 
 
+def _double_cover_cusp(cusp_name: str, signs: dict[str, int],
+                       expected: str) -> OrbifoldSignature:
+    """Cusp cross-section of the double cover cut out by a sign map on a cusp
+    group: its kernel must hold both cusp translations, have index 2, and
+    classify to the expected model's signature."""
+    group = model(cusp_name)
+    handle = sign_kernel(group, signs)
+    if not all(handle.table.contains(t) for t in group.translation_words):
+        raise TheoremCheckError("cusp translations missing from the double cover")
+    if handle.index != 2:
+        raise TheoremCheckError(f"double cover has index {handle.index}, not 2")
+    sig = classify(handle)
+    if sig != SIGNATURES[expected]:
+        raise TheoremCheckError(f"double cover cusp is {sig}, not {SIGNATURES[expected]}")
+    return sig
+
+
 def double_cover_cusp_244() -> OrbifoldSignature:
     """Cusp cross-section of the double cover cut out by the sign map on the
     2,4,4 cusp group: the kernel of c |-> -1, d |-> +1 inside the p4 model."""
-    p4 = model("p4")
-    handle = sign_kernel(p4, {"c": -1, "d": 1})
-    sig = classify(handle)
-    t1, t2 = p4.translation_words
-    if not (handle.table.contains(t1) and handle.table.contains(t2)):
-        raise TheoremCheckError("cusp translations missing from the double cover")
-    if sig != SIGNATURES["p2"]:
-        raise TheoremCheckError(f"double cover cusp is {sig}, not S2(2,2,2,2)")
-    return sig
+    return _double_cover_cusp("p4", {"c": -1, "d": 1}, "p2")
 
 
 def peripheral_order_profile(group: ModelGroup) -> frozenset[int]:
@@ -261,9 +270,8 @@ def _four_torsion_checks(cryst: str) -> tuple[CheckRecord, ...]:
             "orientation-double-cover",
             cover == sig244,
             f"orientation double cover of {cryst} has cusp {cover}"))
-    bare = build_amalgam(AmalgamSpec("p4", _minimal_knot(), _trivial_gluings("p4")))
     checks.append(_certificate_check(
-        "h-map-order-2", lambda: h_map_244(bare),
+        "h-map-order-2", lambda: h_map_244(_minimal_amalgam("p4")),
         "killing d, c^2, meridians and translations leaves exactly 2 elements"))
     checks.append(_certificate_check(
         "double-cover-cusp", double_cover_cusp_244,
@@ -300,9 +308,8 @@ def verdict(signature: OrbifoldSignature | str, run_checks: bool = True) -> Cusp
         notes.append(("degree_multiple", "24"))
         notes.append(("witness_degrees", "figure-eight 24; dodecahedral 120"))
         if run_checks:
-            bare = build_amalgam(AmalgamSpec("p6", _minimal_knot(), _trivial_gluings("p6")))
             checks = (_certificate_check(
-                "collapse-order-2", lambda: collapse_236(bare),
+                "collapse-order-2", lambda: collapse_236(_minimal_amalgam("p6")),
                 "quotient by b and all parabolic words has order exactly 2"),)
     if cryst == "p3":
         notes.append(("cover_degree_to_236_cusped", "1 or 2"))
@@ -328,6 +335,11 @@ def _minimal_knot() -> Presentation:
 def _trivial_gluings(cusp_name: str) -> tuple[GluingDatum, ...]:
     cusp = model(cusp_name).presentation
     return tuple(GluingDatum(c, "mu1", Word(()), 1, 0) for c in cusp.generators)
+
+
+def _minimal_amalgam(cusp_name: str) -> Presentation:
+    """The cusp group amalgamated with a one-meridian knot, every gluing trivial."""
+    return build_amalgam(AmalgamSpec(cusp_name, _minimal_knot(), _trivial_gluings(cusp_name)))
 
 
 def random_knot_presentation(rng: random.Random) -> Presentation:

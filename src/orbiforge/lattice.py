@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+from .cosetenum import InvariantError
 from .exactgeom import Mat2, QuadNum, Vec2, mat, vec
 
 
@@ -174,7 +175,7 @@ def sublattice_index(z: QuadInt) -> int:
     image = Lattice2(m * base.b1, m * base.b2)
     ratio = image.index_in(base)
     if ratio != z.norm():
-        raise InvalidLatticeError("determinant cross-check failed")  # unreachable
+        raise InvariantError("determinant ratio differs from the norm")
     return ratio
 
 

@@ -87,7 +87,8 @@ def table_path(handle):
     reduced into [0, 1), in lift order; the point group is the Cartesian
     linear parts in the same order."""
     model, table = handle.model, handle.table
-    perm1, perm2 = map(table.permutation, model.translation_words)
+    perm1, perm2 = ([table.trace(w, c) for c in range(table.index)]
+                    for w in model.translation_words)
     assert all(perm1[perm2[c]] == perm2[perm1[c]] for c in range(table.index))
     exponents = {0: (0, 0)}
     queue = [0]

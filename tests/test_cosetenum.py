@@ -290,16 +290,6 @@ class TestTraceAndContains:
     def test_relator_is_contained(self):
         assert self.table.contains(Word((2, 2, 2)))
 
-    def test_permutation_is_the_trace_of_every_coset(self):
-        # the 6-row table, a 1-row one, where a gather of one index is a bare
-        # value, and a 2-row one
-        one = todd_coxeter(P6, [Word((1,)), Word((2,))])
-        two = todd_coxeter(P6, sign_homs(P6)[0].kernel_words())
-        assert (one.index, two.index) == (1, 2)
-        for table in (self.table, one, two):
-            for w in (Word(()), Word((1,)), Word((-2, 1, 1)), T1_236, T2_236 * T1_236 ** 3):
-                assert table.permutation(w) == [table.trace(w, c) for c in range(table.index)]
-
 
 class TestSchreier:
     def test_cyclic_trivial_subgroup(self):

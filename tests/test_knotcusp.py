@@ -17,8 +17,9 @@ from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
                                 random_knot_presentation, verdict,
                                 verdict_table, _certify_order_two,
                                 _minimal_knot, _trivial_gluings)
-from orbiforge.wallpaper import (SIGNATURES, OrbifoldSignature, UnknownSignatureError,
-                                 model, subgroup)
+from orbiforge.lattice import QuadInt
+from orbiforge.wallpaper import (SIGNATURES, OrbifoldSignature, SubgroupHandle,
+                                 UnknownSignatureError, model, subgroup)
 
 HARNESS_SAMPLES = 100
 
@@ -322,6 +323,12 @@ class TestOrderTwoCertificate:
                            match="^cusp translations missing from the double cover$"):
             double_cover_cusp_244()
 
+    def test_double_cover_cusp_must_have_index_two(self, monkeypatch):
+        # the translation subgroup of p4 holds both translations at index 4
+        _translation_kernel(monkeypatch)
+        with pytest.raises(TheoremCheckError, match="^double cover has index 4, not 2$"):
+            double_cover_cusp_244()
+
     def test_double_cover_cusp_must_be_the_pillowcase(self, monkeypatch):
         from orbiforge import knotcusp
 
@@ -380,6 +387,59 @@ class TestOrderTwoCertificate:
 
         with pytest.raises(TheoremCheckError, match="random amalgam #2: boom"):
             verify._sample_amalgams("p6", certify, 0)
+
+
+def _translation_kernel(monkeypatch):
+    from orbiforge import knotcusp
+
+    monkeypatch.setattr(knotcusp, "sign_kernel",
+                        lambda m, signs: subgroup(m, list(m.translation_words)))
+
+
+def _three_torsion_everywhere(monkeypatch):
+    from orbiforge import knotcusp
+
+    monkeypatch.setattr(knotcusp, "peripheral_order_profile", lambda group: frozenset({2, 3}))
+
+
+def _doubled_whole_groups(monkeypatch):
+    # the table says two cosets where the whole group has one
+    from orbiforge import verify
+
+    real = verify.whole_group
+
+    def doubled(m):
+        table = real(m).table
+        return SubgroupHandle(m, replace(table, rows=table.rows * 2))
+
+    monkeypatch.setattr(verify, "whole_group", doubled)
+
+
+def _norm_off_by_one(monkeypatch):
+    norm = QuadInt.norm
+    monkeypatch.setattr(QuadInt, "norm", lambda z: norm(z) + 1)
+
+
+_REFLECTION_FAILURES = "; ".join(f"supporting checks failed for {SIGNATURES[name]}"
+                                 for name in SIGNATURES if name in REFLECTION_EXCLUDED)
+
+
+@pytest.mark.parametrize("check, patch, detail", [
+    ("double-cover-236", _translation_kernel,
+     "TheoremCheckError: double cover has index 6, not 2"),
+    ("verdict-table", _three_torsion_everywhere, _REFLECTION_FAILURES),
+    ("classifier-roundtrip", _doubled_whole_groups, "InvariantError: index identity violated"),
+    ("lattice-identities", _norm_off_by_one,
+     "InvariantError: determinant ratio differs from the norm"),
+])
+def test_verify_check_fails_through_the_library(monkeypatch, check, patch, detail):
+    # each check reads its fact from the library function that certifies it,
+    # so breaking that fact there fails the check
+    from orbiforge import verify
+
+    patch(monkeypatch)
+    [outcome] = verify.run_verification([check]).outcomes
+    assert (outcome.status, outcome.detail) == ("fail", detail)
 
 
 # sha256 of repr() of the (presentation, tietze_pass result) pairs the test

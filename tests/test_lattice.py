@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import QuadNum, rotation_matrix, vec
 from orbiforge.lattice import (InvalidLatticeError, Lattice2, QuadInt, Ring,
                                gauss_reduce, integer_lattice_basis,
@@ -110,6 +111,13 @@ class TestNormFormIndices:
             m = multiplication_matrix(z)
             assert Lattice2(m * base.b1, m * base.b2).index_in(base) == \
                 sublattice_index(z) == z.norm()
+
+    def test_norm_is_cross_checked_against_the_determinant_ratio(self, monkeypatch):
+        # a wrong norm is an internal fault, not a bad lattice
+        norm = QuadInt.norm
+        monkeypatch.setattr(QuadInt, "norm", lambda z: norm(z) + 1)
+        with pytest.raises(InvariantError, match="^determinant ratio differs from the norm$"):
+            sublattice_index(QuadInt(2, 1, Ring.GAUSSIAN))
 
     def test_ring_lattice_is_built_once_per_ring(self):
         # index_in reads the larger lattice's cached inverse basis, so a

@@ -317,12 +317,10 @@ def test_integer_point_group_and_lattice_index_match_cartesian(label):
 
 def _classify_counts(monkeypatch, n):
     """subgroup() + classify() of p6 > <t1^n, t2^n>, counting the integer
-    affine products, Cartesian isometry products, and the letters that coset
-    permutations compose (one per coset and letter); the model's kernel is
+    affine products and Cartesian isometry products; the model's kernel is
     built beforehand."""
-    counts = {"amul": 0, "isometry_mul": 0, "letters": 0}
+    counts = {"amul": 0, "isometry_mul": 0}
     amul, mul = wallpaper._amul, exactgeom.Isometry.__mul__
-    permutation = cosetenum.CosetTable.permutation
 
     def counted_amul(p, q):
         counts["amul"] += 1
@@ -332,15 +330,10 @@ def _classify_counts(monkeypatch, n):
         counts["isometry_mul"] += 1
         return mul(self, other)
 
-    def counted_permutation(self, w):
-        counts["letters"] += len(w) * self.index
-        return permutation(self, w)
-
     p6 = model("p6")
     p6.kernel
     monkeypatch.setattr(wallpaper, "_amul", counted_amul)
     monkeypatch.setattr(exactgeom.Isometry, "__mul__", counted_mul)
-    monkeypatch.setattr(cosetenum.CosetTable, "permutation", counted_permutation)
     t1, t2 = p6.translation_words
     handle = subgroup(p6, [t1 ** n, t2 ** n])
     sig = classify(handle)
@@ -354,9 +347,8 @@ def test_classification_work_grows_with_the_words_not_the_index(monkeypatch):
     assert (small.index, large.index) == (96, 384)
     assert sig_small.names.crystallographic == sig_large.names.crystallographic == "p1"
     assert large.lattice_index == 64
-    # classify walks no coset permutation; it evaluates the two words, one
-    # integer affine product a letter, then closes their images
-    assert at_96["letters"] == at_384["letters"] == 0, (at_96, at_384)
+    # classify evaluates the two words, one integer affine product a
+    # letter, then closes their images
     assert 0 < at_96["amul"] < at_384["amul"] <= 2 * at_96["amul"], (at_96, at_384)
 
 

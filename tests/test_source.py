@@ -163,6 +163,38 @@ def test_one_point_group_walk():
     assert imported.isdisjoint({"_rotation_order", "_det", "_class_has_reflection"})
 
 
+def _calls(fn: ast.AST) -> set[str]:
+    """The names of the functions and methods that fn calls."""
+    return {ast.unparse(node.func).rpartition(".")[2] for node in ast.walk(fn)
+            if isinstance(node, ast.Call)}
+
+
+def test_one_double_cover_certificate():
+    # both of the paper's double covers are certified by
+    # knotcusp._double_cover_cusp, and verify-paper reads each fact from the
+    # library function that certifies it instead of recomputing it
+    from orbiforge.cosetenum import CosetTable
+
+    trees = {name: _parse(f"{name}.py") for name in ("knotcusp", "verify")}
+    functions = {fn.name: fn for tree in trees.values() for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    for name in ("double_cover_cusp_244", "_check_double_cover_236"):
+        called = _calls(functions[name])
+        assert "_double_cover_cusp" in called
+        assert called.isdisjoint({"sign_kernel", "classify"})
+    assert [fn.name for fn in trees["knotcusp"].body if isinstance(fn, ast.FunctionDef)
+            and "sign_kernel" in _calls(fn)] == ["_double_cover_cusp"]
+    named = {getattr(node, attr) for node in ast.walk(trees["verify"])
+             for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
+             if isinstance(node, kind)}
+    assert named.isdisjoint({"multiplication_matrix", "index_in", "peripheral_order_profile"})
+    callers = [f"{path.stem}.{fn.name}" for path in sorted(PACKAGE.rglob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(fn, ast.FunctionDef) and "_minimal_knot" in _calls(fn)]
+    assert callers == ["knotcusp._minimal_amalgam"]
+    assert not hasattr(CosetTable, "permutation")
+
+
 def _holds_word(value) -> bool:
     from orbiforge.fpgroup import Word
 
