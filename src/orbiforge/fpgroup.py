@@ -348,18 +348,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _combine(rows: list[list[int]], t: int, i: int, x: int, y: int, z: int, w: int) -> None:
-    """(row t, row i) <- [[x, y], [z, w]] * (row t, row i)."""
-    rt, ri = rows[t], rows[i]
-    rows[t] = [x * e + y * f for e, f in zip(rt, ri)]
-    rows[i] = [z * e + w * f for e, f in zip(rt, ri)]
-
-
-def _add_row(rows: list[list[int]], dst: int, src: int, k: int) -> None:
-    """row dst += k * row src."""
-    rows[dst] = [e + k * f for e, f in zip(rows[dst], rows[src])]
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with D = U*A*V, U and V unimodular, D diagonal, d_i | d_{i+1}.
 
@@ -370,8 +358,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     g = gcd(p, b) = x*p + y*b, which puts g in the pivot position without
     the multiplicative entry growth of repeated quotient-and-swap steps.
 
-    The elimination runs on plain lists of rows: the working matrix, U, and
-    the transpose of V, so that every column operation is a row operation.
+    The elimination runs on one list of rows, the block matrix
+    [[A, I_R], [I_C, 0]] for an R x C matrix A: a row operation on the first
+    R rows also builds U in the top-right block, and a column operation on
+    the first C columns also builds V in the bottom-left block.  Pivot search
+    and the divisibility test read only the top-left block, which ends as D.
 
     Only D is kept small.  The entries of U and V are not reduced, and each
     stage's steps compound on rows that earlier stages grew: on random 8x8
@@ -379,28 +370,25 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     caller in the package reads U or V.
     """
     R, C = a.rows, a.cols
-    m = a.to_rows()
-    u = [[int(i == j) for j in range(R)] for i in range(R)]
-    vt = [[int(i == j) for j in range(C)] for i in range(C)]
+    m = [a.row(i) + [int(i == k) for k in range(R)] for i in range(R)]
+    m += [[int(j == k) for k in range(C)] + [0] * R for j in range(C)]
 
     def add_row(dst, src, k):
-        _add_row(m, dst, src, k)
-        _add_row(u, dst, src, k)
+        m[dst] = [e + k * f for e, f in zip(m[dst], m[src])]
 
     def add_col(dst, src, k):
         for row in m:
             row[dst] += k * row[src]
-        _add_row(vt, dst, src, k)
 
     def combine_rows(t, i, x, y, z, w):
-        _combine(m, t, i, x, y, z, w)
-        _combine(u, t, i, x, y, z, w)
+        rt, ri = m[t], m[i]
+        m[t] = [x * e + y * f for e, f in zip(rt, ri)]
+        m[i] = [z * e + w * f for e, f in zip(rt, ri)]
 
     def combine_cols(t, j, x, y, z, w):
         for row in m:
             e, f = row[t], row[j]
             row[t], row[j] = x * e + y * f, z * e + w * f
-        _combine(vt, t, j, x, y, z, w)
 
     def find_pivot(t):
         best, size = None, 0
@@ -419,13 +407,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         i, j = piv
         m[t], m[i] = m[i], m[t]
-        u[t], u[i] = u[i], u[t]
         for row in m:
             row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
         if m[t][t] < 0:
             m[t] = [-e for e in m[t]]
-            u[t] = [-e for e in u[t]]
         # clear column t, then row t; a column step that leaves a gcd in the
         # pivot can refill column t, so repeat until nothing changes
         while True:
@@ -454,14 +439,14 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         # enforce divisibility of the remaining block by the pivot
         p = m[t][t]
         bad = next((i for i in range(t + 1, R)
-                    if any(e % p for e in m[i][t + 1:])), None)
+                    if any(e % p for e in m[i][t + 1:C])), None)
         if bad is not None:
             add_row(t, bad, 1)
             continue  # redo the clearing loop at the same t
         t += 1
-    return (IntMatrix(R, R, [e for row in u for e in row]),
-            IntMatrix(R, C, [e for row in m for e in row]),
-            IntMatrix(C, C, [e for col in zip(*vt) for e in col]))
+    return (IntMatrix(R, R, [e for row in m[:R] for e in row[C:]]),
+            IntMatrix(R, C, [e for row in m[:R] for e in row[:C]]),
+            IntMatrix(C, C, [e for row in m[R:] for e in row[:C]]))
 
 
 def diagonal_of(d: IntMatrix) -> list[int]:
@@ -480,6 +465,12 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        # type() rather than isinstance: a bool is an int but no invariant
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError("free rank must be a non-negative int")
+        if any(type(d) is not int for d in self.torsion):
+            raise ValueError("torsion coefficients must be ints")
         for i, d in enumerate(self.torsion):
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")

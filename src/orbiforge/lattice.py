@@ -17,6 +17,7 @@ from math import gcd
 
 from .cosetenum import InvariantError
 from .exactgeom import Mat2, QuadNum, Vec2, mat, vec
+from .fpgroup import _xgcd
 
 
 class InvalidLatticeError(ValueError):
@@ -201,29 +202,19 @@ def rigid_abelian_index(cusp: str, z: QuadInt) -> int:
 
 def integer_lattice_basis(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
     """Hermite-form basis ((a, b), (0, g)) of the sublattice of Z^2 generated
-    by the given pairs; requires full rank."""
-    rows = [list(p) for p in pairs if p != (0, 0)]
-    if not rows:
-        raise InvalidLatticeError("no nonzero generators")
-    # gather the first-coordinate gcd into a single row
-    while sum(1 for r in rows if r[0] != 0) > 1:
-        rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
-        lead = rows[0]
-        for r in rows[1:]:
-            if r[0]:
-                q = r[0] // lead[0]
-                r[0] -= q * lead[0]
-                r[1] -= q * lead[1]
-        rows = [r for r in rows if r != [0, 0]]
-    first = next((r for r in rows if r[0] != 0), None)
-    tail = [r[1] for r in rows if r[0] == 0]
-    g = 0
-    for t in tail:
-        g = gcd(g, t)
-    if first is None or g == 0:
+    by the given pairs; requires full rank.
+
+    One pass folds each pair (x, y) into the first row (a, b) by the
+    extended gcd step: with d = gcd(a, x) = s*a + t*x the row becomes
+    (d, s*b + t*y), and the row the step kills, (0, (a*y - x*b)/d), folds
+    into g, modulo which b is kept."""
+    a = b = g = 0
+    for x, y in pairs:
+        d, s, t = _xgcd(a, x)
+        g = gcd(g, (a * y - x * b) // d if d else y)
+        a, b = d, s * b + t * y
+        if g:
+            b %= g
+    if a == 0 or g == 0:
         raise InvalidLatticeError("generators do not span a rank-2 sublattice")
-    a, b = first
-    if a < 0:
-        a, b = -a, -b
-    b %= g
     return (a, b), (0, g)

@@ -19,7 +19,7 @@ from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
                                 _minimal_knot, _trivial_gluings)
 from orbiforge.lattice import QuadInt
 from orbiforge.wallpaper import (SIGNATURES, OrbifoldSignature, SubgroupHandle,
-                                 UnknownSignatureError, model, subgroup)
+                                 UnknownSignatureError, model, subgroup, whole_group)
 
 HARNESS_SAMPLES = 100
 
@@ -420,11 +420,46 @@ def _norm_off_by_one(monkeypatch):
     monkeypatch.setattr(QuadInt, "norm", lambda z: norm(z) + 1)
 
 
+def _p6_with_relator_b(monkeypatch):
+    from orbiforge import verify
+
+    p6 = model("p6")
+    pres = p6.presentation
+    bad = replace(p6, presentation=replace(pres, relators=pres.relators + (Word((2,)),)))
+    monkeypatch.setattr(verify, "model", lambda name: bad.validate() or bad)
+
+
+def _p6_with_swapped_translations(monkeypatch):
+    from orbiforge import verify
+
+    p6 = model("p6")
+    swapped = replace(p6, translation_words=p6.translation_words[::-1])
+    monkeypatch.setattr(verify, "model", lambda name: swapped.validate() or swapped)
+
+
+def _whole_group_as_cover(monkeypatch):
+    from orbiforge import verify
+
+    monkeypatch.setattr(verify, "orientation_double_cover",
+                        lambda m: (whole_group(m), m.signature))
+
+
 _REFLECTION_FAILURES = "; ".join(f"supporting checks failed for {SIGNATURES[name]}"
                                  for name in SIGNATURES if name in REFLECTION_EXCLUDED)
 
 
+_COVER_FAILURES = "; ".join(
+    f"{name} double cover is {SIGNATURES[name]}, expected {SIGNATURES[target]}"
+    for name, target in [("p4m", "p4"), ("p4g", "p4"), ("pg", "p1"), ("pgg", "p2"),
+                         ("p6m", "p6"), ("p3m1", "p3"), ("p31m", "p3")])
+
+
 @pytest.mark.parametrize("check, patch, detail", [
+    ("rep-236", _p6_with_relator_b,
+     "InvariantError: relator b does not act trivially in model p6"),
+    ("rep-236", _p6_with_swapped_translations,
+     "b^-1 a^2 translates by (1, 0); b a^-2 translates by (1/2, 1/2*rt3)"),
+    ("orientation-covers", _whole_group_as_cover, _COVER_FAILURES),
     ("double-cover-236", _translation_kernel,
      "TheoremCheckError: double cover has index 6, not 2"),
     ("verdict-table", _three_torsion_everywhere, _REFLECTION_FAILURES),

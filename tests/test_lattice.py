@@ -13,6 +13,7 @@ from orbiforge.lattice import (InvalidLatticeError, Lattice2, QuadInt, Ring,
                                is_rotationally_rhombic, multiplication_matrix,
                                rigid_abelian_index, standard_ring_lattice,
                                sublattice_index, symmetry_order)
+from oracle import hermite
 
 SQUARE = Lattice2(vec(1, 0), vec(0, 1))
 HEX = Lattice2(vec(1, 0), vec(Fraction(1, 2), QuadNum(0, Fraction(1, 2))))
@@ -175,3 +176,40 @@ class TestIntegerLatticeBasis:
     def test_full_lattice(self):
         (a, b), (z, g) = integer_lattice_basis([(1, 0), (0, 1)])
         assert (a, g) == (1, 1)
+
+    @staticmethod
+    def _random_pairs(rng):
+        k = rng.randint(0, 6)
+        kind = rng.randrange(4)
+        if kind == 0:  # all-zero pairs
+            return [(0, 0)] * k
+        if kind == 1:  # collinear: a rank-1 list
+            x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+            return [(c * x, c * y) for c in (rng.randint(-5, 5) for _ in range(k))]
+        if kind == 2:  # entries beyond +-1000
+            return [(rng.randint(-5000, 5000), rng.randint(-5000, 5000)) for _ in range(k)]
+        return [(rng.choice((0, rng.randint(-6, 6))), rng.randint(-6, 6)) for _ in range(k)]
+
+    @pytest.mark.parametrize("pairs", [
+        [], [(0, 0)], [(0, 0), (0, 0)], [(2, 4), (-3, -6)], [(0, 5), (0, -7)],
+        [(3, 0), (-6, 0)], [(-4, 6), (0, 0), (6, -9)],
+    ])
+    def test_rank_deficient_lists_are_refused(self, pairs):
+        assert hermite(pairs) is None
+        with pytest.raises(InvalidLatticeError):
+            integer_lattice_basis(pairs)
+
+    def test_matches_the_oracle_on_seeded_lists(self):
+        rng = random.Random(24)
+        refused = 0
+        for _ in range(5000):
+            pairs = self._random_pairs(rng)
+            expected = hermite(pairs)
+            if expected is None:
+                refused += 1
+                with pytest.raises(InvalidLatticeError):
+                    integer_lattice_basis(pairs)
+            else:
+                a, b, g = expected
+                assert integer_lattice_basis(pairs) == ((a, b), (0, g))
+        assert 0 < refused < 5000

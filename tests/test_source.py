@@ -169,6 +169,29 @@ def _calls(fn: ast.AST) -> set[str]:
             if isinstance(node, ast.Call)}
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that tree mentions."""
+    return {getattr(node, attr) for node in ast.walk(tree)
+            for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
+            if isinstance(node, kind)}
+
+
+def test_one_gcd_row_step():
+    # fpgroup._xgcd is the one extended-gcd row step: Smith normal form runs
+    # it on one block matrix that carries U and V, and the subgroup lattice's
+    # Hermite basis folds every pair in with it in one pass.  verify-paper
+    # leaves the relators to ModelGroup.validate and orientability to classify
+    functions = {fn.name: fn for name in ("fpgroup", "lattice") for fn in _parse(f"{name}.py").body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert "_combine" not in functions and "_add_row" not in functions
+    bound = {node.id for node in ast.walk(functions["smith_normal_form"])
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert bound.isdisjoint({"u", "vt"})
+    called = _calls(functions["integer_lattice_basis"])
+    assert "_xgcd" in called and "sort" not in called and "sorted" not in called
+    assert _names(_parse("verify.py")).isdisjoint({"classify_isometry", "det"})
+
+
 def test_one_double_cover_certificate():
     # both of the paper's double covers are certified by
     # knotcusp._double_cover_cusp, and verify-paper reads each fact from the
@@ -184,10 +207,8 @@ def test_one_double_cover_certificate():
         assert called.isdisjoint({"sign_kernel", "classify"})
     assert [fn.name for fn in trees["knotcusp"].body if isinstance(fn, ast.FunctionDef)
             and "sign_kernel" in _calls(fn)] == ["_double_cover_cusp"]
-    named = {getattr(node, attr) for node in ast.walk(trees["verify"])
-             for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
-             if isinstance(node, kind)}
-    assert named.isdisjoint({"multiplication_matrix", "index_in", "peripheral_order_profile"})
+    assert _names(trees["verify"]).isdisjoint(
+        {"multiplication_matrix", "index_in", "peripheral_order_profile"})
     callers = [f"{path.stem}.{fn.name}" for path in sorted(PACKAGE.rglob("*.py"))
                for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(fn, ast.FunctionDef) and "_minimal_knot" in _calls(fn)]
