@@ -527,6 +527,9 @@ def _rs_golden_cases():
         "S7 > S6": (coxeter_symmetric(7), [Word((i,)) for i in range(1, 6)]),
         "S5 > S4": (coxeter_symmetric(5), [Word((i,)) for i in range(1, 4)]),
         "C6 > 1": (c6, []),
+        # 1345 Schreier generators and 5376 rewritten relators, of which the
+        # Tietze pass drops 533 as repeats
+        "a8b7 > <a>": (A8B7, [Word((1,))]),
     }
     p6 = model("p6")
     t1, t2 = p6.translation_words
@@ -547,6 +550,8 @@ RS_GOLDEN_HASHES = {
         "f62bcb81edc870b06df143dbd3dbc0e9e5f438b1935bc9d5954fcf985ca18ea0",
     "C6 > 1":
         "b7f3e384fb2680f71fc85ebdf1e13365ac48cc9e1e39a59e340f70f1b86c74ef",
+    "a8b7 > <a>":
+        "23dd585d1af950b8ef73dcbd872ffa11b1428992bc74214bfc3c3d2bb54d974c",
     "p6 > <t1^1, t2^1>":
         "f1b463ca47a30d49fab6e331fb1cc72fbdd722e58374c3e27d48bd8de69edcc4",
     "p6 > <t1^2, t2^2>":
@@ -561,9 +566,11 @@ RS_GOLDEN_HASHES = {
 def _reference_simplify(ngens, relators):
     """The simplifier Reidemeister-Schreier used before the shared Tietze
     pass: after each elimination, substitute into every relator and dedupe.
-    Returns the surviving generators and the relators renumbered over them."""
+    Returns the surviving generators, the relators renumbered over them, and
+    the number of repeats it dropped."""
     alive = list(range(1, ngens + 1))
     replacement = {}
+    repeats = 0
 
     def substitute(w):
         while any(abs(letter) in replacement for letter in w.letters):
@@ -588,6 +595,7 @@ def _reference_simplify(ngens, relators):
                 continue
             key = min(r.letters, r.inverse().letters)
             if key in seen:
+                repeats += 1
                 continue
             seen.add(key)
             cleaned.append(r)
@@ -609,7 +617,8 @@ def _reference_simplify(ngens, relators):
     renum = {old: i + 1 for i, old in enumerate(alive)}
     return (tuple(alive),
             [Word(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in r.letters))
-             for r in relators])
+             for r in relators],
+            repeats)
 
 
 class TestTietzePass:
@@ -633,9 +642,48 @@ class TestTietzePass:
                                        for _ in range(length))))
             p = Presentation("r", tuple(f"g{i}" for i in range(1, n + 1)), tuple(rels))
             reduced, survivors = fpgroup.tietze_pass(p)
-            want_survivors, want_relators = _reference_simplify(n, rels)
+            want_survivors, want_relators, _ = _reference_simplify(n, rels)
             assert survivors == want_survivors
             assert list(reduced.relators) == want_relators
             assert reduced.generators == tuple(f"g{i}" for i in survivors)
             eliminated += n - len(survivors)
         assert eliminated > 3000  # the draws do exercise the eliminations
+
+    def test_matches_the_reference_simplifier_on_certificate_shapes(self):
+        # like an order-2 certificate's quotient: relators of 10-30 letters,
+        # some with a near copy (maybe inverted) that differs only by letters
+        # of generators the single-letter kills listed last delete, so the
+        # two become repeats only after a substitution
+        import random
+
+        rng = random.Random(25)
+        eliminated = late_repeats = 0
+        for _ in range(200):
+            n = rng.randint(4, 9)
+            kills = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+            rels = []
+            for _ in range(rng.randint(3, 8)):
+                w = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(10, 30))]
+                rels.append(Word(tuple(w)))
+                if rng.random() < 0.5:
+                    for _ in range(rng.randint(1, 3)):
+                        w.insert(rng.randint(0, len(w)), rng.choice((1, -1)) * rng.choice(kills))
+                    near = Word(tuple(w))
+                    rels.append(near.inverse() if rng.random() < 0.5 else near)
+            rng.shuffle(rels)
+            for _ in range(rng.randint(0, 2)):
+                x, y = rng.sample(range(1, n + 1), 2)
+                rels.append(Word((x, rng.choice((1, -1)) * y)))
+            rels += [Word((rng.choice((1, -1)) * g,)) for g in kills]
+            p = Presentation("r", tuple(f"g{i}" for i in range(1, n + 1)), tuple(rels))
+            reduced, survivors = fpgroup.tietze_pass(p)
+            want_survivors, want_relators, repeats = _reference_simplify(n, rels)
+            assert survivors == want_survivors
+            assert list(reduced.relators) == want_relators
+            nonempty = [r.letters for r in rels if r.letters]
+            keys = {min(r, Word(r).inverse().letters) for r in nonempty}
+            eliminated += n - len(survivors)
+            late_repeats += repeats - (len(nonempty) - len(keys))
+        # the draws do eliminate, and do drop repeats made by a substitution
+        assert eliminated > 800
+        assert late_repeats > 700
