@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .fpgroup import Presentation, Word, _reduced_word, tietze_pass
+from .fpgroup import Presentation, Word, _reduce_valid, _reduced_word, tietze_pass
 
 
 class CosetLimitError(RuntimeError):
@@ -595,7 +595,7 @@ def _rewrite(table: CosetTable, gen_of_pair: dict[tuple[int, int], int],
             out.append(idx if letter > 0 else -idx)
         if letter > 0:
             c = table.rows[c][_col(letter)]
-    return Word(tuple(out))
+    return _reduced_word(_reduce_valid(tuple(out)))
 
 
 def reidemeister_schreier(table: CosetTable) -> SubgroupPresentation:

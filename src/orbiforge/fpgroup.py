@@ -18,10 +18,12 @@ class PresentationError(ValueError):
 
 
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """The letters, each checked to be an int other than 0, freely reduced."""
     out: list[int] = []
     for letter in letters:
-        if letter == 0:
-            raise PresentationError("0 is not a valid generator letter")
+        # type() rather than isinstance: a bool is an int but no letter
+        if type(letter) is not int or not letter:
+            raise PresentationError(f"{letter!r} is not a valid generator letter")
         if out and out[-1] == -letter:
             out.pop()
         else:
@@ -29,9 +31,16 @@ def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reduce_valid(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters already known to be valid, freely reduced: t itself unless an
+    adjacent pair cancels, which is tested without a Python loop."""
+    return t if 0 not in map(operator.add, t, t[1:]) else _reduce_letters(t)
+
+
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced word over signed generator indices."""
+    """Freely reduced word over signed generator indices.  Every letter must
+    be a nonzero int; a bool, a float or a string is refused."""
 
     letters: tuple[int, ...] = ()
 
@@ -58,7 +67,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        return Word(self.letters * k)
+        return _reduced_word(_reduce_valid(self.letters * k))
 
     def conjugate(self, by: "Word") -> "Word":
         return by * self * by.inverse()
@@ -76,8 +85,13 @@ class Word:
         return sums
 
     def shift(self, offset: int) -> "Word":
-        """Re-index letters by +offset (embedding into a larger generating set)."""
-        return Word(tuple(x + offset if x > 0 else x - offset for x in self.letters))
+        """Re-index letters by +offset (embedding into a larger generating set).
+        A non-negative int offset keeps every letter valid and the word
+        reduced, so the letters are checked again only for another offset."""
+        letters = tuple(x + offset if x > 0 else x - offset for x in self.letters)
+        if type(offset) is int and offset >= 0:
+            return _reduced_word(letters)
+        return Word(letters)
 
 
 def _reduced_word(letters: tuple[int, ...]) -> Word:
@@ -171,65 +185,63 @@ def quotient(p: Presentation, extra: Sequence[Word], name: str | None = None) ->
 
 
 def tietze_pass(p: Presentation) -> tuple[Presentation, tuple[int, ...]]:
-    """Tietze pass: drop empty relators and repeats up to inversion (the
-    first copy stays); then, while a relator has length 1 or is x*y on two
-    generators, take the first such one in list order and delete its last
-    letter's generator, substituting its value (1, or the inverse of x) once,
-    into the relators that contain it.  Returns a presentation of the same
+    """Tietze pass: while a relator has length 1 or is x*y on two generators,
+    take the first such one in list order and delete its last letter's
+    generator, substituting its value (1, or the inverse of x) once, into
+    the relators that contain it; then drop empty relators and repeats up to
+    inversion (the first copy stays).  Returns a presentation of the same
     group on the survivors, renumbered in order under their names, with the
     surviving relators in their original order, and the survivors' 1-based
     indices in p.
 
-    A relator's key (the lesser of it and its inverse) is computed once, when
-    it is placed, and stored beside it for the repeat test and its removal.
-    Each substituted relator is freely reduced once.  The result is not
-    validated again: its names are some of p's, and every letter is
-    renumbered through the survivors."""
-    def key(r):
-        return min(r, tuple(map(operator.neg, reversed(r))))
-
-    rels: list[tuple[int, ...] | None] = [None] * len(p.relators)
-    keys: list[tuple[int, ...] | None] = [None] * len(p.relators)
-    first: dict[tuple[int, ...], int] = {}  # key -> the position holding it
+    Repeats are dropped once, after the last deletion.  Keeping them until
+    then changes nothing: two relators equal up to inversion contain the
+    same generators, so every substitution rewrites both alike, and the
+    earlier copy is short whenever the later one is, so it is taken first.
+    A substituted relator enters the free-reduction loop only when an
+    adjacent pair cancels.  The result is not validated again: its names are
+    some of p's, and every letter is renumbered through the survivors."""
+    rels = [w.letters for w in p.relators]
     where = {g: set() for g in range(1, p.ngens + 1)}  # survivor -> positions that held it
-    short: list[int] = []                   # heap of positions placed at length <= 2
-
-    def place(pos, r):
-        # an empty relator is dropped, a repeat gives way to the earlier copy
-        k = key(r)
-        other = first.get(k, pos) if r else -1
-        if other >= pos:
-            rels[other] = None
-            first[k], rels[pos], keys[pos] = pos, r, k
-            if len(r) <= 2:
-                heapq.heappush(short, pos)
-
-    for pos, w in enumerate(p.relators):
-        place(pos, w.letters)
-        for g in set(map(abs, w.letters)):
+    for pos, r in enumerate(rels):
+        for g in set(map(abs, r)):
             where[g].add(pos)
+    short = [pos for pos, r in enumerate(rels) if 0 < len(r) <= 2]  # heap of positions
     while short:
-        r = rels[heapq.heappop(short)]
+        at = heapq.heappop(short)
+        r = rels[at]
         if not r or len(r) > 2 or len(r) == 2 and r[0] == r[1]:
             continue
-        # r is g^(+-1) or x g^(+-1), so g = 1 (h = 0, filtered out) or x^(-+1)
+        # r is g^(+-1) or x g^(+-1), so g = 1 (h = 0, dropped) or x^(-+1),
+        # and r itself becomes empty
+        rels[at] = ()
         g = abs(r[-1])
         h = 0 if len(r) == 1 else -r[0] if r[-1] > 0 else r[0]
         values = {g: h, -g: -h}
-        changed = [(pos, rels[pos]) for pos in where.pop(g)
-                   if rels[pos] and (g in rels[pos] or -g in rels[pos])]
-        for pos, _ in changed:
-            del first[keys[pos]]
-            rels[pos] = None
-        for pos, old in changed:
-            place(pos, _reduce_letters(filter(None, map(values.get, old, old))))
-            if h:
-                where[abs(h)].add(pos)
+        for pos in where.pop(g):
+            old = rels[pos]
+            if g in old or -g in old:
+                if h:
+                    where[abs(h)].add(pos)
+                    new = tuple(map(values.get, old, old))
+                else:
+                    new = tuple(itertools.filterfalse(values.__contains__, old))
+                rels[pos] = new = _reduce_valid(new)
+                if 0 < len(new) <= 2:
+                    heapq.heappush(short, pos)
+    seen: set[tuple[int, ...]] = set()  # each kept relator and its inverse
+    kept = []
+    for r in filter(None, rels):
+        if r not in seen:
+            kept.append(r)
+            seen.update((r, tuple(map(operator.neg, reversed(r)))))
     survivors = tuple(where)
-    renum = {old: i + 1 for i, old in enumerate(survivors)}
-    renum.update({-old: -new for old, new in renum.items()})
-    relators = tuple(_reduced_word(tuple(map(renum.__getitem__, r))) for r in rels if r)
-    return (_presentation(p.name, tuple(p.generators[g - 1] for g in survivors), relators),
+    if survivors != tuple(range(1, len(survivors) + 1)):
+        renum = {old: i + 1 for i, old in enumerate(survivors)}
+        renum.update({-old: -new for old, new in renum.items()})
+        kept = [tuple(map(renum.__getitem__, r)) for r in kept]
+    return (_presentation(p.name, tuple(p.generators[g - 1] for g in survivors),
+                          tuple(map(_reduced_word, kept))),
             survivors)
 
 

@@ -15,7 +15,8 @@ from typing import Callable
 
 from .cosetenum import todd_coxeter
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _presentation,
-                      abelianization, quotient, tietze_pass)
+                      _reduce_valid, _reduced_word, abelianization, quotient,
+                      tietze_pass)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
                         UnknownSignatureError, _class_orders, classify, model,
                         orientation_double_cover, sign_kernel,
@@ -79,10 +80,11 @@ def build_amalgam(spec: AmalgamSpec) -> Presentation:
 
     Each conjugation relator is spelled out as one letter sequence,
     g mu g^-1 w t2^-s t1^-r w^-1, and freely reduced once; free reduction is
-    confluent, so this is the word the stepwise products give.  The relators
-    are not checked again against the generators: the cusp's and the knot's
-    were checked when their presentations were built, `AmalgamSpec.validate`
-    checks the conjugators, and the other letters come from `gen_index`."""
+    confluent, so this is the word the stepwise products give.  The relators'
+    letters are not checked again, as values or against the generators: the
+    cusp's and the knot's were checked when their presentations were built,
+    `AmalgamSpec.validate` checks the conjugators and the exponents, and the
+    other letters come from `gen_index`."""
     spec.validate()
     cusp = model(spec.cusp_model)
     cp = cusp.presentation
@@ -100,9 +102,10 @@ def build_amalgam(spec: AmalgamSpec) -> Presentation:
         mu = knot.gen_index(g.knot_generator) + offset
         w = tuple(x + offset if x > 0 else x - offset for x in g.conjugator.letters)
         w_inv = tuple(-x for x in reversed(w))
-        relators.append(Word((gi, mu, -gi) + w
-                             + (t2 * -g.s if g.s < 0 else t2_inv * g.s)
-                             + (t1 * -g.r if g.r < 0 else t1_inv * g.r) + w_inv))
+        relators.append(_reduced_word(_reduce_valid(
+            (gi, mu, -gi) + w
+            + (t2 * -g.s if g.s < 0 else t2_inv * g.s)
+            + (t1 * -g.r if g.r < 0 else t1_inv * g.r) + w_inv)))
     return _presentation(f"amalgam[{spec.cusp_model}+{knot.name}]",
                          gens, tuple(relators))
 

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +56,36 @@ class TestWords:
     def test_relator_must_be_a_word(self):
         with pytest.raises(PresentationError, match=r"^relator \(1, 1\) is not a Word$"):
             Presentation("x", ("a",), [(1, 1)])
+
+    # every way letters enter from outside the package
+    LETTER_PATHS = {
+        "Word": Word,
+        "free_reduce": free_reduce,
+        "Presentation.word": Presentation("t", ("a", "b"), ()).word,
+    }
+
+    @pytest.mark.parametrize("path", sorted(LETTER_PATHS))
+    @pytest.mark.parametrize("bad", [1.0, True, False, "x", None],
+                             ids=["float", "true", "false", "str", "none"])
+    def test_a_letter_that_is_not_an_int_is_refused(self, path, bad):
+        # 1.0 and True equal 1 and False equals 0, yet none is a letter
+        with pytest.raises(PresentationError,
+                           match=f"^{re.escape(repr(bad))} is not a valid generator letter$"):
+            self.LETTER_PATHS[path]([1, bad, -1])
+
+    @pytest.mark.parametrize("path", sorted(LETTER_PATHS))
+    def test_zero_is_refused(self, path):
+        # also where free reduction would cancel the letters around it
+        with pytest.raises(PresentationError, match="^0 is not a valid generator letter$"):
+            self.LETTER_PATHS[path]([2, 0, -2])
+
+    def test_shift_checks_the_letters_of_a_negative_offset(self):
+        assert Word((3, -2)).shift(-1).letters == (2, -1)
+        with pytest.raises(PresentationError, match="^0 is not a valid generator letter$"):
+            Word((1, 2)).shift(-1)
+        with pytest.raises(PresentationError, match=r"^1\.5 is not a valid generator letter$"):
+            Word((1,)).shift(0.5)
+        assert Word((1, -2)).shift(2).letters == (3, -4)
 
 
 def _minor_gcd_invariant_factors(rows):
