@@ -421,9 +421,6 @@ class Mat2:
         return _mat(self.m11 - other.m11, self.m12 - other.m12,
                     self.m21 - other.m21, self.m22 - other.m22)
 
-    def __neg__(self) -> "Mat2":
-        return _mat(-self.m11, -self.m12, -self.m21, -self.m22)
-
     def __mul__(self, other):
         a, b, c, d = self.m11, self.m12, self.m21, self.m22
         if other.__class__ is Mat2:
@@ -490,23 +487,13 @@ def rotation_order(m: Mat2) -> int:
 
 
 def reflection_axis_direction(m: Mat2) -> Vec2:
-    """Canonical +1 eigenvector of an orthogonal matrix with det -1."""
+    """Canonical +1 eigenvector of an orthogonal matrix with det -1, scaled
+    so its first nonzero coordinate is 1 (deterministic equality)."""
     if not m.m12.is_zero():
-        d = Vec2(m.m12, QuadNum(1) - m.m11)
-    elif (m.m11 - 1).is_zero():
-        d = vec(1, 0)
-    else:
-        d = vec(0, 1)
-    return _canonical_direction(d)
-
-
-def _canonical_direction(d: Vec2) -> Vec2:
-    # scale so the first nonzero coordinate is 1 (deterministic equality)
-    if not d.x.is_zero():
-        return Vec2(QuadNum(1), d.y / d.x)
-    if d.y.is_zero():
-        raise ValueError("zero direction")
-    return Vec2(QuadNum(0), QuadNum(1))
+        return Vec2(QuadNum(1), (QuadNum(1) - m.m11) / m.m12)
+    if (m.m11 - 1).is_zero():
+        return vec(1, 0)
+    return vec(0, 1)
 
 
 @dataclass(frozen=True)
@@ -561,9 +548,6 @@ class Isometry:
 
     def is_identity(self) -> bool:
         return self.linear.is_identity() and self.trans.is_zero()
-
-    def __str__(self) -> str:
-        return f"Isometry(linear={self.linear}, trans={self.trans})"
 
 
 def _isometry(linear: Mat2, trans: Vec2) -> Isometry:

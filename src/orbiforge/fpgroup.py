@@ -10,7 +10,7 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PresentationError(ValueError):
@@ -49,9 +49,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         # both factors are reduced, so letters can only cancel at the junction
@@ -290,16 +287,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        out = IntMatrix(self.cols, self.rows, [0] * len(self.entries))
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j, i] = self[i, j]
-        return out
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -488,18 +475,6 @@ class AbelianGroup:
                 raise ValueError("torsion coefficients must be >= 2")
             if i and d % self.torsion[i - 1]:
                 raise ValueError("torsion coefficients must form a divisor chain")
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None if infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]

@@ -264,22 +264,26 @@ def _certificate_check(name: str, certify: Callable[[], object], detail: str) ->
     return CheckRecord(name, True, detail.format(result))
 
 
-def _four_torsion_checks(cryst: str) -> tuple[CheckRecord, ...]:
-    checks = []
-    sig244 = SIGNATURES["p4"]
-    if cryst != "p4":
-        _, cover = orientation_double_cover(model(cryst))
-        checks.append(CheckRecord(
-            "orientation-double-cover",
-            cover == sig244,
-            f"orientation double cover of {cryst} has cusp {cover}"))
-    checks.append(_certificate_check(
-        "h-map-order-2", lambda: h_map_244(_minimal_amalgam("p4")),
-        "killing d, c^2, meridians and translations leaves exactly 2 elements"))
-    checks.append(_certificate_check(
-        "double-cover-cusp", double_cover_cusp_244,
-        "the resulting double cover has cusp {} (no 4-torsion)"))
-    return tuple(checks)
+def _four_torsion_certificates() -> tuple[CheckRecord, CheckRecord]:
+    """The two 2,4,4 certificates, shared by every 4-torsion type."""
+    return (_certificate_check(
+                "h-map-order-2", lambda: h_map_244(_minimal_amalgam("p4")),
+                "killing d, c^2, meridians and translations leaves exactly 2 elements"),
+            _certificate_check(
+                "double-cover-cusp", double_cover_cusp_244,
+                "the resulting double cover has cusp {} (no 4-torsion)"))
+
+
+def _four_torsion_checks(cryst: str,
+                         certificates: tuple[CheckRecord, CheckRecord]) -> tuple[CheckRecord, ...]:
+    """The checks behind a 4-torsion exclusion: the orientation double cover
+    of a non-orientable type is the 2,4,4 cusp, then the shared certificates."""
+    if cryst == "p4":
+        return certificates
+    _, cover = orientation_double_cover(model(cryst))
+    return (CheckRecord("orientation-double-cover", cover == SIGNATURES["p4"],
+                        f"orientation double cover of {cryst} has cusp {cover}"),
+            *certificates)
 
 
 def _reflection_checks(cryst: str) -> tuple[CheckRecord, ...]:
@@ -300,7 +304,7 @@ def verdict(signature: OrbifoldSignature | str, run_checks: bool = True) -> Cusp
     if SIGNATURES.get(cryst) != sig:
         raise UnknownSignatureError(f"not one of the seventeen Euclidean 2-orbifolds: {sig!r}")
     if cryst in FOUR_TORSION_EXCLUDED:
-        checks = _four_torsion_checks(cryst) if run_checks else ()
+        checks = _four_torsion_checks(cryst, _four_torsion_certificates()) if run_checks else ()
         return CuspVerdict(sig, "excluded", reason="four_torsion", checks=checks)
     if cryst in REFLECTION_EXCLUDED:
         checks = _reflection_checks(cryst) if run_checks else ()

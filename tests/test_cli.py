@@ -1,9 +1,14 @@
 """CLI behaviour: parsing, exit codes, schema stability."""
+import argparse
 import hashlib
 import json
+import runpy
+import sys
+import warnings
 
 import pytest
 
+from orbiforge import cli
 from orbiforge.cli import main
 from orbiforge.fixtures import fixture_text
 from orbiforge.presfile import (ParseError, parse_presentation, parse_word,
@@ -26,17 +31,18 @@ class TestParser:
             (1,) * 6, (2,) * 3, (1, 2, 1, 2)]
 
     def test_unknown_generator_position(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="unknown generator 'c'$") as err:
             parse_presentation("group t\ngens a b\nrel a c\n")
         assert err.value.line == 3
         assert "c" in err.value.message
 
     def test_missing_gens(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="missing 'gens' line$") as err:
             parse_presentation("group t\nrel a\n")
+        assert (err.value.line, err.value.col) == (1, 1)
 
     def test_empty_generator_list(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="empty generator list$"):
             parse_presentation("group t\ngens\n")
 
     def test_negative_and_nested_powers(self):
@@ -101,7 +107,7 @@ class TestParser:
 
     def test_bad_generator_name_column(self):
         # the column of the bad name itself, not of its first occurrence as a substring
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="bad generator name '1'$") as err:
             parse_presentation("group t\ngens a1 1\n")
         assert (err.value.message, err.value.line, err.value.col) == (
             "bad generator name '1'", 2, 9)
@@ -109,10 +115,30 @@ class TestParser:
     def test_duplicate_generator_name_position(self):
         # the repeat is a positioned ParseError, not an unpositioned
         # PresentationError from building the Presentation
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="duplicate generator name 'a'$") as err:
             parse_presentation("group t\ngens a  b a\nrel a b\n")
         assert (err.value.message, err.value.line, err.value.col) == (
             "duplicate generator name 'a'", 2, 11)
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("group t\ngroup u\ngens a\n", "duplicate 'group' line", 2, 1),
+        ("group \ngens a\n", "missing group name", 1, 6),
+        ("group t\ngens a\ngens b\n", "duplicate 'gens' line", 3, 1),
+        ("group t\ngens a\n  relator a\n", "unknown directive 'relator'", 3, 3),
+        ("gens a\nrel a\n", "missing 'group' line", 1, 1),
+        ("group t\ngens a\nrel a)\n", r"unbalanced '\)'", 3, 6),
+        ("group t\ngens a\nrel (a\n", "missing closing parenthesis", 3, 7),
+        ("group t\ngens a\nrel a^\n", r"unexpected token '\^'", 3, 6),
+    ], ids=["duplicate-group", "group-name", "duplicate-gens", "directive", "no-group",
+            "unbalanced", "unclosed", "bare-power"])
+    def test_file_errors(self, text, message, line, col):
+        with pytest.raises(ParseError, match=f"{message}$") as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_unknown_fixture(self):
+        with pytest.raises(KeyError, match="no bundled fixture 'p5'; have "):
+            fixture_text("p5")
 
     def test_parse_word_against_presentation(self):
         p = parse_presentation(fixture_text("p6"))
@@ -354,6 +380,54 @@ class TestExitCodes:
             main(["verify-paper", "--only", "rigid-index"])
 
 
+def _run(argv):
+    """Run a subcommand as main does, but let its input error propagate."""
+    args = cli.build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call, exc, message", [
+        (lambda tmp: cli._positive_int("0"), argparse.ArgumentTypeError,
+         "^must be a positive integer, got '0'$"),
+        (lambda tmp: cli._read_presentation(str(tmp / "missing.txt")), cli.InputError,
+         r"^cannot read .*missing\.txt: "),
+        (lambda tmp: cli._read_presentation(str(tmp / "bad.txt")), cli.InputError,
+         r"bad\.txt: line"),
+        (lambda tmp: cli._parse_vector("1,2,3"), cli.InputError,
+         "^vector must be 'x,y', got '1,2,3'$"),
+        (lambda tmp: cli._parse_signs("a=-1,b"), cli.InputError,
+         "^sign assignment must look like gen=-1, got 'b'$"),
+        (lambda tmp: cli._parse_signs("a=2"), cli.InputError,
+         r"^sign must be \+1 or -1, got '2'$"),
+        (lambda tmp: cli._parse_signs("a=1, a=1"), cli.InputError,
+         "^generator 'a' is given more than one sign$"),
+        (lambda tmp: _run(["cosets", str(tmp / "p6.txt"), "--subgroup", "a; q"]), cli.InputError,
+         "^subgroup word 'q': line"),
+        (lambda tmp: _run(["rhombic", "1,0", "2,0"]), cli.InputError, "^degenerate basis "),
+    ], ids=["max-cosets", "unreadable-file", "parse-error", "vector", "sign-item", "sign-value",
+            "repeated-sign", "subgroup-word", "degenerate-basis"])
+    def test_input_errors(self, call, exc, message, tmp_path):
+        (tmp_path / "bad.txt").write_text("group t\ngens a\nrel a c\n")
+        (tmp_path / "p6.txt").write_text(fixture_text("p6"))
+        with pytest.raises(exc, match=message):
+            call(tmp_path)
+
+    def test_empty_sign_items_are_skipped(self, capsys):
+        assert cli._parse_signs(" a=-1, ,b=+1,") == {"a": -1, "b": 1}
+        assert main(["classify", "p6", "--sign", "a=-1,"]) == 0
+        assert "S2(3,3,3)" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["orbiforge", "classify", "p6"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # runpy warns that the test session has imported orbiforge.cli already
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("orbiforge.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert "signature: S2(2,3,6)" in capsys.readouterr().out
+
+
 class TestVerifyRunner:
     def test_single_check_selection(self, capsys):
         assert main(["verify-paper", "--only", "rigid-index"]) == 0
@@ -391,11 +465,27 @@ class TestVerifyRunner:
         # an empty list used to run every check; None still means all of them
         from orbiforge import verify
 
-        with pytest.raises(KeyError) as exc:
+        with pytest.raises(KeyError, match="; available: rep-236") as exc:
             verify.run_verification(selection)
         message = str(exc.value)
         assert what in message
         assert "available: " + ", ".join(verify.CHECK_IDS) in message
+
+    def test_lattice_identities_skip_a_zero_multiplier(self, monkeypatch):
+        # seed 6 is the least seed whose seed + 2 stream draws z = 0, once in
+        # its 100 multipliers; the check skips it, as sublattice_index refuses 0
+        from orbiforge import verify
+
+        indexed = []
+
+        def counting(z, index=verify.sublattice_index):
+            indexed.append(z)
+            return index(z)
+
+        monkeypatch.setattr(verify, "sublattice_index", counting)
+        report = verify.run_verification(["lattice-identities"], seed=6)
+        assert [o.status for o in report.outcomes] == ["pass"]
+        assert len(indexed) == 99 and not any(z.is_zero() for z in indexed)
 
     def test_cited_checks_reported(self, capsys):
         assert main(["verify-paper", "--only", "cited-ab-upgrade"]) == 0

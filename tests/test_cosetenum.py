@@ -687,3 +687,16 @@ class TestTietzePass:
         # the draws do eliminate, and do drop repeats made by a substitution
         assert eliminated > 800
         assert late_repeats > 700
+
+
+@pytest.mark.parametrize("env, call, message", [
+    ("abc", cosetenum.default_max_cosets, "^ORBIFORGE_MAX_COSETS must be an integer, got 'abc'$"),
+    ("0", cosetenum.default_max_cosets, "^ORBIFORGE_MAX_COSETS must be positive$"),
+    (None, lambda: TestTraceAndContains.table.trace(Word(()), 6), "^coset 6 out of range$"),
+    (None, lambda: TestTraceAndContains.table.trace(Word(()), -1), "^coset -1 out of range$"),
+], ids=["allowance-not-int", "allowance-not-positive", "coset-past-end", "negative-coset"])
+def test_input_errors(env, call, message, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", env)
+    with pytest.raises(ValueError, match=message):
+        call()

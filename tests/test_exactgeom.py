@@ -13,8 +13,9 @@ from orbiforge.exactgeom import (Glide, Identity, IDENTITY_MAT, Isometry,
                                  NoFixedPointError, NonCrystallographicError,
                                  QuadNum, Reflection, Rotation, Translation,
                                  classify_isometry, compose, fixed_point, mat,
-                                 parse_quadnum, reconstruct, render_quadnum,
-                                 rotation_matrix, rotation_order, vec)
+                                 parse_quadnum, reconstruct, reflection_matrix,
+                                 render_quadnum, rotation_matrix, rotation_order,
+                                 vec)
 from orbiforge.lattice import Lattice2
 from orbiforge.wallpaper import model
 
@@ -45,7 +46,7 @@ class TestQuadNum:
         assert x * x.inverse() == qn(1)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(sqrt3\)$"):
             qn(1) / qn(0)
 
     def test_sign_mixed_terms(self):
@@ -254,9 +255,9 @@ class TestQuadNumTriple:
     def test_immutable(self):
         x = qn(Fraction(1, 3), 2)
         for name in ("p", "r", "q", "a", "b", "other"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(x, name, 5)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^cannot delete field 'p'$"):
             del x.p
         assert x == qn(Fraction(1, 3), 2)
 
@@ -279,7 +280,7 @@ class TestQuadNumTriple:
         with pytest.raises(TypeError):
             QuadNum(0, bad)
         if not isinstance(bad, QuadNum):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="as an exact rational$"):
                 QuadNum.of(bad)
 
 
@@ -382,9 +383,9 @@ class TestComposeAndClassify:
         # R(30 degrees) lives in Q(sqrt3) but is not crystallographic
         half_rt3 = QuadNum(0, Fraction(1, 2))
         m = mat(half_rt3, Fraction(-1, 2), Fraction(1, 2), half_rt3)
-        with pytest.raises(NonCrystallographicError):
+        with pytest.raises(NonCrystallographicError, match="^rotation order exceeds 6: "):
             rotation_order(m)
-        with pytest.raises(NonCrystallographicError):
+        with pytest.raises(NonCrystallographicError, match="^rotation order exceeds 6: "):
             classify_isometry(Isometry(m, ORIGIN))
 
 
@@ -405,7 +406,7 @@ class TestFixedPoint:
         assert d.apply(p) == p
 
     def test_translation_has_no_fixed_point(self):
-        with pytest.raises(NoFixedPointError):
+        with pytest.raises(NoFixedPointError, match="^no unique fixed point: Translation$"):
             fixed_point(Isometry.translation(vec(1, 0)))
 
 
@@ -466,3 +467,23 @@ class TestModelMatrices:
     def test_rotation_matrix_orders(self):
         for k in (2, 3, 4, 6):
             assert rotation_order(rotation_matrix(k)) == k
+
+
+def test_negative_power_is_a_power_of_the_inverse():
+    # without its own branch, k >>= 1 would never reach 0 from a negative k
+    f = model("p6").image(1) * Isometry.translation(vec(1, 0))
+    assert f ** -1 == f.inverse()
+    assert (f ** -3 * f ** 3).is_identity()
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: rotation_matrix(5), NonCrystallographicError,
+     "^no crystallographic rotation of order 5$"),
+    (lambda: reflection_matrix(vec(0, 0)), ValueError, "^zero direction$"),
+    (lambda: reconstruct(vec(1, 0)), TypeError, r"^not an IsoClass: Vec2\("),
+    (lambda: IDENTITY_MAT * 3, TypeError, r"for \*: 'Mat2' and 'int'$"),
+    (lambda: Isometry.identity() * IDENTITY_MAT, TypeError, r"for \*: 'Isometry' and 'Mat2'$"),
+], ids=["rotation-order", "zero-direction", "not-a-class", "mat-times-int", "isometry-times-mat"])
+def test_input_errors(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

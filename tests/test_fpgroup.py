@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from orbiforge.fixtures import load_fixture
 from orbiforge.fpgroup import (AbelianGroup, IntMatrix, Presentation,
-                               PresentationError, Word, abelianization,
+                               PresentationError, SignHom, Word, abelianization,
                                diagonal_of, free_reduce, quotient, sign_homs,
                                smith_normal_form)
 
@@ -50,7 +50,7 @@ class TestWords:
 
     def test_unknown_generator_rejected(self):
         p = Presentation("t", ("a", "b"), ())
-        with pytest.raises(PresentationError):
+        with pytest.raises(PresentationError, match="^letter out of range for 't'$"):
             p.word([3])
 
     def test_relator_must_be_a_word(self):
@@ -188,6 +188,10 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             m[0, 1] = entry
         assert m.entries == [0, 1]
+
+    def test_empty_determinant_and_repr(self):
+        assert IntMatrix(0, 0, []).det() == 1
+        assert repr(IntMatrix.from_rows([[1, -2], [3, 4]])) == "IntMatrix([[1, -2], [3, 4]])"
 
 
 class TestSmithNormalFormGrowth:
@@ -337,3 +341,24 @@ class TestSignHoms:
     def test_lexicographic_order(self):
         p = Presentation("free2", ("a", "b"), ())
         assert [h.signs for h in sign_homs(p)] == [(-1, -1), (-1, 1), (1, -1)]
+
+
+FREE2 = Presentation("t", ("a", "b"), ())
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: Presentation("t", ("a", "a"), ()), PresentationError,
+     "^duplicate generator names in 't'$"),
+    (lambda: FREE2.gen_index("c"), PresentationError, "^unknown generator 'c' in 't'$"),
+    (lambda: IntMatrix(2, 2, [1]), ValueError, r"^entry count must equal rows\*cols$"),
+    (lambda: IntMatrix(1, 2, [1, 2]) @ IntMatrix(1, 2, [1, 2]), ValueError, "^shape mismatch$"),
+    (lambda: IntMatrix(1, 2, [1, 2]).det(), ValueError, "^determinant of a non-square matrix$"),
+    (lambda: SignHom(FREE2, (-1,)), PresentationError, "^one sign per generator required$"),
+    (lambda: SignHom(FREE2, (-1, 0)), PresentationError, r"^signs must be \+1 or -1$"),
+    (lambda: SignHom(FREE2, (1, 1)).kernel_words(), PresentationError,
+     "^trivial sign map has no index-2 kernel$"),
+], ids=["duplicate-generator", "unknown-generator", "entry-count", "shape", "non-square",
+        "sign-count", "sign-value", "trivial-sign-map"])
+def test_input_errors(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -71,7 +71,8 @@ class TestBuildAmalgam:
 
     def test_incomplete_gluings_rejected(self):
         spec = AmalgamSpec("p6", _minimal_knot(), _trivial_gluings("p6")[:1])
-        with pytest.raises(AmalgamError):
+        with pytest.raises(AmalgamError, match=r"^need exactly one gluing per \(cusp generator, "
+                                               r"knot generator\) pair$"):
             build_amalgam(spec)
 
     def test_non_meridional_knot_rejected(self):
@@ -80,7 +81,8 @@ class TestBuildAmalgam:
         cusp = model("p6").presentation
         gluings = tuple(GluingDatum(c, "mu1", Word(()), 1, 0)
                         for c in cusp.generators)
-        with pytest.raises(AmalgamError):
+        with pytest.raises(AmalgamError, match=r"^knot presentation must abelianize to Z "
+                                               r"\(meridian-generated\), got Z/2$"):
             build_amalgam(AmalgamSpec("p6", bad, gluings))
 
     def test_relators_match_the_stepwise_products(self):
@@ -510,3 +512,23 @@ class TestCertificateGoldenHash:
                     pairs.append((p, reduced[0]))
         assert len(pairs) == 2 * 2 * (2 + AMALGAM_SAMPLES)
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == CERTIFICATE_GOLDEN_HASH
+
+
+def _knot_named_a():
+    return AmalgamSpec("p6", Presentation("a-knot", ("a",), ()),
+                       tuple(GluingDatum(c, "a", Word(()), 1, 0) for c in ("a", "b")))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AmalgamSpec("p2", _minimal_knot(), ()).validate(),
+     "^cusp model must be p6 or p4, not 'p2'$"),
+    (lambda: AmalgamSpec("p6", _minimal_knot(), (
+        replace(_trivial_gluings("p6")[0], conjugator=Word((2,))),
+        *_trivial_gluings("p6")[1:])).validate(),
+     "^conjugator uses an unknown knot generator$"),
+    (lambda: build_amalgam(_knot_named_a()),
+     "^knot generator names collide with cusp generators$"),
+], ids=["cusp-model", "conjugator", "name-collision"])
+def test_amalgam_input_errors(call, message):
+    with pytest.raises(AmalgamError, match=message):
+        call()

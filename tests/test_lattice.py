@@ -35,7 +35,7 @@ class TestGaussReduce:
         assert gauss_reduce(HEX).gram() == HEX.gram()
 
     def test_degenerate_rejected(self):
-        with pytest.raises(InvalidLatticeError):
+        with pytest.raises(InvalidLatticeError, match="^degenerate basis "):
             Lattice2(vec(1, 2), vec(2, 4))
 
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
@@ -98,7 +98,7 @@ class TestNormFormIndices:
         assert sublattice_index(QuadInt(1, 0, Ring.GAUSSIAN)) == 1
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^index of the zero multiple is undefined$"):
             sublattice_index(QuadInt(0, 0, Ring.GAUSSIAN))
 
     def test_determinant_ratio_on_random_multipliers(self):
@@ -140,9 +140,9 @@ class TestNormFormIndices:
         assert rigid_abelian_index("S2(3,3,3)", QuadInt(1, 1, Ring.ROOT_MINUS3)) == 12
 
     def test_ring_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^S2\(2,4,4\) needs ring gaussian, got "):
             rigid_abelian_index("S2(2,4,4)", QuadInt(1, 0, Ring.ROOT_MINUS3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^S2\(2,3,6\) needs ring .*, got gaussian$"):
             rigid_abelian_index("S2(2,3,6)", QuadInt(1, 0, Ring.GAUSSIAN))
 
 
@@ -196,7 +196,8 @@ class TestIntegerLatticeBasis:
     ])
     def test_rank_deficient_lists_are_refused(self, pairs):
         assert hermite(pairs) is None
-        with pytest.raises(InvalidLatticeError):
+        with pytest.raises(InvalidLatticeError,
+                           match="^generators do not span a rank-2 sublattice$"):
             integer_lattice_basis(pairs)
 
     def test_matches_the_oracle_on_seeded_lists(self):
@@ -213,3 +214,13 @@ class TestIntegerLatticeBasis:
                 a, b, g = expected
                 assert integer_lattice_basis(pairs) == ((a, b), (0, g))
         assert 0 < refused < 5000
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: SQUARE.index_in(RECT), InvalidLatticeError, "^not a sublattice$"),
+    (lambda: rigid_abelian_index("S2(2,2,2,2)", QuadInt(1, 0, Ring.GAUSSIAN)), ValueError,
+     r"^not a rigid cusp label: 'S2\(2,2,2,2\)'$"),
+], ids=["not-a-sublattice", "not-rigid"])
+def test_input_errors(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -308,87 +308,140 @@ def test_no_float_outside_quadnum_float():
     assert found == []
 
 
-# -- every invariant raised by a test -----------------------------------------
+# -- every raise site reached by a test ---------------------------------------
 
 TESTS = Path(__file__).parent
-CHECKED = ("InvariantError", "TheoremCheckError")
 FIELD = "\0"  # a formatted value in a message skeleton
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # raise sites that no input can reach, as "module:message skeleton"; each
-# has a note in CHANGES.md saying why it cannot fire
-UNREACHABLE: list[str] = []
+# has a note in CHANGES.md proving that it cannot fire
+UNREACHABLE = [
+    "exactgeom:determinant is not +-1",
+    "lattice:determinant ratio is not an integer",
+]
 
 
-def _skeleton(node: ast.AST) -> str:
-    """A message as its literal text, each formatted value one FIELD."""
+def _parameter_rows(fn: ast.FunctionDef) -> list[list[dict[str, ast.AST]]]:
+    """Per parametrize decorator of fn, its rows as {argument name: value}."""
+    found = []
+    for dec in fn.decorator_list:
+        if (isinstance(dec, ast.Call) and ast.unparse(dec.func).endswith("parametrize")
+                and isinstance(dec.args[0], ast.Constant)
+                and isinstance(dec.args[1], (ast.List, ast.Tuple))):
+            names = [n.strip() for n in dec.args[0].value.split(",")]
+            found.append([dict(zip(names, v.elts if len(names) > 1 else [v]))
+                          for v in dec.args[1].elts])
+    return found
+
+
+def _bound(name: str, fn: ast.AST | None, row: dict[str, ast.AST]) -> list[ast.AST]:
+    """The values name can hold in fn: its value in the parametrize row, else
+    those of fn's parametrize lists and assignments."""
+    if name in row:
+        return [row[name]]
+    if fn is None:
+        return []
+    return [r[name] for rows in _parameter_rows(fn) for r in rows if name in r] + [
+        a.value for a in ast.walk(fn) if isinstance(a, ast.Assign)
+        and [ast.unparse(t) for t in a.targets] == [name]]
+
+
+def _skeletons(node: ast.AST, fn: ast.AST | None) -> list[str] | None:
+    """A message as its literal text, each formatted value one FIELD; a name
+    reads through its assignments in fn and a conditional through both of
+    its values.  None when node is not written as text in fn."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
+        return [node.value]
     if isinstance(node, ast.JoinedStr):
-        return "".join(v.value if isinstance(v, ast.Constant) else FIELD for v in node.values)
-    raise ValueError(f"message {ast.unparse(node)} is not a string literal")
+        return ["".join(v.value if isinstance(v, ast.Constant) else FIELD for v in node.values)]
+    if isinstance(node, ast.IfExp):
+        body, orelse = _skeletons(node.body, fn), _skeletons(node.orelse, fn)
+        return body + orelse if body and orelse else None
+    if isinstance(node, ast.Name):
+        return [t for v in _bound(node.id, fn, {}) for t in _skeletons(v, fn) or []] or None
+    return None
+
+
+def _raises(node: ast.AST, fn: ast.AST | None = None):
+    """(raise statement, innermost function around it) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield child, fn
+        yield from _raises(child, child if isinstance(child, FUNCTION) else fn)
+
+
+def _forwards(node: ast.Raise) -> bool:
+    """Whether node re-raises a caught exception: a bare `raise`, or a message
+    made from the exception it chains from, as `raise E(str(exc)) from exc`."""
+    if node.exc is None:
+        return True
+    cause = node.cause.id if isinstance(node.cause, ast.Name) else None
+    return (isinstance(node.exc, ast.Call) and len(node.exc.args) > 0 and cause is not None
+            and cause in {n.id for n in ast.walk(node.exc.args[0]) if isinstance(n, ast.Name)})
 
 
 def _raise_sites() -> list[tuple[str, str, str]]:
-    """(module, exception, message skeleton) of every checked raise in src/."""
+    """(module, exception, message skeleton) of every raise in src/ that
+    writes its own message."""
     sites = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id in CHECKED):
-                sites.append((path.stem, node.exc.func.id, _skeleton(node.exc.args[0])))
+        for node, fn in _raises(ast.parse(path.read_text(), filename=str(path))):
+            call = node.exc
+            skeletons = (_skeletons(call.args[0], fn)
+                         if isinstance(call, ast.Call) and call.args else None)
+            if skeletons is None:
+                if _forwards(node):
+                    continue
+                raise ValueError(f"{path.name}:{node.lineno} raises no message written as text")
+            exc = ast.unparse(call.func).rpartition(".")[2]
+            sites += [(path.stem, exc, skeleton) for skeleton in skeletons]
     return sites
 
 
-def _parametrized(fn: ast.FunctionDef, name: str) -> list[ast.AST]:
-    """The values a parametrize decorator of fn gives the argument name."""
-    values = []
-    for dec in fn.decorator_list:
-        if (isinstance(dec, ast.Call) and ast.unparse(dec.func).endswith("parametrize")
-                and isinstance(dec.args[0], ast.Constant)):
-            names = [n.strip() for n in dec.args[0].value.split(",")]
-            if name in names and isinstance(dec.args[1], (ast.List, ast.Tuple)):
-                k = names.index(name)
-                values += [v.elts[k] if len(names) > 1 else v for v in dec.args[1].elts]
-    return values
-
-
-def _texts(node: ast.AST, fn: ast.FunctionDef) -> list[str] | None:
-    """The strings node can stand for in fn, through its assignments and
-    parametrize lists and f-string fields (a field it cannot resolve reads
-    as `.*`); None when node cannot be read."""
+def _texts(node: ast.AST, fn: ast.FunctionDef,
+           row: dict[str, ast.AST] | None = None) -> list[str] | None:
+    """The strings node can stand for in fn, through the parametrize row, its
+    assignments and parametrize lists and f-string fields (a field it
+    cannot resolve reads as `.*`); None when node cannot be read."""
+    row = row or {}
     if isinstance(node, ast.Constant):
         return [node.value] if isinstance(node.value, str) else None
     if isinstance(node, ast.Name):
-        sources = _parametrized(fn, node.id) + [
-            a.value for a in ast.walk(fn) if isinstance(a, ast.Assign)
-            and [ast.unparse(t) for t in a.targets] == [node.id]]
-        found = [t for s in sources for t in (_texts(s, fn) or [])]
+        found = [t for s in _bound(node.id, fn, row) for t in (_texts(s, fn, row) or [])]
         return found or None
     if isinstance(node, ast.JoinedStr):
         out = [""]
         for v in node.values:
-            parts = _texts(v.value if isinstance(v, ast.FormattedValue) else v, fn) or [".*"]
+            parts = _texts(v.value if isinstance(v, ast.FormattedValue) else v, fn, row) or [".*"]
             out = [o + p for o in out for p in parts]
         return out
     return None
 
 
 def _match_patterns() -> list[tuple[str, str]]:
-    """(exception, pattern) of every `pytest.raises(..., match=...)` in tests/."""
+    """(exception, pattern) of every `pytest.raises(..., match=...)` in tests/;
+    an exception named by a parametrize argument is read row by row, each
+    with the pattern of its own row."""
     found = []
     for path in sorted(TESTS.glob("test_*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
+            if not isinstance(fn, FUNCTION):
                 continue
             for call in ast.walk(fn):
                 if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "pytest.raises"
                         and call.args):
                     continue
+                cls = call.args[0]
+                name = cls.id if isinstance(cls, ast.Name) else None
+                rows = [r for rows in _parameter_rows(fn) for r in rows if name in r] or [{}]
                 for kw in call.keywords:
-                    if kw.arg == "match":
-                        exc = ast.unparse(call.args[0]).rpartition(".")[2]
-                        found += [(exc, p) for p in _texts(kw.value, fn) or []]
+                    if kw.arg != "match":
+                        continue
+                    for row in rows:
+                        exc = ast.unparse(row.get(name, cls)).rpartition(".")[2]
+                        found += [(exc, p) for p in _texts(kw.value, fn, row) or []]
     return found
 
 
@@ -447,13 +500,15 @@ def test_reads_in_follows_fields_and_anchors():
     assert _literal("coset .* is") == ("coset  is", False, False)
 
 
-def test_every_invariant_is_raised_by_a_test():
-    # an invariant may move but not vanish, and a check that no test
-    # reaches may have gone wrong unseen.  Each site's message must be
-    # matched by some `pytest.raises(<its exception>, match=...)` in tests/.
-    patterns = [(exc, _literal(p)) for exc, p in _match_patterns() if exc in CHECKED]
+def test_every_raise_site_is_raised_by_a_test():
+    # a check may move but not vanish, and a check that no test reaches may
+    # have gone wrong unseen.  Each raise in src/ that writes its own message
+    # must be matched by some `pytest.raises(<its exception>, match=...)` in
+    # tests/; a re-raise of a caught exception forwards a message checked
+    # where it was first raised.
     sites = _raise_sites()
-    assert len(sites) > 30
+    patterns = [(exc, _literal(p)) for exc, p in _match_patterns()]
+    assert len(sites) > 100
     unreached = [f"{module}:{skeleton}" for module, exc, skeleton in sites
                  if not any(e == exc and _reads_in(text, skeleton, start, end)
                             for e, (text, start, end) in patterns)]

@@ -10,7 +10,7 @@ from orbiforge.exactgeom import (IDENTITY_MAT, Isometry, QuadNum, Translation,
                                  classify_isometry, vec)
 from orbiforge.fpgroup import Presentation, Word, sign_homs
 from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
-                                 SIGNATURES, UnknownModelError,
+                                 SIGNATURES, SubgroupHandle, UnknownModelError,
                                  UnknownSignatureError, classify,
                                  crystallographic_name, euler_characteristic,
                                  model, orientation_double_cover, sign_kernel,
@@ -74,9 +74,10 @@ class TestModels:
         assert model("k_r").presentation.name == "cm"
         assert crystallographic_name("*632") == "p6m"
         assert crystallographic_name("(2;2;)") == "pmg"  # recorded typo alias
-        with pytest.raises(UnknownModelError):
+        with pytest.raises(UnknownModelError, match="^unknown plane-group name 'p5'$"):
             model("p5")
-        with pytest.raises(UnknownSignatureError):
+        with pytest.raises(UnknownSignatureError,
+                           match=r"^unknown 2-orbifold name 'S2\(5,5,5\)'$"):
             signature_by_name("S2(5,5,5)")
 
     def test_faithfulness_spot_check(self):
@@ -124,8 +125,12 @@ class TestClassification:
             assert h.index * len(h.point_group) == \
                 h.lattice_index * len(h.model.point_group)
 
+    def test_handle_refuses_a_table_of_another_model(self):
+        with pytest.raises(ValueError, match="^table does not belong to this model$"):
+            SubgroupHandle(model("p4"), whole_group(model("p6")).table)
+
     def test_invalid_sign_assignment_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sign assignment violates a relator$"):
             sign_kernel(model("p6"), {"b": -1})  # b^3 forces b -> +1
 
 
@@ -234,8 +239,11 @@ class TestEulerCharacteristic:
                                        Names("S2(3,3,4)", "433", ""))
         assert euler_characteristic(hyperbolic) == Fraction(-1, 12)
 
+    def test_unnamed_signature_prints_its_cone_orders(self):
+        assert str(OrbifoldSignature(True, False, "sphere", (3, 3, 4), ())) == "sphere(3,3,4)"
+
     def test_signature_invariant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^corner reflectors need a boundary reflector$"):
             OrbifoldSignature(False, False, "disk", (), (2, 2),
                               Names("bad", "", ""))
 
