@@ -43,7 +43,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .fpgroup import Presentation, Word, _reduce_valid, _reduced_word, tietze_pass
+from .fpgroup import (Presentation, Word, _presentation, _reduce_valid, _reduced_word,
+                      tietze_pass)
 
 
 class CosetLimitError(RuntimeError):
@@ -602,18 +603,22 @@ def reidemeister_schreier(table: CosetTable) -> SubgroupPresentation:
     """Presentation of the subgroup on its Schreier generators.
 
     Relators are the rewrites of every parent relator from every coset,
-    simplified by `fpgroup.tietze_pass`, the pass the order-2 certificates
-    also use: it drops empty and duplicate relators, deletes generators
-    forced trivial by length-1 relators and merges generators identified by
-    length-2 relators; no deeper Tietze transformations are attempted.  The
-    survivors are renamed x1, x2, ..."""
+    simplified by `fpgroup.tietze_pass`: it drops empty and duplicate
+    relators, deletes generators forced trivial by length-1 relators and
+    merges generators identified by length-2 relators; no deeper Tietze
+    transformations are attempted.  The survivors are renamed x1, x2, ...
+
+    Both presentations are built unchecked: the names x1, x2, ... are
+    distinct, every letter `_rewrite` writes is a value of `gen_of_pair`,
+    1 to len(pairs) up to sign, and the pass renumbers its survivors 1 to
+    len(alive), the names it is given here."""
     pairs = table.schreier_pairs()
     gen_of_pair = {(c, g): i + 1 for i, (c, g, _) in enumerate(pairs)}
-    relators = [_rewrite(table, gen_of_pair, rel, c)
-                for rel in table.parent.relators for c in range(table.index)]
+    relators = tuple(_rewrite(table, gen_of_pair, rel, c)
+                     for rel in table.parent.relators for c in range(table.index))
     names = tuple(f"x{i + 1}" for i in range(len(pairs)))
-    reduced, alive = tietze_pass(Presentation(f"{table.parent.name}.sub", names, relators))
-    pres = Presentation(reduced.name, names[:len(alive)], reduced.relators)
+    reduced, alive = tietze_pass(_presentation(f"{table.parent.name}.sub", names, relators))
+    pres = _presentation(reduced.name, names[:len(alive)], reduced.relators)
     inclusion = {name: pairs[old - 1][2] for name, old in zip(pres.generators, alive)}
     if not all(map(table.contains, inclusion.values())):
         raise InvariantError("inclusion word leaves the subgroup")

@@ -3,20 +3,20 @@ collapse certificates, double-cover cusp computations, the peripheral-order
 predicate, and the realizable/excluded verdict for all seventeen Euclidean
 2-orbifold cusp types.
 
-Machine-checked facts are group-theoretic (certified by coset enumeration and
-the wallpaper classifier); the three-dimensional steps they feed into are
-recorded as cited assumptions in the verdict checks, never re-proved here.
+Machine-checked facts are group-theoretic (certified by exponent sums, coset
+enumeration and the wallpaper classifier); the three-dimensional steps they
+feed into are recorded as cited assumptions in the verdict checks, never
+re-proved here.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable
 
-from .cosetenum import todd_coxeter
-from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _presentation,
-                      _reduce_valid, _reduced_word, abelianization, quotient,
-                      tietze_pass)
+from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _check_relators,
+                      _presentation, _reduce_valid, _reduced_word, abelianization)
 from .wallpaper import (ModelGroup, OrbifoldSignature, SIGNATURES,
                         UnknownSignatureError, _class_orders, classify, model,
                         orientation_double_cover, sign_kernel,
@@ -121,24 +121,32 @@ class CollapseResult:
 
 
 def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> AbelianGroup:
-    """Certify by coset enumeration that p modulo the normal closure of the
-    extras has order exactly 2; returns its abelianization, checked to be Z/2.
-    Both are computed after `fpgroup.tietze_pass`, the pass Reidemeister-
-    Schreier also uses, which presents the same group on fewer generators:
-    each single-letter extra (b, d, a meridian) deletes its generator."""
-    q, _ = tietze_pass(quotient(p, extras, name=name))
-    order = todd_coxeter(q).index
-    ab = abelianization(q)
-    if order != 2 or ab != AbelianGroup(0, (2,)):
+    """Certify that p modulo the normal closure of the extras has order
+    exactly 2; returns its abelianization, Z/2.
+
+    Each single-letter extra (b, d, a meridian) kills its generator.  When
+    exactly one generator x survives, the quotient is generated by x, and
+    each relator and each extra equals x^k in it, k its exponent sum in x.
+    So the quotient is <x | x^k, ...>: cyclic of order the gcd of those k
+    (0: infinite), and a cyclic group is its own abelianization.  The proof
+    is one pass over the letters, for every amalgam alike."""
+    _check_relators(extras, p.ngens)
+    killed = {abs(w.letters[0]) for w in extras if len(w) == 1}
+    survivors = [g for g in range(1, p.ngens + 1) if g not in killed]
+    if len(survivors) != 1:
         raise TheoremCheckError(
-            f"quotient {name} has order {order} and abelianization {ab}, "
-            "not order 2 with abelianization Z/2")
-    return ab
+            f"quotient {name} keeps {len(survivors)} generators, not one")
+    x = survivors[0]
+    order = gcd(*(w.letters.count(x) - w.letters.count(-x)
+                  for w in (*p.relators, *extras)))
+    if order != 2:
+        raise TheoremCheckError(f"quotient {name} has order {order or 'infinite'}, not 2")
+    return AbelianGroup(0, (2,))
 
 
 def collapse_236(p: Presentation) -> CollapseResult:
     """Quotient of a p6-cusped amalgam by b, both cusp translations, and all
-    meridians; certifies by coset enumeration that the quotient has order
+    meridians; certifies by `_certify_order_two` that the quotient has order
     exactly 2 with abelianization Z/2."""
     cusp = model("p6")
     t1, t2 = cusp.translation_words
@@ -153,7 +161,7 @@ def h_map_244(p: Presentation) -> tuple[SignHom, AbelianGroup]:
 
     Verifies that c |-> -1, d |-> +1, mu_j |-> +1 satisfies every relator, and
     that the quotient by d, c^2, the meridians and both cusp translations has
-    order exactly 2."""
+    order exactly 2 (`_certify_order_two`)."""
     cusp = model("p4")
     cp = cusp.presentation
     signs = [1] * p.ngens
@@ -349,16 +357,36 @@ def _minimal_amalgam(cusp_name: str) -> Presentation:
     return build_amalgam(AmalgamSpec(cusp_name, _minimal_knot(), _trivial_gluings(cusp_name)))
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) through the getrandbits of a `random.Random`, bit
+    for bit as `Random._randbelow` draws it: k = n.bit_length() bits (so 2
+    for n = 2), again while the value is n or more.  So a + _below(bits,
+    b - a + 1) is rng.randint(a, b) and s[_below(bits, len(s))] is
+    rng.choice(s), leaving the stream where they leave it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_conjugator(bits: Callable[[int], int], n: int) -> Word:
+    """Up to 6 letters over n knot generators: a length, then per letter a
+    sign (choice of -1 or 1) and a generator."""
+    return Word(tuple((2 * _below(bits, 2) - 1) * (1 + _below(bits, n))
+                      for _ in range(_below(bits, 7))))
+
+
 def random_knot_presentation(rng: random.Random) -> Presentation:
     """Meridian-style presentation: each extra generator is a conjugate of an
     earlier one, so the abelianization is Z."""
-    n = rng.randint(1, 3)
+    bits = rng.getrandbits
+    n = 1 + _below(bits, 3)
     gens = tuple(f"mu{i + 1}" for i in range(n))
     relators = []
     for i in range(2, n + 1):
-        j = rng.randint(1, i - 1)
-        w = Word(tuple(rng.choice([-1, 1]) * rng.randint(1, n)
-                       for _ in range(rng.randint(0, 6))))
+        j = 1 + _below(bits, i - 1)
+        w = _random_conjugator(bits, n)
         relators.append(Word((i,)) * (w * Word((j,)) * w.inverse()).inverse())
     return Presentation(f"knot{n}", gens, tuple(relators))
 
@@ -366,11 +394,10 @@ def random_knot_presentation(rng: random.Random) -> Presentation:
 def random_amalgam(rng: random.Random, cusp_name: str) -> AmalgamSpec:
     knot = random_knot_presentation(rng)
     cusp = model(cusp_name).presentation
+    bits = rng.getrandbits
     gluings = []
     for c in cusp.generators:
         for k in knot.generators:
-            w = Word(tuple(rng.choice([-1, 1]) * rng.randint(1, knot.ngens)
-                           for _ in range(rng.randint(0, 6))))
-            gluings.append(GluingDatum(
-                c, k, w, rng.randint(-3, 3), rng.randint(-3, 3)))
+            w = _random_conjugator(bits, knot.ngens)
+            gluings.append(GluingDatum(c, k, w, _below(bits, 7) - 3, _below(bits, 7) - 3))
     return AmalgamSpec(cusp_name, knot, tuple(gluings))

@@ -1,10 +1,12 @@
-"""Test-side oracles that share no code with the classifier."""
+"""Test-side oracles that share no code with the classifier or with the
+order-2 certificate."""
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
 
+from orbiforge.cosetenum import todd_coxeter
 from orbiforge.exactgeom import Isometry
-from orbiforge.fpgroup import Word
+from orbiforge.fpgroup import Word, abelianization, quotient, tietze_pass
 from orbiforge.lattice import Lattice2
 
 
@@ -131,3 +133,15 @@ def assert_matches_table_path(handle):
     assert d == a * g * model_denominator(handle.model)
     assert tuple((m, (Fraction(x, d), Fraction(y, d))) for m, (x, y) in got) == classes
     assert handle.point_group == linear
+
+
+def order_two_full_path(p, extras, name):
+    """(order, abelianization, Tietze pass) of p modulo the normal closure
+    of the extras, the way the order-2 certificate computed them before it
+    read exponent sums: `quotient`, one `tietze_pass` (each single-letter
+    extra deletes its generator), then coset enumeration of the trivial
+    subgroup and the Smith form on the smaller presentation.  The last value
+    is the pass's (presentation, survivors)."""
+    reduced = tietze_pass(quotient(p, extras, name))
+    q = reduced[0]
+    return todd_coxeter(q).index, abelianization(q), reduced

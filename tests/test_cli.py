@@ -495,6 +495,13 @@ class TestVerifyRunner:
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")
         assert main(["verify-paper", "--only", "rigid-index"]) == 3
 
+    def test_collapse_check_enumerates_nothing(self, capsys, monkeypatch):
+        # the order-2 certificate reads exponent sums, so an allowance of 1
+        # passes collapse-236; rigid-index still enumerates
+        monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "1")
+        assert main(["verify-paper", "--only", "collapse-236"]) == 0
+        assert main(["verify-paper", "--only", "rigid-index"]) == 3
+
     def test_model_presentations_roundtrip(self):
         from orbiforge.fixtures import model_presentation_text
         from orbiforge.wallpaper import MODEL_NAMES, model

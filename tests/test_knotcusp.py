@@ -1,15 +1,18 @@
 """Amalgam presentations, collapse certificates, and the verdict table."""
 import hashlib
 import random
+import re
+import sys
 from dataclasses import replace
 
 import pytest
 
+from oracle import order_two_full_path
 from orbiforge.cosetenum import CosetLimitError, todd_coxeter
 from orbiforge.fixtures import load_fixture
-from orbiforge.fpgroup import (AbelianGroup, Presentation, Word,
-                               abelianization, quotient)
-from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, GluingDatum,
+from orbiforge.fpgroup import (AbelianGroup, Presentation, PresentationError, Word,
+                               abelianization, quotient, tietze_pass)
+from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, CollapseResult, GluingDatum,
                                 FOUR_TORSION_EXCLUDED, REFLECTION_EXCLUDED,
                                 TheoremCheckError, build_amalgam, collapse_236,
                                 double_cover_cusp_244, h_map_244,
@@ -268,41 +271,70 @@ class TestVerdicts:
 
 class TestOrderTwoCertificate:
     def test_rejects_a_quotient_of_order_six(self):
-        # p6 modulo its translations is the point group Z/6
+        # p6 modulo its translations is the point group Z/6: no extra is a
+        # single letter, so both generators survive
         p6 = model("p6")
-        with pytest.raises(TheoremCheckError, match=r"p6\.T has order 6"):
-            _certify_order_two(p6.presentation, list(p6.translation_words), "p6.T")
+        extras = list(p6.translation_words)
+        with pytest.raises(TheoremCheckError,
+                           match=r"^quotient p6\.T keeps 2 generators, not one$"):
+            _certify_order_two(p6.presentation, extras, "p6.T")
+        order, ab, _ = order_two_full_path(p6.presentation, extras, "p6.T")
+        assert (order, ab) == (6, AbelianGroup(0, (6,)))
+
+    def test_rejects_a_quotient_with_no_generator_left(self):
+        p6 = model("p6")
+        with pytest.raises(TheoremCheckError,
+                           match=r"^quotient p6\.ab keeps 0 generators, not one$"):
+            _certify_order_two(p6.presentation, [Word((-1,)), Word((2,))], "p6.ab")
+
+    def test_rejects_an_infinite_cyclic_quotient(self):
+        # F(a, b) modulo b is Z: no relator or extra has an exponent in a
+        free = Presentation("free", ("a", "b"), ())
+        with pytest.raises(TheoremCheckError,
+                           match=r"^quotient free\.b has order infinite, not 2$"):
+            _certify_order_two(free, [Word((2,))], "free.b")
+        assert abelianization(tietze_pass(quotient(free, [Word((2,))]))[0]) == AbelianGroup(1)
+
+    def test_extras_must_use_the_presentation_generators(self):
+        # b is the second generator of a cusp group; a one-generator input
+        # has none, and the certificate refuses it rather than ignore b
+        one = Presentation("one", ("a",), (Word((1, 1)),))
+        with pytest.raises(PresentationError, match=r"references generator #2 but only 1 exist"):
+            collapse_236(one)
 
     def test_collapse_236_propagates_a_failure(self):
-        # a relator killing a leaves a trivial collapse
+        # a relator killing a leaves a trivial collapse: gcd(1, -2, 2) = 1
         p = Presentation("a-killed", ("a", "b"), (Word((1,)),))
-        with pytest.raises(TheoremCheckError, match=r"a-killed\.collapse has order 1"):
+        with pytest.raises(TheoremCheckError,
+                           match=r"^quotient a-killed\.collapse has order 1, not 2$"):
             collapse_236(p)
+        extras = [Word((2,)), *model("p6").translation_words]
+        assert order_two_full_path(p, extras, "a-killed.collapse")[:2] == (1, AbelianGroup(0))
 
-    def test_environment_allowance_bounds_subgroup_and_collapse(self, monkeypatch):
-        # collapse_236 and subgroup take no allowance of their own, so the
-        # environment's bounds them
+    def test_environment_allowance_bounds_subgroup_but_not_the_collapse(self, monkeypatch):
+        # subgroup takes no allowance of its own, so the environment's
+        # bounds it; the order-2 certificates enumerate nothing, so even an
+        # allowance of 1 lets them through
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "2")
         t1, t2 = model("p6").translation_words
         with pytest.raises(CosetLimitError, match="allowance of 2 exhausted"):
             subgroup(model("p6"), [t1 ** 8, t2 ** 8])
-        # the certificate enumerates the Tietze-reduced collapse, one
-        # generator of order 2, so only an allowance of 1 is too small
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", "1")
         p = build_amalgam(AmalgamSpec("p6", _minimal_knot(), _trivial_gluings("p6")))
-        with pytest.raises(CosetLimitError, match="allowance of 1 exhausted"):
-            collapse_236(p)
+        assert collapse_236(p) == CollapseResult(2, AbelianGroup(0, (2,)))
+        p = build_amalgam(AmalgamSpec("p4", _minimal_knot(), _trivial_gluings("p4")))
+        assert h_map_244(p)[1] == AbelianGroup(0, (2,))
 
     def test_h_map_244_propagates_a_failure(self, monkeypatch):
-        # with the sign map valid the quotient has order 2, so c is killed
-        # behind its back to make the certificate see order 1
+        # with the sign map valid every exponent of c is even, so the order
+        # is 2; the extra c^3 given to the certificate makes it 1
         from orbiforge import knotcusp
 
-        real = knotcusp.quotient
-        monkeypatch.setattr(knotcusp, "quotient",
-                            lambda p, extras, name: real(p, extras + [Word((1,))], name))
+        real = knotcusp._certify_order_two
+        monkeypatch.setattr(knotcusp, "_certify_order_two",
+                            lambda p, extras, name: real(p, extras + [Word((1, 1, 1))], name))
         p = build_amalgam(AmalgamSpec("p4", _minimal_knot(), _trivial_gluings("p4")))
-        with pytest.raises(TheoremCheckError, match=r"\.h has order 1"):
+        with pytest.raises(TheoremCheckError, match=r"\.h has order 1, not 2$"):
             h_map_244(p)
 
     def test_h_map_244_needs_a_sign_map_that_holds(self):
@@ -339,31 +371,30 @@ class TestOrderTwoCertificate:
                            match=r"^double cover cusp is S2\(2,4,4\), not S2\(2,2,2,2\)$"):
             double_cover_cusp_244()
 
-    def test_single_letter_extras_never_reach_the_enumeration(self, monkeypatch):
-        # b, d and the meridians are single-letter extras; the Tietze pass
-        # deletes their generators before todd_coxeter and abelianization
-        from orbiforge import knotcusp
+    def test_certificate_runs_no_enumeration_or_tietze_pass(self, monkeypatch):
+        # the order is read off exponent sums: every binding of todd_coxeter,
+        # tietze_pass and abelianization in the package fails if called
+        from orbiforge import cosetenum, fpgroup, knotcusp
 
         rng = random.Random(11)
-        cases = [(collapse_236, "p6", "b", ".collapse"), (h_map_244, "p4", "d", ".h")]
         runs = []
-        for certify, cusp, killed, suffix in cases:
-            specs = [AmalgamSpec(cusp, _minimal_knot(), _trivial_gluings(cusp))]
-            specs += [random_amalgam(rng, cusp) for _ in range(5)]
-            runs += [(certify, build_amalgam(spec), killed, suffix) for spec in specs]
-        seen = []
-        for name in ("todd_coxeter", "abelianization"):
-            real = getattr(knotcusp, name)
-            monkeypatch.setattr(knotcusp, name,
-                                lambda q, real=real: seen.append(q) or real(q))
-        for certify, p, killed, suffix in runs:
-            seen.clear()
+        for certify, cusp in ((collapse_236, "p6"), (h_map_244, "p4")):
+            ps = [model(cusp).presentation, knotcusp._minimal_amalgam(cusp)]
+            ps += [build_amalgam(random_amalgam(rng, cusp)) for _ in range(5)]
+            runs += [(certify, p) for p in ps]
+        banned = (cosetenum.todd_coxeter, fpgroup.tietze_pass, fpgroup.abelianization)
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "orbiforge":
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in banned):
+                        monkeypatch.setattr(module, attr, _banned(attr))
+                        patched.append(f"{name}.{attr}")
+        assert {"orbiforge.cosetenum.todd_coxeter", "orbiforge.fpgroup.tietze_pass",
+                "orbiforge.knotcusp.abelianization"} <= set(patched)
+        assert not {"todd_coxeter", "tietze_pass", "quotient"} & set(vars(knotcusp))
+        for certify, p in runs:
             certify(p)
-            assert len(seen) == 2
-            for q in seen:
-                assert q.name == p.name + suffix
-                assert killed not in q.generators
-                assert not [g for g in q.generators if g.startswith("mu")]
 
     def test_failing_certificate_is_a_failed_check(self, monkeypatch):
         from orbiforge import knotcusp, verify
@@ -482,7 +513,9 @@ def test_verify_check_fails_through_the_library(monkeypatch, check, patch, detai
 # sha256 of repr() of the (presentation, tietze_pass result) pairs the test
 # below collects, recorded when build_amalgam still formed the stepwise
 # products of _stepwise_amalgam_relators, quotient re-validated every relator
-# and tietze_pass recomputed each relator's key on removal
+# and tietze_pass recomputed each relator's key on removal.  The certificate
+# no longer runs the pass; the pairs now come from the retired full path in
+# tests/oracle.py, on the names and extras the certificate is given
 CERTIFICATE_GOLDEN_HASH = "fc654091efe9177c6a0f10b4f8eae895fa4825dbd2cf5c3a4ae226ccacd8fe69"
 
 
@@ -493,10 +526,7 @@ class TestCertificateGoldenHash:
         from orbiforge import knotcusp
         from orbiforge.verify import AMALGAM_SAMPLES
 
-        reduced = []
-        real = knotcusp.tietze_pass
-        monkeypatch.setattr(knotcusp, "tietze_pass",
-                            lambda p: reduced.append(real(p)) or reduced[-1])
+        given = _record_certificate_calls(monkeypatch)
         pairs = []
         for seed in (0, 1):
             for cusp, certify, rng_seed in (("p6", collapse_236, seed),
@@ -506,12 +536,104 @@ class TestCertificateGoldenHash:
                       build_amalgam(AmalgamSpec(cusp, _minimal_knot(), _trivial_gluings(cusp)))]
                 ps += [build_amalgam(random_amalgam(rng, cusp)) for _ in range(AMALGAM_SAMPLES)]
                 for p in ps:
-                    reduced.clear()
+                    given.clear()
                     certify(p)
-                    assert len(reduced) == 1
-                    pairs.append((p, reduced[0]))
+                    [(q, extras, name)] = given
+                    assert q is p
+                    order, ab, reduced = order_two_full_path(p, extras, name)
+                    assert (order, ab) == (2, AbelianGroup(0, (2,)))
+                    pairs.append((p, reduced))
         assert len(pairs) == 2 * 2 * (2 + AMALGAM_SAMPLES)
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == CERTIFICATE_GOLDEN_HASH
+
+
+def _record_certificate_calls(monkeypatch) -> list:
+    """Make knotcusp._certify_order_two record its (p, extras, name) before
+    it runs; returns the record."""
+    from orbiforge import knotcusp
+
+    given = []
+    real = knotcusp._certify_order_two
+    monkeypatch.setattr(knotcusp, "_certify_order_two",
+                        lambda p, extras, name: given.append((p, extras, name))
+                        or real(p, extras, name))
+    return given
+
+
+def _banned(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
+def _cyclic(k: int) -> AbelianGroup:
+    return AbelianGroup(0, (k,)) if k > 1 else AbelianGroup(0)
+
+
+def _claim(p, extras, name) -> tuple[int, AbelianGroup]:
+    """(order, abelianization) that the certificate states: 2 and Z/2 when
+    it certifies, else the cyclic group its refusal names (0: infinite, Z).
+    Every input here keeps at most one generator."""
+    try:
+        return 2, _certify_order_two(p, extras, name)
+    except TheoremCheckError as exc:
+        if str(exc) == f"quotient {name} keeps 0 generators, not one":
+            return 1, AbelianGroup(0)
+        k = re.fullmatch(rf"quotient {re.escape(name)} has order (\d+|infinite), not 2",
+                         str(exc))[1]
+        return (0, AbelianGroup(1)) if k == "infinite" else (int(k), _cyclic(int(k)))
+
+
+def _random_word(rng, ngens, shortest=1) -> Word:
+    return Word(tuple(rng.choice([-1, 1]) * rng.randint(1, ngens)
+                      for _ in range(rng.randint(shortest, 6))))
+
+
+class TestOrderTwoDifferential:
+    """The exponent-sum certificate against the retired full path
+    (tests/oracle.py: Tietze pass, coset enumeration, Smith form)."""
+
+    @pytest.mark.parametrize("cusp, certify", [("p6", collapse_236), ("p4", h_map_244)])
+    def test_agrees_with_the_full_path_on_seeded_amalgams(self, monkeypatch, cusp, certify):
+        # 2000 amalgams per cusp, each with the certificate's own extras (order
+        # 2) and with one more random word of 2 to 6 letters, which leaves
+        # order 2 or kills the survivor
+        given = _record_certificate_calls(monkeypatch)
+        rng = random.Random(27)
+        orders = []
+        for i in range(2000):
+            p = build_amalgam(random_amalgam(rng, cusp))
+            given.clear()
+            certify(p)
+            [(_, extras, name)] = given
+            for more in ([], [_random_word(rng, p.ngens, shortest=2)]):
+                claim = _claim(p, extras + more, name)
+                assert order_two_full_path(p, extras + more, name)[:2] == claim, (i, more)
+                orders.append(claim[0])
+        assert len(orders) == 4000
+        assert orders.count(2) > 2000 and orders.count(1) > 200
+
+    def test_agrees_with_the_full_path_on_one_survivor_presentations(self):
+        # random relators on 1 to 3 generators, all but one killed by a
+        # single-letter extra: orders 0 (infinite) to 20
+        rng = random.Random(28)
+        orders = set()
+        for i in range(500):
+            n = rng.randint(1, 3)
+            x = rng.randint(1, n)
+            p = Presentation(f"r{i}", tuple(f"g{j}" for j in range(1, n + 1)),
+                             tuple(_random_word(rng, n) ** rng.randint(1, 4)
+                                   for _ in range(rng.randint(0, 3))))
+            extras = [Word((rng.choice([-1, 1]) * g,)) for g in range(1, n + 1) if g != x]
+            extras += [_random_word(rng, n) for _ in range(rng.randint(0, 2))]
+            order, ab = _claim(p, extras, p.name)
+            orders.add(order)
+            if order == 0:
+                q, _ = tietze_pass(quotient(p, extras))
+                assert abelianization(q) == ab == AbelianGroup(1)
+            else:
+                assert order_two_full_path(p, extras, p.name)[:2] == (order, ab)
+        assert {0, 1, 2, 3, 4, 6, 8, 12} <= orders
 
 
 def _knot_named_a():
