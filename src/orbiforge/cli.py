@@ -139,7 +139,7 @@ def _cmd_classify(args) -> int:
     print(f"signature: {sig.names.thurston}")
     print(f"crystallographic: {sig.names.crystallographic}")
     print(f"orbifold notation: {sig.names.conway}")
-    print(f"index: {handle.index}; point group order: {len(handle.point_group)}; "
+    print(f"index: {handle.index}; point group order: {len(handle.integer_classes[1])}; "
           f"lattice index: {handle.lattice_index}")
     if sig.note:
         print(f"note: {sig.note}")

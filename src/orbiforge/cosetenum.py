@@ -224,14 +224,14 @@ class _Enumerator:
         b, j = start, len(cols) - 1
         while True:
             while i <= j and self.table[f][cols[i]] is not None:
-                f = self.rep(self.table[f][cols[i]])
+                f = self.table[f][cols[i]]  # between coincidences entries name live cosets
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
             while j >= i and self.table[b][cols[j] ^ 1] is not None:
-                b = self.rep(self.table[b][cols[j] ^ 1])
+                b = self.table[b][cols[j] ^ 1]
                 j -= 1
             if j < i:
                 if f != b:

@@ -20,8 +20,9 @@ One scan of the classes (`_class_orders`) gives the rotation orders and the
 mirror matrices, the det -1 linear parts whose class holds a reflection; the
 decision tree names the type from them, by their number and by how they act
 on Z^2/2Z^2 or, in a three-fold group with rotation R, on Z^2/(R - I)Z^2.
-`ModelGroup.evaluate` stays in exact Cartesian Q(sqrt3) arithmetic, as the
-independent check of the models and of the `schreier_images` view.
+Exact Cartesian Q(sqrt3) arithmetic only builds, validates and converts the
+models and serves the views `evaluate`, `schreier_images`, `classes`,
+`lattice` and `point_group`; every decision after that reads the kernel.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .cosetenum import CosetTable, InvariantError, todd_coxeter
-from .exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
-                        classify_isometry, mat, Translation, vec)
+from .exactgeom import IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2, mat, vec
 from .fpgroup import Presentation, SignHom, Word
 from .lattice import InvalidLatticeError, Lattice2, integer_lattice_basis
 
@@ -207,6 +207,10 @@ _ID_LINEAR: Linear = (1, 0, 0, 1)
 _ID_AFFINE: Affine = (1, 0, 0, 1, 0, 0)
 
 
+def _det(m: Linear) -> int:
+    return m[0] * m[3] - m[1] * m[2]
+
+
 def _mmul(p: Linear, q: Linear) -> Linear:
     a, b, c, d = p
     e, f, g, h = q
@@ -333,7 +337,8 @@ class ModelGroup:
             if not all(x.is_integer() for x in entries):
                 raise InvariantError(f"linear part {iso.linear} of {self.presentation.name} "
                                      "is not integral in the lattice basis")
-            if c.det() not in (QuadNum.of(1), QuadNum.of(-1)):
+            m = tuple(int(x.a) for x in entries)
+            if _det(m) not in (1, -1):
                 raise InvariantError("lattice-basis linear part has determinant other than +-1")
             if c.transpose() * gram * c != gram:
                 raise InvariantError("lattice-basis linear part does not keep the Gram matrix")
@@ -341,7 +346,7 @@ class ModelGroup:
             if not all(x.is_integer() for x in scaled):
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
-            gens.append(tuple(int(x.a) for x in entries + scaled))
+            gens.append(m + tuple(int(x.a) for x in scaled))
         held, _ = _walk([_ainv(g) for g in gens], n)
         lifts = tuple(map(_ainv, held.values()))
         cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f in lifts}
@@ -355,7 +360,7 @@ class ModelGroup:
                     f"in model {self.presentation.name}")
         images = [self.evaluate(w) for w in self.translation_words]
         for img in images:
-            if not isinstance(classify_isometry(img), Translation):
+            if not img.linear.is_identity() or img.trans.is_zero():
                 raise InvariantError("translation word image is not a translation")
         if images[0].trans.cross(images[1].trans).is_zero():
             raise InvariantError("translation images are linearly dependent")
@@ -576,7 +581,7 @@ class SubgroupHandle:
         is not the subgroup's."""
         closure = _word_closure(self.model, self.table.subgroup_words)
         a, _, g = closure[0]
-        if self.index * len(closure[2]) != a * g * len(self.model.point_group):
+        if self.index * len(closure[2]) != a * g * len(self.model.kernel.lifts):
             raise InvariantError("index identity violated")
         return closure
 
@@ -676,7 +681,7 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
         raise InvariantError("lattice basis is not in Hermite form")
     ag = a * g
     d = ag * n
-    linear = tuple(m for m in kernel.cartesian if m in held)
+    linear = tuple(f[:4] for f in kernel.lifts if f[:4] in held)
     classes = []
     for m in linear:
         scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
@@ -694,10 +699,6 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
 # The helpers below take classes in the lattice basis (`integer_classes`).
 
 _ORDER_OF_TRACE = {2: 1, -2: 2, -1: 3, 0: 4, 1: 6}
-
-
-def _det(m: Linear) -> int:
-    return m[0] * m[3] - m[1] * m[2]
 
 
 def _rotation_order(m: Linear) -> int:
@@ -794,13 +795,12 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
     """The orientation-preserving subgroup with its classification.
 
     For an orientable model this is the whole group; otherwise it is the
-    kernel of the determinant sign map, which contains every translation.
+    kernel, which contains every translation, of the determinant sign map,
+    read from the kernel's generators (B^-1 L B has the determinant of L).
     """
-    signs = tuple(1 if iso.linear.det() == QuadNum.of(1) else -1
-                  for iso in model_group.rep)
+    signs = tuple(_det(g[:4]) for g in model_group.kernel.gens)
     if all(s == 1 for s in signs):
-        handle = whole_group(model_group)
-        return handle, model_group.signature
+        return whole_group(model_group), model_group.signature
     hom = SignHom(model_group.presentation, signs)
     if not hom.holds():
         raise InvariantError("determinant sign map violates a relator")

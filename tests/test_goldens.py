@@ -6,9 +6,14 @@ same text, byte for byte."""
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbiforge
 from orbiforge import verify
 from orbiforge.cli import main
 from orbiforge.fpgroup import sign_homs
@@ -205,3 +210,39 @@ def test_cli_output_is_byte_stable(kind, name):
 def test_report_is_byte_stable(seed):
     text = verify.report_json(verify.run_verification(seed=seed))
     assert sha256(text) == REPORT_GOLDEN[seed]
+
+
+# A digest of output that iterates over sets and dicts on its way: the
+# seed-3 report, `classify` and `verdict` of every whole group, and the sign
+# maps of p6m.  It prints the digest and the hash of a string, which shows
+# the hash seed the process ran under.
+SEED_SENSITIVE = """
+import contextlib, hashlib, io
+from orbiforge import verify
+from orbiforge.cli import main
+from orbiforge.fpgroup import sign_homs
+from orbiforge.wallpaper import MODEL_NAMES, model
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    for name in MODEL_NAMES:
+        main(["classify", name])
+        main(["verdict", name])
+text = verify.report_json(verify.run_verification(seed=3)) + out.getvalue()
+text += repr([h.signs for h in sign_homs(model("p6m").presentation)])
+print(hashlib.sha256(text.encode()).hexdigest(), hash("orbiforge"))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        exec(SEED_SENSITIVE, {})
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(orbiforge.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", SEED_SENSITIVE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    here, there = buffer.getvalue().split(), run.stdout.split()
+    assert here[1] != there[1]  # the two processes hash strings differently
+    assert here[0] == there[0]

@@ -216,6 +216,26 @@ def test_one_double_cover_certificate():
     assert not hasattr(CosetTable, "permutation")
 
 
+def test_one_coordinate_system_for_decisions():
+    # once a model is built, orientation, the point-group order and the
+    # classification read its integer kernel; Q(sqrt3) builds, validates and
+    # displays the models, and exactgeom's classifier stays a test oracle
+    functions = {}
+    for tree in (_parse("wallpaper.py"), _parse("cli.py")):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update((f"{node.name}.{fn.name}", fn) for fn in node.body
+                                 if isinstance(fn, ast.FunctionDef))
+    deciding = ["orientation_double_cover", "_word_closure", "SubgroupHandle._closure",
+                "_class_orders", "crystallographic_type", "_cmd_classify"]
+    assert {name: sorted(_names(functions[name]) & {"det", "QuadNum", "cartesian",
+                                                    "point_group", "rep"})
+            for name in deciding} == {name: [] for name in deciding}
+    assert _names(_parse("wallpaper.py")).isdisjoint({"classify_isometry", "Translation"})
+
+
 def _holds_word(value) -> bool:
     from orbiforge.fpgroup import Word
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from orbiforge import wallpaper
 from orbiforge.cosetenum import InvariantError
 from orbiforge.exactgeom import (IDENTITY_MAT, Isometry, QuadNum, Translation,
                                  classify_isometry, vec)
 from orbiforge.fpgroup import Presentation, Word, sign_homs
+from orbiforge.lattice import InvalidLatticeError
+from orbiforge.verify import _COVER_EXPECTATION
 from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
                                  SIGNATURES, SubgroupHandle, UnknownModelError,
                                  UnknownSignatureError, classify,
@@ -25,9 +28,10 @@ class TestModels:
 
     @pytest.mark.parametrize("name, words", [("p6", ((1,), (2, -1, -1))),
                                              ("pg", ((2,), (1,))),
-                                             ("p4m", ((1,), (2, 3, 2, 1)))])
+                                             ("p4m", ((1,), (2, 3, 2, 1))),
+                                             ("p1", ((1, 2, -1, -2), (2,)))])
     def test_translation_words_must_be_translations(self, name, words):
-        # a rotation of p6, the glide of pg, a mirror of p4m
+        # a rotation of p6, the glide of pg, a mirror of p4m, the identity
         fake = replace(model(name), translation_words=tuple(map(Word, words)))
         with pytest.raises(InvariantError, match="^translation word image is not a translation$"):
             fake.validate()
@@ -210,16 +214,41 @@ class TestOrientationDoubleCover:
         with pytest.raises(InvariantError, match="^determinant sign map violates a relator$"):
             orientation_double_cover(replace(pm, presentation=bad))
 
-    @pytest.mark.parametrize("name", ["pm", "pg", "p4m", "p6m"])
-    def test_translation_words_must_lift_to_the_double_cover(self, name):
-        # a generator that reverses orientation, as a translation word,
-        # leaves the double cover
+    @pytest.mark.parametrize("name, error, pattern", [
+        ("pm", InvalidLatticeError, "^degenerate basis "),
+        ("pg", InvariantError, "^translation fails to lift to the double cover$"),
+        ("p4m", InvalidLatticeError, "^degenerate basis "),
+        ("p6m", InvalidLatticeError, "^degenerate basis ")])
+    def test_translation_words_must_lift_to_the_double_cover(self, name, error, pattern,
+                                                             monkeypatch):
+        # a generator that reverses orientation, as t1, is refused: a mirror
+        # through the origin gives no lattice to build the kernel on, and
+        # pg's glide, whose kernel builds, has sign -1
         m = model(name)
         k = next(k for k, iso in enumerate(m.rep, 1) if iso.linear.det() == QuadNum.of(-1))
         fake = replace(m, translation_words=(Word((k,)), m.translation_words[1]))
+        with pytest.raises(error, match=pattern):
+            orientation_double_cover(fake)
+        # a cover that misses t1 is refused even when every sign is right
+        t1, t2 = m.translation_words
+        monkeypatch.setattr(wallpaper, "sign_kernel", lambda m_, hom: subgroup(m, [t1 ** 2, t2]))
         with pytest.raises(InvariantError,
                            match="^translation fails to lift to the double cover$"):
-            orientation_double_cover(fake)
+            orientation_double_cover(m)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_kernel_signs_match_the_cartesian_determinants(self, name):
+        # the signs were once read from Q(sqrt3) determinants of the
+        # generator images; that reading stays the oracle for the kernel's
+        m = model(name)
+        signs = tuple(1 if iso.linear.det() == QuadNum.of(1) else -1 for iso in m.rep)
+        assert tuple(g[0] * g[3] - g[1] * g[2] for g in m.kernel.gens) == signs
+        handle, sig = orientation_double_cover(m)
+        target = dict(_COVER_EXPECTATION).get(name, name if -1 not in signs else None)
+        assert handle.index == (2 if -1 in signs else 1)
+        assert sig.orientable
+        if target is not None:
+            assert sig == SIGNATURES[target]
 
 
 class TestEulerCharacteristic:
