@@ -27,8 +27,8 @@ through column 2(g-1)+1, so column x ^ 1 holds the inverse of column x.
 
 Each presentation is encoded for enumeration once, on its first
 enumeration, into a plan (`_plan`): the letter -> column map, its relators
-as column tuples, and the Felsch cycle lists, each relator's distinct
-conjugates by first column.  The plan is kept on the presentation object,
+as powers u^k of column tuples, and the Felsch cycle lists, each relator's
+distinct conjugates by first column.  The plan is kept on the presentation object,
 outside its fields, so its equality, hash, repr and pickle stay as they
 are; every later enumeration of the same object, and each `validate` of a
 table over it, reads the plan instead of encoding the relators again.
@@ -92,7 +92,8 @@ class _Plan(NamedTuple):
     """A presentation encoded for enumeration (see the module docstring)."""
 
     col_of: dict[int, int]                   # letter -> column
-    relators: tuple[tuple[int, ...], ...]    # each relator as columns
+    # each nonempty relator r as (u, k): u its period in columns, r = u^k
+    relators: tuple[tuple[tuple[int, ...], int], ...]
     # relator conjugates by first column, for the deduction scans: an edge
     # a -x-> b lies on a relator cycle read forward from a (a conjugate
     # starting with x) or backward from b (one starting with x^1).  The
@@ -105,9 +106,10 @@ def _build_plan(p: Presentation) -> _Plan:
     col_of = {}
     for g in range(1, p.ngens + 1):
         col_of[g], col_of[-g] = _col(g), _col(-g)
-    relators = tuple(tuple(map(col_of.__getitem__, r.letters)) for r in p.relators)
+    relators = []
     by_col: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(2 * p.ngens)]
-    for rel in relators:
+    for r in p.relators:
+        rel = tuple(map(col_of.__getitem__, r.letters))
         n = len(rel)
         if not n:
             continue  # the empty relator holds at every coset
@@ -115,9 +117,10 @@ def _build_plan(p: Presentation) -> _Plan:
         period = 1
         while n % period or doubled[period:period + n] != rel:
             period += 1
+        relators.append((rel[:period], n // period))
         for i in range(period):
             by_col[rel[i]].append((doubled, i, i + n - 1))
-    return _Plan(col_of, relators, tuple(map(tuple, by_col)))
+    return _Plan(col_of, tuple(relators), tuple(map(tuple, by_col)))
 
 
 def _plan(p: Presentation) -> _Plan:
@@ -420,12 +423,21 @@ class CosetTable:
                 c = cols[col_of[letter]][c]
             if c != 0:
                 raise InvariantError("subgroup word moves the subgroup coset")
-        # compose each relator, as the plan's columns, over every coset
-        for rel in plan.relators:
-            perm = identity
-            for x in rel:
+        # compose each relator u^k over every coset: u once, then its k-th
+        # power by squaring
+        for u, k in plan.relators:
+            perm = cols[u[0]]
+            for x in u[1:]:
                 perm = _gather(cols[x], perm)
-            if perm != identity:
+            power = None
+            while True:
+                if k & 1:
+                    power = perm if power is None else _gather(perm, power)
+                k >>= 1
+                if not k:
+                    break
+                perm = _gather(perm, perm)
+            if power != identity:
                 raise InvariantError("relator acts nontrivially on a coset")
 
     # -- Schreier machinery --------------------------------------------------

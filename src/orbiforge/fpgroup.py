@@ -336,6 +336,14 @@ class IntMatrix:
         return f"IntMatrix({self.to_rows()!r})"
 
 
+def _int_matrix(rows: int, cols: int, entries: list[int]) -> IntMatrix:
+    """An IntMatrix over a list of rows * cols ints, stored as it is; callers
+    own that proof."""
+    m = object.__new__(IntMatrix)
+    m.rows, m.cols, m.entries = rows, cols, entries
+    return m
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -369,45 +377,38 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     caller in the package reads U or V.
     """
     R, C = a.rows, a.cols
-    m = [a.row(i) + [int(i == k) for k in range(R)] for i in range(R)]
-    m += [[int(j == k) for k in range(C)] + [0] * R for j in range(C)]
-
-    def add_row(dst, src, k):
-        m[dst] = [e + k * f for e, f in zip(m[dst], m[src])]
-
-    def add_col(dst, src, k):
-        for row in m:
-            row[dst] += k * row[src]
-
-    def combine_rows(t, i, x, y, z, w):
-        rt, ri = m[t], m[i]
-        m[t] = [x * e + y * f for e, f in zip(rt, ri)]
-        m[i] = [z * e + w * f for e, f in zip(rt, ri)]
-
-    def combine_cols(t, j, x, y, z, w):
-        for row in m:
-            e, f = row[t], row[j]
-            row[t], row[j] = x * e + y * f, z * e + w * f
-
-    def find_pivot(t):
-        best, size = None, 0
+    m = []
+    for i in range(R):
+        row = a.row(i) + [0] * R
+        row[C + i] = 1
+        m.append(row)
+    for j in range(C):
+        row = [0] * (C + R)
+        row[j] = 1
+        m.append(row)
+    t, stop = 0, min(R, C)
+    while t < stop:
+        # pivot: the first entry, row-major, of least nonzero |value| in the
+        # remaining block; none is less than 1, so the search ends at a 1
+        piv, size = None, 0
         for i in range(t, R):
             row = m[i]
             for j in range(t, C):
                 e = abs(row[j])
-                if e and (best is None or e < size):
-                    best, size = (i, j), e
-        return best
-
-    t = 0
-    while t < min(R, C):
-        piv = find_pivot(t)
+                if e and (piv is None or e < size):
+                    piv, size = (i, j), e
+                    if e == 1:
+                        break
+            if size == 1:
+                break
         if piv is None:
             break
         i, j = piv
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
+        if i != t:
+            m[t], m[i] = m[i], m[t]
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
         if m[t][t] < 0:
             m[t] = [-e for e in m[t]]
         # clear column t, then row t; a column step that leaves a gcd in the
@@ -419,33 +420,44 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if b:
                     p = m[t][t]
                     if b % p == 0:
-                        add_row(i, t, -(b // p))
+                        k = -(b // p)
+                        m[i] = [e + k * f for e, f in zip(m[i], m[t])]
                     else:
                         g, x, y = _xgcd(p, b)
-                        combine_rows(t, i, x, y, -(b // g), p // g)
+                        z, w = -(b // g), p // g
+                        rt, ri = m[t], m[i]
+                        m[t] = [x * e + y * f for e, f in zip(rt, ri)]
+                        m[i] = [z * e + w * f for e, f in zip(rt, ri)]
             for j in range(t + 1, C):
                 b = m[t][j]
                 if b:
                     p = m[t][t]
                     if b % p == 0:
-                        add_col(j, t, -(b // p))
+                        k = -(b // p)
+                        for row in m:
+                            row[j] += k * row[t]
                     else:
                         g, x, y = _xgcd(p, b)
-                        combine_cols(t, j, x, y, -(b // g), p // g)
+                        z, w = -(b // g), p // g
+                        for row in m:
+                            e, f = row[t], row[j]
+                            row[t], row[j] = x * e + y * f, z * e + w * f
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot (1
+        # divides every entry)
         p = m[t][t]
-        bad = next((i for i in range(t + 1, R)
-                    if any(e % p for e in m[i][t + 1:C])), None)
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue  # redo the clearing loop at the same t
+        if p != 1:
+            bad = next((i for i in range(t + 1, R)
+                        if any(e % p for e in m[i][t + 1:C])), None)
+            if bad is not None:
+                m[t] = [e + f for e, f in zip(m[t], m[bad])]
+                continue  # redo the clearing loop at the same t
         t += 1
-    return (IntMatrix(R, R, [e for row in m[:R] for e in row[C:]]),
-            IntMatrix(R, C, [e for row in m[:R] for e in row[:C]]),
-            IntMatrix(C, C, [e for row in m[R:] for e in row[:C]]))
+    return (_int_matrix(R, R, [e for row in m[:R] for e in row[C:]]),
+            _int_matrix(R, C, [e for row in m[:R] for e in row[:C]]),
+            _int_matrix(C, C, [e for row in m[R:] for e in row[:C]]))
 
 
 def diagonal_of(d: IntMatrix) -> list[int]:
@@ -484,7 +496,7 @@ class AbelianGroup:
 def relator_matrix(p: Presentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     flat = [x for w in p.relators for x in w.exponent_sums(p.ngens)]
-    return IntMatrix(len(p.relators), p.ngens, flat)
+    return _int_matrix(len(p.relators), p.ngens, flat)
 
 
 def abelianization(p: Presentation) -> AbelianGroup:

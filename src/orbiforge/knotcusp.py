@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
+from operator import neg
 from typing import Callable
 
 from .fpgroup import (AbelianGroup, Presentation, SignHom, Word, _check_relators,
@@ -45,6 +47,9 @@ class GluingDatum:
     s: int
 
 
+_INTEGERS = AbelianGroup(1)  # Z, the abelianization of a meridian-style knot
+
+
 @dataclass(frozen=True)
 class AmalgamSpec:
     cusp_model: str                      # "p6" or "p4"
@@ -55,10 +60,10 @@ class AmalgamSpec:
         if self.cusp_model not in ("p6", "p4"):
             raise AmalgamError(f"cusp model must be p6 or p4, not {self.cusp_model!r}")
         cusp = model(self.cusp_model).presentation
+        knot = self.knot_presentation
         pairs = {(g.peripheral_generator, g.knot_generator) for g in self.gluings}
-        wanted = {(c, k) for c in cusp.generators
-                  for k in self.knot_presentation.generators}
-        if pairs != wanted or len(pairs) != len(self.gluings):
+        if pairs != set(product(cusp.generators, knot.generators)) \
+                or len(pairs) != len(self.gluings):
             raise AmalgamError("need exactly one gluing per "
                                "(cusp generator, knot generator) pair")
         for g in self.gluings:
@@ -66,10 +71,10 @@ class AmalgamSpec:
                 if not isinstance(exponent, int) or isinstance(exponent, bool):
                     raise AmalgamError(
                         f"gluing exponents r and s must be ints, not {exponent!r}")
-            if g.conjugator.max_index() > self.knot_presentation.ngens:
+            if g.conjugator.max_index() > knot.ngens:
                 raise AmalgamError("conjugator uses an unknown knot generator")
-        ab = abelianization(self.knot_presentation)
-        if ab != AbelianGroup(1):
+        ab = abelianization(knot)
+        if ab != _INTEGERS:
             raise AmalgamError(
                 f"knot presentation must abelianize to Z (meridian-generated), got {ab}")
 
@@ -83,8 +88,9 @@ def build_amalgam(spec: AmalgamSpec) -> Presentation:
     confluent, so this is the word the stepwise products give.  The relators'
     letters are not checked again, as values or against the generators: the
     cusp's and the knot's were checked when their presentations were built,
-    `AmalgamSpec.validate` checks the conjugators and the exponents, and the
-    other letters come from `gen_index`."""
+    `AmalgamSpec.validate` checks the conjugators and the exponents, the knot
+    letters move through one table over the knot's generators, and g and mu
+    are indices of the distinct generator names."""
     spec.validate()
     cusp = model(spec.cusp_model)
     cp = cusp.presentation
@@ -93,25 +99,28 @@ def build_amalgam(spec: AmalgamSpec) -> Presentation:
     gens = cp.generators + knot.generators
     if len(set(gens)) != len(gens):
         raise AmalgamError("knot generator names collide with cusp generators")
+    index = {name: i for i, name in enumerate(gens, 1)}
+    shift = {}  # knot letter -> amalgam letter
+    for x in range(1, knot.ngens + 1):
+        shift[x], shift[-x] = x + offset, -x - offset
+    shifted = shift.__getitem__
     relators = list(cp.relators)
-    relators += [w.shift(offset) for w in knot.relators]
+    relators += [_reduced_word(tuple(map(shifted, w.letters))) for w in knot.relators]
     t1, t2 = (t.letters for t in cusp.translation_words)
-    t1_inv, t2_inv = (t.inverse().letters for t in cusp.translation_words)
+    t1_inv, t2_inv = (tuple(map(neg, reversed(t))) for t in (t1, t2))
     for g in spec.gluings:
-        gi = cp.gen_index(g.peripheral_generator)
-        mu = knot.gen_index(g.knot_generator) + offset
-        w = tuple(x + offset if x > 0 else x - offset for x in g.conjugator.letters)
-        w_inv = tuple(-x for x in reversed(w))
+        gi, r, s = index[g.peripheral_generator], g.r, g.s
+        w = tuple(map(shifted, g.conjugator.letters))
         relators.append(_reduced_word(_reduce_valid(
-            (gi, mu, -gi) + w
-            + (t2 * -g.s if g.s < 0 else t2_inv * g.s)
-            + (t1 * -g.r if g.r < 0 else t1_inv * g.r) + w_inv)))
+            (gi, index[g.knot_generator], -gi, *w,
+             *(t2 * -s if s < 0 else t2_inv * s), *(t1 * -r if r < 0 else t1_inv * r),
+             *map(neg, reversed(w))))))
     return _presentation(f"amalgam[{spec.cusp_model}+{knot.name}]",
                          gens, tuple(relators))
 
 
 def _knot_letters(p: Presentation, cusp_ngens: int) -> list[Word]:
-    return [Word((i,)) for i in range(cusp_ngens + 1, p.ngens + 1)]
+    return [_reduced_word((i,)) for i in range(cusp_ngens + 1, p.ngens + 1)]
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def collapse_236(p: Presentation) -> CollapseResult:
     exactly 2 with abelianization Z/2."""
     cusp = model("p6")
     t1, t2 = cusp.translation_words
-    b = Word((cusp.presentation.gen_index("b"),))
+    b = _reduced_word((cusp.presentation.gen_index("b"),))
     extras = [b, t1, t2] + _knot_letters(p, cusp.presentation.ngens)
     ab = _certify_order_two(p, extras, f"{p.name}.collapse")
     return CollapseResult(2, ab)
@@ -164,15 +173,14 @@ def h_map_244(p: Presentation) -> tuple[SignHom, AbelianGroup]:
     order exactly 2 (`_certify_order_two`)."""
     cusp = model("p4")
     cp = cusp.presentation
+    c, d = cp.gen_index("c"), cp.gen_index("d")
     signs = [1] * p.ngens
-    signs[cp.gen_index("c") - 1] = -1
+    signs[c - 1] = -1
     hom = SignHom(p, tuple(signs))
     if not hom.holds():
         raise TheoremCheckError("sign map killing d and c^2 violates a relator")
-    c = Word((cp.gen_index("c"),))
-    d = Word((cp.gen_index("d"),))
     t1, t2 = cusp.translation_words
-    extras = [d, c * c, t1, t2] + _knot_letters(p, cp.ngens)
+    extras = [_reduced_word((d,)), _reduced_word((c, c)), t1, t2] + _knot_letters(p, cp.ngens)
     return hom, _certify_order_two(p, extras, f"{p.name}.h")
 
 
@@ -357,47 +365,75 @@ def _minimal_amalgam(cusp_name: str) -> Presentation:
     return build_amalgam(AmalgamSpec(cusp_name, _minimal_knot(), _trivial_gluings(cusp_name)))
 
 
-def _below(bits: Callable[[int], int], n: int) -> int:
-    """A draw from range(n) through the getrandbits of a `random.Random`, bit
-    for bit as `Random._randbelow` draws it: k = n.bit_length() bits (so 2
-    for n = 2), again while the value is n or more.  So a + _below(bits,
-    b - a + 1) is rng.randint(a, b) and s[_below(bits, len(s))] is
-    rng.choice(s), leaving the stream where they leave it."""
+# Every value is drawn through the getrandbits of a `random.Random`, bit for
+# bit as `Random._randbelow` draws from range(n): k = n.bit_length() bits,
+# drawn again while the value is n or more.  So a value below 7 (a length,
+# or an exponent plus 3) takes 3 bits, redrawn at 7; a sign, choice([-1, 1]),
+# takes 2 bits, redrawn at 2 or 3, 0 meaning -1; and randint(1, n) is one
+# plus n.bit_length() bits, redrawn above n.  The loops spell these draws out
+# in place, so the stream and the samples are the ones that one randint or
+# choice call per value gives.
+
+
+def _random_letters(bits: Callable[[int], int], n: int) -> tuple[int, ...]:
+    """Up to 6 letters over n knot generators, not yet reduced: a length,
+    then per letter a sign and a generator."""
     k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _random_conjugator(bits: Callable[[int], int], n: int) -> Word:
-    """Up to 6 letters over n knot generators: a length, then per letter a
-    sign (choice of -1 or 1) and a generator."""
-    return Word(tuple((2 * _below(bits, 2) - 1) * (1 + _below(bits, n))
-                      for _ in range(_below(bits, 7))))
+    length = bits(3)
+    while length == 7:
+        length = bits(3)
+    letters = []
+    for _ in range(length):
+        sign = bits(2)
+        while sign > 1:
+            sign = bits(2)
+        x = bits(k) + 1
+        while x > n:
+            x = bits(k) + 1
+        letters.append(x if sign else -x)
+    return tuple(letters)
 
 
 def random_knot_presentation(rng: random.Random) -> Presentation:
     """Meridian-style presentation: each extra generator is a conjugate of an
-    earlier one, so the abelianization is Z."""
+    earlier one, so the abelianization is Z.
+
+    The relator i (w j w^-1)^-1 is spelled i w j^-1 w^-1 and freely reduced
+    once.  It is built unchecked: the names mu1, ..., mun are distinct, and
+    every letter is i <= n, -j with 1 <= j < i, or one of w's letters or
+    their inverses, each of absolute value at most n."""
     bits = rng.getrandbits
-    n = 1 + _below(bits, 3)
-    gens = tuple(f"mu{i + 1}" for i in range(n))
+    n = bits(2)
+    while n == 3:
+        n = bits(2)
+    n += 1
     relators = []
     for i in range(2, n + 1):
-        j = 1 + _below(bits, i - 1)
-        w = _random_conjugator(bits, n)
-        relators.append(Word((i,)) * (w * Word((j,)) * w.inverse()).inverse())
-    return Presentation(f"knot{n}", gens, tuple(relators))
+        k = (i - 1).bit_length()
+        j = bits(k) + 1
+        while j >= i:
+            j = bits(k) + 1
+        w = _random_letters(bits, n)
+        relators.append(_reduced_word(_reduce_valid(
+            (i, *w, -j, *map(neg, reversed(w))))))
+    return _presentation(f"knot{n}", tuple(f"mu{i}" for i in range(1, n + 1)),
+                         tuple(relators))
 
 
 def random_amalgam(rng: random.Random, cusp_name: str) -> AmalgamSpec:
     knot = random_knot_presentation(rng)
     cusp = model(cusp_name).presentation
     bits = rng.getrandbits
+    n = knot.ngens
     gluings = []
     for c in cusp.generators:
         for k in knot.generators:
-            w = _random_conjugator(bits, knot.ngens)
-            gluings.append(GluingDatum(c, k, w, _below(bits, 7) - 3, _below(bits, 7) - 3))
+            w = _reduced_word(_reduce_valid(_random_letters(bits, n)))
+            r = bits(3)
+            while r == 7:
+                r = bits(3)
+            s = bits(3)
+            while s == 7:
+                s = bits(3)
+            gluings.append(GluingDatum(c, k, w, r - 3, s - 3))
     return AmalgamSpec(cusp_name, knot, tuple(gluings))

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 
 from .cosetenum import InvariantError
-from .exactgeom import Mat2, QuadNum, Vec2, mat, vec
+from .exactgeom import Mat2, QuadNum, Vec2, _mat, vec
 from .fpgroup import _xgcd
 
 
@@ -66,7 +66,7 @@ class Lattice2:
         ratio = abs(self.det() / larger.det())
         if not ratio.is_integer():
             raise InvalidLatticeError("determinant ratio is not an integer")
-        return int(ratio.a)
+        return ratio.p  # an integer QuadNum is p/1
 
     def gram(self) -> tuple[QuadNum, QuadNum, QuadNum]:
         """(|b1|^2, b1.b2, |b2|^2)."""
@@ -159,10 +159,9 @@ def standard_ring_lattice(ring: Ring) -> Lattice2:
 
 def multiplication_matrix(z: QuadInt) -> Mat2:
     """Real 2x2 matrix of complex multiplication by z on the plane."""
-    if z.ring is Ring.GAUSSIAN:
-        return mat(z.n1, -z.n2, z.n2, z.n1)
-    s = QuadNum.sqrt3() * z.n2
-    return Mat2(QuadNum.of(z.n1), -s, s, QuadNum.of(z.n1))
+    n1 = QuadNum.of(z.n1)
+    n2 = QuadNum.of(z.n2) if z.ring is Ring.GAUSSIAN else QuadNum.sqrt3() * z.n2
+    return _mat(n1, -n2, n2, n1)
 
 
 def sublattice_index(z: QuadInt) -> int:

@@ -270,7 +270,6 @@ class AffineKernel(NamedTuple):
     denominator: int                  # N
     gens: tuple[Affine, ...]
     lifts: tuple[Affine, ...]         # one element of the model per linear part
-    cartesian: Mapping[Linear, Mat2]  # B M B^-1 for each M of the point group
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,15 @@ class ModelGroup:
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
         """The linear parts, in the order of the kernel's walk."""
-        return tuple(self.kernel.cartesian.values())
+        return tuple(self._cartesian.values())
+
+    @cached_property
+    def _cartesian(self) -> Mapping[Linear, Mat2]:
+        """B M B^-1 for each linear part M of the kernel's lifts, in their
+        order: the Cartesian view that only the `point_group` displays read,
+        so it is built on first read, not with the kernel."""
+        basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
+        return {f[:4]: basis * mat(*f[:4]) * inverse for f in self.kernel.lifts}
 
     @cached_property
     def kernel(self) -> AffineKernel:
@@ -348,9 +355,7 @@ class ModelGroup:
                                      f"is not in (1/{n})Z^2 in the lattice basis")
             gens.append(m + tuple(int(x.a) for x in scaled))
         held, _ = _walk([_ainv(g) for g in gens], n)
-        lifts = tuple(map(_ainv, held.values()))
-        cartesian = {f[:4]: basis * mat(*f[:4]) * inverse for f in lifts}
-        return AffineKernel(n, tuple(gens), lifts, cartesian)
+        return AffineKernel(n, tuple(gens), tuple(map(_ainv, held.values())))
 
     def validate(self) -> None:
         for rel in self.presentation.relators:
@@ -569,7 +574,7 @@ class SubgroupHandle:
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
         """The linear parts of the subgroup, in the order of `integer_classes`."""
-        cartesian = self.model.kernel.cartesian
+        cartesian = self.model._cartesian
         return tuple(cartesian[m] for m in self._closure[2])
 
     @cached_property

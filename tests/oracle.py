@@ -1,13 +1,15 @@
-"""Test-side oracles that share no code with the classifier or with the
-order-2 certificate."""
+"""Test-side oracles that share no code with the classifier, with the
+order-2 certificate or with the random amalgam generator."""
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
 
 from orbiforge.cosetenum import todd_coxeter
 from orbiforge.exactgeom import Isometry
-from orbiforge.fpgroup import Word, abelianization, quotient, tietze_pass
+from orbiforge.fpgroup import Presentation, Word, abelianization, quotient, tietze_pass
+from orbiforge.knotcusp import AmalgamSpec, GluingDatum
 from orbiforge.lattice import Lattice2
+from orbiforge.wallpaper import model
 
 
 def closure(gens, identity, mul):
@@ -145,3 +147,50 @@ def order_two_full_path(p, extras, name):
     reduced = tietze_pass(quotient(p, extras, name))
     q = reduced[0]
     return todd_coxeter(q).index, abelianization(q), reduced
+
+
+def below(bits, n):
+    """A draw from range(n) through the getrandbits of a `random.Random`, bit
+    for bit as `Random._randbelow` draws it: k = n.bit_length() bits, again
+    while the value is n or more."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def random_conjugator(bits, n):
+    """Up to 6 letters over n knot generators: a length, then per letter a
+    sign (choice of -1 or 1) and a generator."""
+    return Word(tuple((2 * below(bits, 2) - 1) * (1 + below(bits, n))
+                      for _ in range(below(bits, 7))))
+
+
+def random_knot_presentation(rng):
+    """The random knot presentation as `knotcusp` drew it before it spelled
+    each relator as one letter tuple: one `below` call per value, each
+    relator i (w j w^-1)^-1 a product of `Word`s, the result a checked
+    `Presentation`."""
+    bits = rng.getrandbits
+    n = 1 + below(bits, 3)
+    gens = tuple(f"mu{i + 1}" for i in range(n))
+    relators = []
+    for i in range(2, n + 1):
+        j = 1 + below(bits, i - 1)
+        w = random_conjugator(bits, n)
+        relators.append(Word((i,)) * (w * Word((j,)) * w.inverse()).inverse())
+    return Presentation(f"knot{n}", gens, tuple(relators))
+
+
+def random_amalgam(rng, cusp_name):
+    """The random amalgam spec as `knotcusp` drew it, on the same stream."""
+    knot = random_knot_presentation(rng)
+    cusp = model(cusp_name).presentation
+    bits = rng.getrandbits
+    gluings = []
+    for c in cusp.generators:
+        for k in knot.generators:
+            w = random_conjugator(bits, knot.ngens)
+            gluings.append(GluingDatum(c, k, w, below(bits, 7) - 3, below(bits, 7) - 3))
+    return AmalgamSpec(cusp_name, knot, tuple(gluings))

@@ -40,8 +40,8 @@ def test_linear_parts_are_integral_unimodular_isometries(name):
         (m.lattice().b1.x, m.lattice().b1.y, m.lattice().b2.x, m.lattice().b2.y)
     gram = basis.transpose() * basis
     assert kernel.denominator in (1, 2)
-    assert tuple(kernel.cartesian.values()) == m.point_group
-    for key, cartesian in kernel.cartesian.items():
+    assert tuple(m._cartesian.values()) == m.point_group
+    for key, cartesian in m._cartesian.items():
         assert all(isinstance(x, int) for x in key)
         a, b, c, d = key
         assert a * d - b * c in (1, -1)
@@ -51,9 +51,9 @@ def test_linear_parts_are_integral_unimodular_isometries(name):
     lifts = kernel.lifts
     for f in kernel.gens + lifts:
         assert len(f) == 6 and all(isinstance(x, int) for x in f)
-        assert f[:4] in kernel.cartesian
+        assert f[:4] in m._cartesian
     # one lift per linear part, in the point group's order, identity first
-    assert [f[:4] for f in lifts] == list(kernel.cartesian)
+    assert [f[:4] for f in lifts] == list(m._cartesian)
     assert lifts[0] == IDENTITY_AFFINE
 
 

@@ -220,9 +220,24 @@ class TestInvariantChecks:
     C3 = Presentation("c3", ("a",), (Word((1,) * 3),))
     FREE = Presentation("f1", ("a",), ())
     FREE2 = Presentation("f2", ("a", "b"), ())
+    # relators that are proper powers: (ab)^2 and a^6
+    AB2 = Presentation("ab2", ("a", "b"), (Word((1, 2) * 2),))
+    A6 = Presentation("a6", ("a",), (Word((1,) * 6),))
+    # a fixes every coset and b is the 3-cycle 0 -> 1 -> 2 -> 0, so ab acts
+    # as a 3-cycle and (ab)^2 as its inverse
+    B3 = ((0, 0, 1, 2), (1, 1, 2, 0), (2, 2, 0, 1))
+    # a as the 4-cycle 0 -> 1 -> 2 -> 3 -> 0: a^6 = a^2 moves every coset
+    A4 = ((1, 3), (2, 0), (3, 1), (0, 2))
 
     def test_valid_table_passes(self):
         CosetTable(self.C2, (), ((1, 1), (0, 0))).validate()
+
+    @pytest.mark.parametrize("word, rows", [
+        ((1, 2) * 3, B3), ((1,) * 8, A4), ((1,) * 12, A4), ((2, -1) * 6, B3)])
+    def test_proper_power_relators_that_hold_pass(self, word, rows):
+        # each relator is u^k with u acting nontrivially and u^k trivially
+        CosetTable(Presentation("pow", ("a", "b")[:len(rows[0]) // 2], (Word(word),)),
+                   (), rows).validate()
 
     @pytest.mark.parametrize("pres, sub, rows, message", [
         (C2, (), ((1,), (0, 0)), "malformed table row"),
@@ -241,6 +256,8 @@ class TestInvariantChecks:
          "generator/inverse columns are not paired"),
         (C2, (Word((1,)),), ((1, 1), (0, 0)), "subgroup word moves the subgroup coset"),
         (C3, (), ((1, 1), (0, 0)), "relator acts nontrivially on a coset"),
+        (AB2, (), B3, "relator acts nontrivially on a coset"),
+        (A6, (), A4, "relator acts nontrivially on a coset"),
     ])
     def test_corrupt_table_rejected(self, pres, sub, rows, message):
         with pytest.raises(InvariantError, match=f"^{message}$"):

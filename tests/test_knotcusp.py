@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracle
 from oracle import order_two_full_path
 from orbiforge.cosetenum import CosetLimitError, todd_coxeter
 from orbiforge.fixtures import load_fixture
@@ -130,6 +131,31 @@ class TestBuildAmalgam:
         rng = random.Random(5)
         for _ in range(50):
             assert abelianization(random_knot_presentation(rng)) == AbelianGroup(1)
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("cusp, seed", [("p6", 2029), ("p4", 2030)])
+    def test_draws_match_the_one_call_per_value_generator(self, cusp, seed):
+        # the package spells each draw out and builds words and the knot
+        # unchecked; tests/oracle.py keeps the generator that drew one value
+        # per call and built every word through Word.  After each of 2000
+        # draws the two streams and specs must agree, and the amalgam must
+        # be the one the stepwise products give on the oracle's spec
+        ours, theirs = random.Random(seed), random.Random(seed)
+        cusp_gens = model(cusp).presentation.generators
+        lengths = set()
+        for i in range(2000):
+            spec, expected = random_amalgam(ours, cusp), oracle.random_amalgam(theirs, cusp)
+            assert ours.getstate() == theirs.getstate(), i
+            assert spec == expected and repr(spec) == repr(expected), i
+            p, knot = build_amalgam(spec), expected.knot_presentation
+            assert p.name == f"amalgam[{cusp}+{knot.name}]", i
+            assert p.generators == cusp_gens + knot.generators, i
+            assert p.relators == _stepwise_amalgam_relators(expected), i
+            lengths.update(len(g.conjugator) for g in spec.gluings)
+        assert lengths == set(range(7))
+        assert random_knot_presentation(ours) == oracle.random_knot_presentation(theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestCollapse236:
