@@ -48,6 +48,7 @@ class GluingDatum:
 
 
 _INTEGERS = AbelianGroup(1)  # Z, the abelianization of a meridian-style knot
+_Z2 = AbelianGroup(0, (2,))  # Z/2, the abelianization of each order-2 collapse
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,19 @@ class CollapseResult:
     abelian: AbelianGroup
 
 
-def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> AbelianGroup:
+def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> SignHom:
     """Certify that p modulo the normal closure of the extras has order
-    exactly 2; returns its abelianization, Z/2.
+    exactly 2; returns the quotient map, x |-> -1 and every other generator
+    |-> +1.
 
     Each single-letter extra (b, d, a meridian) kills its generator.  When
     exactly one generator x survives, the quotient is generated by x, and
     each relator and each extra equals x^k in it, k its exponent sum in x.
     So the quotient is <x | x^k, ...>: cyclic of order the gcd of those k
-    (0: infinite), and a cyclic group is its own abelianization.  The proof
-    is one pass over the letters, for every amalgam alike."""
+    (0: infinite), and a cyclic group is its own abelianization.  A gcd of 2
+    makes every relator's exponent sum in x even, so the sign map respects
+    every relator of p: it is the quotient map onto Z/2.  The proof is one
+    pass over the letters, for every amalgam alike."""
     _check_relators(extras, p.ngens)
     killed = {abs(w.letters[0]) for w in extras if len(w) == 1}
     survivors = [g for g in range(1, p.ngens + 1) if g not in killed]
@@ -150,7 +154,7 @@ def _certify_order_two(p: Presentation, extras: list[Word], name: str) -> Abelia
                   for w in (*p.relators, *extras)))
     if order != 2:
         raise TheoremCheckError(f"quotient {name} has order {order or 'infinite'}, not 2")
-    return AbelianGroup(0, (2,))
+    return SignHom(p, tuple(-1 if g == x else 1 for g in range(1, p.ngens + 1)))
 
 
 def collapse_236(p: Presentation) -> CollapseResult:
@@ -161,27 +165,21 @@ def collapse_236(p: Presentation) -> CollapseResult:
     t1, t2 = cusp.translation_words
     b = _reduced_word((cusp.presentation.gen_index("b"),))
     extras = [b, t1, t2] + _knot_letters(p, cusp.presentation.ngens)
-    ab = _certify_order_two(p, extras, f"{p.name}.collapse")
-    return CollapseResult(2, ab)
+    _certify_order_two(p, extras, f"{p.name}.collapse")
+    return CollapseResult(2, _Z2)
 
 
 def h_map_244(p: Presentation) -> tuple[SignHom, AbelianGroup]:
-    """The sign map killing d and c^2 on a p4-cusped amalgam.
-
-    Verifies that c |-> -1, d |-> +1, mu_j |-> +1 satisfies every relator, and
-    that the quotient by d, c^2, the meridians and both cusp translations has
-    order exactly 2 (`_certify_order_two`)."""
+    """The sign map killing d and c^2 on a p4-cusped amalgam: the quotient
+    map, c |-> -1, d |-> +1, mu_j |-> +1, that `_certify_order_two` returns
+    once it certifies that the quotient by d, c^2, the meridians and both
+    cusp translations has order exactly 2."""
     cusp = model("p4")
     cp = cusp.presentation
     c, d = cp.gen_index("c"), cp.gen_index("d")
-    signs = [1] * p.ngens
-    signs[c - 1] = -1
-    hom = SignHom(p, tuple(signs))
-    if not hom.holds():
-        raise TheoremCheckError("sign map killing d and c^2 violates a relator")
     t1, t2 = cusp.translation_words
     extras = [_reduced_word((d,)), _reduced_word((c, c)), t1, t2] + _knot_letters(p, cp.ngens)
-    return hom, _certify_order_two(p, extras, f"{p.name}.h")
+    return _certify_order_two(p, extras, f"{p.name}.h"), _Z2
 
 
 def _double_cover_cusp(cusp_name: str, signs: dict[str, int],

@@ -11,7 +11,7 @@ import oracle
 from oracle import order_two_full_path
 from orbiforge.cosetenum import CosetLimitError, todd_coxeter
 from orbiforge.fixtures import load_fixture
-from orbiforge.fpgroup import (AbelianGroup, Presentation, PresentationError, Word,
+from orbiforge.fpgroup import (AbelianGroup, Presentation, PresentationError, SignHom, Word,
                                abelianization, quotient, tietze_pass)
 from orbiforge.knotcusp import (AmalgamError, AmalgamSpec, CollapseResult, GluingDatum,
                                 FOUR_TORSION_EXCLUDED, REFLECTION_EXCLUDED,
@@ -204,7 +204,6 @@ class TestHMap244:
         assert sig == SIGNATURES["p2"]
 
     def test_kernel_contains_translations_with_positive_sign(self):
-        from orbiforge.fpgroup import SignHom
         p4 = model("p4")
         hom = SignHom(p4.presentation, (-1, 1))
         for w in p4.translation_words:
@@ -364,12 +363,36 @@ class TestOrderTwoCertificate:
             h_map_244(p)
 
     def test_h_map_244_needs_a_sign_map_that_holds(self):
-        # c appears once in the extra relator c d, so c |-> -1 breaks it
+        # c appears once in the extra relator c d, so c |-> -1 breaks it: its
+        # exponent sum in c is odd, and the certificate finds order 1
         p4 = model("p4").presentation
         bad = Presentation("p4+cd", p4.generators, p4.relators + (Word((1, 2)),))
         with pytest.raises(TheoremCheckError,
-                           match="^sign map killing d and c\\^2 violates a relator$"):
+                           match=r"^quotient p4\+cd\.h has order 1, not 2$"):
             h_map_244(bad)
+
+    def test_double_covers_are_cut_out_by_the_certified_quotient_maps(self, monkeypatch):
+        # the sign maps that double-cover-236 and double_cover_cusp_244 pass
+        # as literals are the maps the order-2 certificate returns on the
+        # bare cusp group with collapse_236's, resp. h_map_244's, extras
+        from orbiforge import knotcusp, verify
+
+        covers = []
+        real = knotcusp._double_cover_cusp
+        monkeypatch.setattr(knotcusp, "_double_cover_cusp",
+                            lambda cusp, signs, expected: covers.append((cusp, signs))
+                            or real(cusp, signs, expected))
+        verify._check_double_cover_236(0)
+        double_cover_cusp_244()
+        assert [cusp for cusp, _ in covers] == ["p6", "p4"]
+        given = _record_certificate_calls(monkeypatch)
+        for (cusp, signs), certify in zip(covers, (collapse_236, h_map_244)):
+            p = model(cusp).presentation
+            given.clear()
+            certify(p)
+            [(_, extras, name)] = given
+            literal = SignHom(p, tuple(signs.get(g, 1) for g in p.generators))
+            assert _certify_order_two(p, extras, name) == literal
 
     def test_double_cover_cusp_needs_the_cusp_translations(self, monkeypatch):
         # <c, t1^2, t2^2> in p4 holds neither t1 nor t2
@@ -598,16 +621,19 @@ def _cyclic(k: int) -> AbelianGroup:
 
 def _claim(p, extras, name) -> tuple[int, AbelianGroup]:
     """(order, abelianization) that the certificate states: 2 and Z/2 when
-    it certifies, else the cyclic group its refusal names (0: infinite, Z).
-    Every input here keeps at most one generator."""
+    it certifies, after checking that the quotient map it returns respects
+    every relator of p, else the cyclic group its refusal names (0:
+    infinite, Z).  Every input here keeps at most one generator."""
     try:
-        return 2, _certify_order_two(p, extras, name)
+        hom = _certify_order_two(p, extras, name)
     except TheoremCheckError as exc:
         if str(exc) == f"quotient {name} keeps 0 generators, not one":
             return 1, AbelianGroup(0)
         k = re.fullmatch(rf"quotient {re.escape(name)} has order (\d+|infinite), not 2",
                          str(exc))[1]
         return (0, AbelianGroup(1)) if k == "infinite" else (int(k), _cyclic(int(k)))
+    assert hom.holds()
+    return 2, AbelianGroup(0, (2,))
 
 
 def _random_word(rng, ngens, shortest=1) -> Word:
@@ -623,15 +649,19 @@ class TestOrderTwoDifferential:
     def test_agrees_with_the_full_path_on_seeded_amalgams(self, monkeypatch, cusp, certify):
         # 2000 amalgams per cusp, each with the certificate's own extras (order
         # 2) and with one more random word of 2 to 6 letters, which leaves
-        # order 2 or kills the survivor
+        # order 2 or kills the survivor; on p4 the certified map is the h-map,
+        # c |-> -1 and every other generator |-> +1
         given = _record_certificate_calls(monkeypatch)
         rng = random.Random(27)
         orders = []
         for i in range(2000):
             p = build_amalgam(random_amalgam(rng, cusp))
             given.clear()
-            certify(p)
+            result = certify(p)
             [(_, extras, name)] = given
+            if cusp == "p4":
+                assert result[0] == SignHom(p, tuple(-1 if g == "c" else 1
+                                                     for g in p.generators)), i
             for more in ([], [_random_word(rng, p.ngens, shortest=2)]):
                 claim = _claim(p, extras + more, name)
                 assert order_two_full_path(p, extras + more, name)[:2] == claim, (i, more)

@@ -216,6 +216,16 @@ def test_one_double_cover_certificate():
     assert not hasattr(CosetTable, "permutation")
 
 
+def test_one_order_two_proof():
+    # the order-2 certificate returns the quotient map it proves, so h_map_244
+    # neither builds its sign map nor checks it against the relators again
+    functions = {fn.name: fn for fn in _parse("knotcusp.py").body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert _calls(functions["h_map_244"]).isdisjoint({"holds", "SignHom"})
+    assert [name for name, fn in functions.items()
+            if "SignHom" in _calls(fn)] == ["_certify_order_two"]
+
+
 def test_one_coordinate_system_for_decisions():
     # once a model is built, orientation, the point-group order and the
     # classification read its integer kernel; Q(sqrt3) builds, validates and
