@@ -9,14 +9,15 @@ hot path builds a Fraction.  Every value here is immutable and every
 operation is pure, so everything is safe to share across threads.
 
 The 2x2 kernels (`Mat2` times `Mat2` or `Vec2`, `Mat2.det`, `Vec2.dot` and
-`Vec2.cross`) are fused: each output entry a*x + b*y is formed on the raw
-triples over one common denominator and normalized once by `_fused`.
-Results whose entries are already QuadNums are built by the private
-constructors `_make`, `_vec` and `_mat`, which skip the coercion in
-`__post_init__`.  The public `Isometry` constructor checks that the linear
-part is orthogonal with det +-1; products and inverses are built by
-`_isometry` without the check, since a product or a transpose of such
-matrices is one again.
+`Vec2.cross`) are the textbook QuadNum expressions.  They run when a model
+or a lattice is built and converted to integer lattice coordinates, and in
+the display and oracle views; the decisions, and the rotation and norm-form
+identities of verify-paper, read the integer coordinates.  Results whose
+entries are already QuadNums are built by the private constructors
+`_make`, `_vec` and `_mat`, which skip the coercion in `__post_init__`.  The
+public `Isometry` constructor checks that the linear part is orthogonal with
+det +-1; products and inverses are built by `_isometry` without the check,
+since a product or a transpose of such matrices is one again.
 """
 from __future__ import annotations
 
@@ -270,32 +271,6 @@ def _normalized(p: int, r: int, q: int) -> QuadNum:
     return _make(p, r, q)
 
 
-def _fused(a: QuadNum, x: QuadNum, b: QuadNum, y: QuadNum, sign: int) -> QuadNum:
-    """a*x + sign*b*y (sign is 1 or -1), normalized once.
-
-    Both products are formed on the raw triples and summed over one common
-    denominator; only the sum is reduced by its gcd, so the result is the
-    same normalized triple the two QuadNum products and the sum give."""
-    p1, r1, p2, r2 = a.p, a.r, x.p, x.r
-    p3, r3, p4, r4 = b.p, b.r, y.p, y.r
-    p = p1 * p2 + 3 * r1 * r2
-    r = p1 * r2 + r1 * p2
-    q = a.q * x.q
-    s = p3 * p4 + 3 * r3 * r4
-    t = p3 * r4 + r3 * p4
-    u = b.q * y.q
-    if sign < 0:
-        s, t = -s, -t
-    if q == u:
-        p, r = p + s, r + t
-    else:
-        p, r, q = p * u + s * q, r * u + t * q, q * u
-    g = math.gcd(p, r, q)
-    if g != 1:
-        p, r, q = p // g, r // g, q // g
-    return _make(p, r, q)
-
-
 def _render_frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -365,10 +340,10 @@ class Vec2:
         return _vec(self.x * k, self.y * k)
 
     def dot(self, other: "Vec2") -> QuadNum:
-        return _fused(self.x, other.x, self.y, other.y, 1)
+        return self.x * other.x + self.y * other.y
 
     def cross(self, other: "Vec2") -> QuadNum:
-        return _fused(self.x, other.y, self.y, other.x, -1)
+        return self.x * other.y - self.y * other.x
 
     def norm_sq(self) -> QuadNum:
         return self.dot(self)
@@ -425,18 +400,17 @@ class Mat2:
         a, b, c, d = self.m11, self.m12, self.m21, self.m22
         if other.__class__ is Mat2:
             e, f, g, h = other.m11, other.m12, other.m21, other.m22
-            return _mat(_fused(a, e, b, g, 1), _fused(a, f, b, h, 1),
-                        _fused(c, e, d, g, 1), _fused(c, f, d, h, 1))
+            return _mat(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         if other.__class__ is Vec2:
             x, y = other.x, other.y
-            return _vec(_fused(a, x, b, y, 1), _fused(c, x, d, y, 1))
+            return _vec(a * x + b * y, c * x + d * y)
         return NotImplemented
 
     def transpose(self) -> "Mat2":
         return _mat(self.m11, self.m21, self.m12, self.m22)
 
     def det(self) -> QuadNum:
-        return _fused(self.m11, self.m22, self.m12, self.m21, -1)
+        return self.m11 * self.m22 - self.m12 * self.m21
 
     def inverse(self) -> "Mat2":
         d = self.det()

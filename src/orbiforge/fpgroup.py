@@ -82,13 +82,9 @@ class Word:
         return sums
 
     def shift(self, offset: int) -> "Word":
-        """Re-index letters by +offset (embedding into a larger generating set).
-        A non-negative int offset keeps every letter valid and the word
-        reduced, so the letters are checked again only for another offset."""
-        letters = tuple(x + offset if x > 0 else x - offset for x in self.letters)
-        if type(offset) is int and offset >= 0:
-            return _reduced_word(letters)
-        return Word(letters)
+        """Re-index letters by +offset (embedding into a larger generating set);
+        the shifted letters are checked and reduced as any new word's are."""
+        return Word(tuple(x + offset if x > 0 else x - offset for x in self.letters))
 
 
 def _reduced_word(letters: tuple[int, ...]) -> Word:

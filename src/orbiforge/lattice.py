@@ -45,6 +45,17 @@ class Lattice2:
     def _inverse_basis(self) -> Mat2:
         return self.basis_matrix().inverse()
 
+    def integer_matrix(self, m: Mat2) -> tuple[int, int, int, int]:
+        """B^-1 m B for the basis matrix B, as (a, b, c, d) for [[a, b], [c, d]]:
+        the integer matrix of m acting on this lattice's coordinates.  An
+        InvariantError unless every entry is an integer, that is unless m
+        maps the lattice into itself."""
+        c = self._inverse_basis * m * self.basis_matrix()
+        entries = (c.m11, c.m12, c.m21, c.m22)
+        if not all(x.is_integer() for x in entries):
+            raise InvariantError(f"{m} is not integral in the lattice basis {self.b1}, {self.b2}")
+        return tuple(x.p for x in entries)  # an integer QuadNum is p/1
+
     def coords(self, v: Vec2) -> tuple[QuadNum, QuadNum]:
         """Exact coordinates of v in this basis."""
         w = self._inverse_basis * v
@@ -164,16 +175,21 @@ def multiplication_matrix(z: QuadInt) -> Mat2:
     return _mat(n1, -n2, n2, n1)
 
 
+# tau's integer matrix in the basis of its ring lattice, converted once per ring
+_TAU_MATRICES = {ring: lattice.integer_matrix(multiplication_matrix(QuadInt(0, 1, ring)))
+                 for ring, lattice in _RING_LATTICES.items()}
+
+
 def sublattice_index(z: QuadInt) -> int:
     """Index of z*L in L for the ring lattice L: n1^2+n2^2 (gaussian) or
-    n1^2+3*n2^2 (root_minus3), cross-checked against the exact determinant
-    ratio of the multiplied lattice."""
+    n1^2+3*n2^2 (root_minus3), cross-checked against |det(n1*I + n2*T)|,
+    the determinant of z's integer multiplication matrix in the basis of L,
+    for T the integer matrix of tau."""
     if z.is_zero():
         raise ValueError("index of the zero multiple is undefined")
-    base = standard_ring_lattice(z.ring)
-    m = multiplication_matrix(z)
-    image = Lattice2(m * base.b1, m * base.b2)
-    ratio = image.index_in(base)
+    a, b, c, d = _TAU_MATRICES[z.ring]
+    n1, n2 = z.n1, z.n2
+    ratio = abs((n1 + n2 * a) * (n1 + n2 * d) - n2 * b * n2 * c)
     if ratio != z.norm():
         raise InvariantError("determinant ratio differs from the norm")
     return ratio

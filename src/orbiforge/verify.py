@@ -22,7 +22,7 @@ from .lattice import (Lattice2, QuadInt, Ring, is_rotationally_rhombic,
                       rigid_abelian_index, standard_ring_lattice,
                       sublattice_index, symmetry_order)
 from .presfile import render_word
-from .wallpaper import (MODEL_NAMES, SIGNATURES, classify,
+from .wallpaper import (MODEL_NAMES, SIGNATURES, Linear, _mmul, classify,
                         euler_characteristic, model, orientation_double_cover,
                         sign_kernel, whole_group)
 
@@ -226,26 +226,37 @@ def _check_roundtrip(seed: int) -> tuple[bool, str]:
         "all 17 models classify to their own signatures; chi = 0; index identity holds"
 
 
+def _image(m: Linear, v: tuple[int, int]) -> tuple[int, int]:
+    """m v for the integer matrix m = [[a, b], [c, d]] given as (a, b, c, d)."""
+    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+
+
 def _check_lattice_identities(seed: int) -> tuple[bool, str]:
     fails: list[str] = []
     rng = random.Random(seed + 2)
-    r4 = rotation_matrix(4)
     square = standard_ring_lattice(Ring.GAUSSIAN)
     hexagonal = Lattice2(vec(1, 0), vec(Fraction(1, 2), QuadNum(0, Fraction(1, 2))))
-    r3 = rotation_matrix(3)
+    # r4 and r3 as integer matrices on the coordinates of the lattices they
+    # keep: r4^2 = -I and I + r3 + r3^2 = 0 there prove, by linearity, the
+    # identities on every lattice vector; the samples are instances of them
+    r4 = square.integer_matrix(rotation_matrix(4))
+    r3 = hexagonal.integer_matrix(rotation_matrix(3))
+    order4 = _mmul(r4, r4) == (-1, 0, 0, -1)
+    order3 = _mmul(r3, r3) == (-1 - r3[0], -r3[1], -r3[2], -1 - r3[3])
     for _ in range(100):
-        i, j = rng.randint(-9, 9), rng.randint(-9, 9)
-        v = square.b1.scale(i) + square.b2.scale(j)
-        _expect((r4 * (r4 * v)) == -v, "order-4 identity r^2 v = -v fails", fails)
-        w = hexagonal.b1.scale(i) + hexagonal.b2.scale(j)
-        _expect((w + r3 * w + r3 * (r3 * w)).is_zero(),
-                "order-3 identity v + rv + r^2 v = 0 fails", fails)
-    for _ in range(100):
+        v = rng.randint(-9, 9), rng.randint(-9, 9)
+        w = _image(r3, v)
+        order4 = order4 and _image(r4, _image(r4, v)) == (-v[0], -v[1])
+        order3 = order3 and _image(r3, w) == (-v[0] - w[0], -v[1] - w[1])
+    _expect(order4, "order-4 identity r^2 v = -v fails", fails)
+    _expect(order3, "order-3 identity v + rv + r^2 v = 0 fails", fails)
+    indexed = 0
+    while indexed < 100:
         ring = rng.choice([Ring.GAUSSIAN, Ring.ROOT_MINUS3])
         z = QuadInt(rng.randint(-9, 9), rng.randint(-9, 9), ring)
-        if z.is_zero():
-            continue
-        sublattice_index(z)  # returns only once the determinant ratio is the norm
+        if not z.is_zero():  # sublattice_index refuses 0, so a zero is drawn again
+            sublattice_index(z)  # returns only once the determinant ratio is the norm
+            indexed += 1
     _expect(symmetry_order(square) == 4 and is_rotationally_rhombic(square),
             "square lattice verdict wrong", fails)
     _expect(symmetry_order(hexagonal) == 6 and is_rotationally_rhombic(hexagonal),

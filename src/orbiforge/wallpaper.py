@@ -325,28 +325,26 @@ class ModelGroup:
         """The generators as integer affine maps in the basis
         B = (v1, v2) of `translation_images()`, and one lift per linear part.
 
-        Each generator's linear part L is conjugated to M = B^-1 L B, which
-        must be integral with determinant +-1 and keep the Gram matrix
-        G = B^T B (M^T G M = G); its translation must lie in (1/N)Z^2 for N
-        the lcm of the translation denominators.  Products and inverses keep
-        all of that, so the whole group does.  `_walk` over the inverses g^-1,
-        each element inverted, gives the lifts in the order of a BFS
-        f |-> g f, since (g f)^-1 = f^-1 g^-1; it also refuses a translation
-        outside the lattice of the translation words."""
-        basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
+        Each generator's linear part L is conjugated to M = B^-1 L B
+        (`Lattice2.integer_matrix`), which must be integral with determinant
+        +-1 and keep the Gram matrix G = B^T B (M^T G M = G); its
+        translation must lie in (1/N)Z^2 for N the lcm of the translation
+        denominators.  Products and inverses keep all of that, so the whole
+        group does.  `_walk` over the inverses g^-1, each element inverted,
+        gives the lifts in the order of a BFS f |-> g f, since
+        (g f)^-1 = f^-1 g^-1; it also refuses a translation outside the
+        lattice of the translation words."""
+        lattice = self.lattice()
+        basis, inverse = lattice.basis_matrix(), lattice._inverse_basis
         gram = basis.transpose() * basis
         coords = [inverse * iso.trans for iso in self.rep]
         n = lcm(*(x.a.denominator for v in coords for x in (v.x, v.y)))
         gens = []
         for iso, v in zip(self.rep, coords):
-            c = inverse * iso.linear * basis
-            entries = (c.m11, c.m12, c.m21, c.m22)
-            if not all(x.is_integer() for x in entries):
-                raise InvariantError(f"linear part {iso.linear} of {self.presentation.name} "
-                                     "is not integral in the lattice basis")
-            m = tuple(int(x.a) for x in entries)
+            m = lattice.integer_matrix(iso.linear)
             if _det(m) not in (1, -1):
                 raise InvariantError("lattice-basis linear part has determinant other than +-1")
+            c = mat(*m)
             if c.transpose() * gram * c != gram:
                 raise InvariantError("lattice-basis linear part does not keep the Gram matrix")
             scaled = (v.x * n, v.y * n)

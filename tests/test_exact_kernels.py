@@ -1,5 +1,5 @@
-"""The fused Q(sqrt3) 2x2 kernels against the textbook QuadNum expressions,
-and the orthogonality invariant where it now holds."""
+"""The Q(sqrt3) 2x2 kernels against the textbook QuadNum expressions, one
+product or sum at a time, and the orthogonality invariant where it now holds."""
 import copy
 import pickle
 import random
@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from orbiforge import exactgeom
 from orbiforge.exactgeom import (IDENTITY_MAT, Isometry, Mat2, QuadNum, Vec2,
                                  mat, rotation_matrix, vec)
 from orbiforge.wallpaper import MODEL_NAMES, model
@@ -71,7 +70,7 @@ def _same_triples(got, want) -> bool:
     return [_triple(x) for x in got] == [_triple(x) for x in want]
 
 
-def test_fused_kernels_match_the_textbook_expressions():
+def test_kernels_match_the_textbook_expressions():
     rng = random.Random(20261018)
     for _ in range(3000):
         m, n, v, w = _random_mat(rng), _random_mat(rng), _random_vec(rng), _random_vec(rng)
@@ -165,22 +164,3 @@ def test_the_check_runs_on_the_public_constructor_only(monkeypatch):
 def test_public_constructor_rejects_a_non_orthogonal_part(linear):
     with pytest.raises(ValueError, match="not orthogonal"):
         Isometry(linear, vec(1, 0))
-
-
-def test_fused_kernel_is_one_normalization(monkeypatch):
-    # Mat2 * Mat2 runs four fused entries and no QuadNum product or sum
-    counts = {"fused": 0, "mul": 0, "add": 0}
-    fused, mul, add = exactgeom._fused, QuadNum.__mul__, QuadNum.__add__
-
-    def counting(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(exactgeom, "_fused", counting("fused", fused))
-    monkeypatch.setattr(QuadNum, "__mul__", counting("mul", mul))
-    monkeypatch.setattr(QuadNum, "__add__", counting("add", add))
-    r = rotation_matrix(3)
-    r * r
-    assert counts == {"fused": 4, "mul": 0, "add": 0}

@@ -280,6 +280,7 @@ class TestVerdicts:
     def test_unconstrained_degrees(self):
         v = verdict("T2", run_checks=False)
         assert v.degree_allowed(5) and not v.degree_allowed(0)
+        assert v.degree_allowed(1) is True
 
     @pytest.mark.parametrize("signature", [
         OrbifoldSignature(True, False, "sphere", (2, 2), ()),
@@ -502,6 +503,18 @@ def _norm_off_by_one(monkeypatch):
     monkeypatch.setattr(QuadInt, "norm", lambda z: norm(z) + 1)
 
 
+def _rotation_of_order(wrong):
+    """Patch verify.rotation_matrix to return, for each order in `wrong`, the
+    rotation of another order that keeps the same lattice."""
+    def patch(monkeypatch):
+        from orbiforge import verify
+        from orbiforge.exactgeom import rotation_matrix
+
+        monkeypatch.setattr(verify, "rotation_matrix",
+                            lambda order: rotation_matrix(wrong.get(order, order)))
+    return patch
+
+
 def _p6_with_relator_b(monkeypatch):
     from orbiforge import verify
 
@@ -548,6 +561,11 @@ _COVER_FAILURES = "; ".join(
     ("classifier-roundtrip", _doubled_whole_groups, "InvariantError: index identity violated"),
     ("lattice-identities", _norm_off_by_one,
      "InvariantError: determinant ratio differs from the norm"),
+    # a half-turn keeps the square lattice and a sixth-turn the hexagonal one,
+    # so both convert to integer matrices and fail only their identity
+    ("lattice-identities", _rotation_of_order({4: 2}), "order-4 identity r^2 v = -v fails"),
+    ("lattice-identities", _rotation_of_order({3: 6}),
+     "order-3 identity v + rv + r^2 v = 0 fails"),
 ])
 def test_verify_check_fails_through_the_library(monkeypatch, check, patch, detail):
     # each check reads its fact from the library function that certifies it,

@@ -81,6 +81,21 @@ class TestSymmetry:
         assert is_rotationally_rhombic(lat) == (symmetry_order(lat) in (4, 6))
 
 
+class TestIntegerMatrix:
+    def test_rotations_in_the_lattices_they_keep(self):
+        assert SQUARE.integer_matrix(rotation_matrix(4)) == (0, -1, 1, 0)
+        assert HEX.integer_matrix(rotation_matrix(3)) == (-1, -1, 1, 0)
+        assert HEX.integer_matrix(rotation_matrix(6)) == (0, -1, 1, 1)
+        # the basis (3, 4), (-4, 3) turns by a quarter-turn into itself
+        assert Lattice2(vec(3, 4), vec(-4, 3)).integer_matrix(rotation_matrix(4)) == \
+            (0, -1, 1, 0)
+
+    def test_a_rotation_the_lattice_does_not_keep_is_refused(self):
+        with pytest.raises(InvariantError,
+                           match=r"is not integral in the lattice basis \(1, 0\), \(0, 1\)$"):
+            SQUARE.integer_matrix(rotation_matrix(3))
+
+
 class TestNormFormIndices:
     def test_gaussian_example(self):
         # oracle: determinant of the sublattice spanned by (1,1), (-1,1) is 2
@@ -120,16 +135,18 @@ class TestNormFormIndices:
         with pytest.raises(InvariantError, match="^determinant ratio differs from the norm$"):
             sublattice_index(QuadInt(2, 1, Ring.GAUSSIAN))
 
-    def test_ring_lattice_is_built_once_per_ring(self):
-        # index_in reads the larger lattice's cached inverse basis, so a
-        # fresh ring lattice per call recomputed it every time
+    def test_ring_lattice_is_built_once_per_ring(self, monkeypatch):
+        # sublattice_index reads tau's integer matrix, converted from the one
+        # ring lattice once per ring, and converts nothing per call
+        def refuse(lattice, m):
+            raise AssertionError("converted again")
+
+        monkeypatch.setattr(Lattice2, "integer_matrix", refuse)
         for ring in Ring:
             base = standard_ring_lattice(ring)
             assert standard_ring_lattice(ring) is base
-            sublattice_index(QuadInt(2, 1, ring))
-            cached = base.__dict__["_inverse_basis"]
-            sublattice_index(QuadInt(-3, 4, ring))
-            assert base.__dict__["_inverse_basis"] is cached
+            assert sublattice_index(QuadInt(2, 1, ring)) == QuadInt(2, 1, ring).norm()
+            assert sublattice_index(QuadInt(-3, 4, ring)) == QuadInt(-3, 4, ring).norm()
         assert standard_ring_lattice(Ring.GAUSSIAN) == SQUARE
         assert standard_ring_lattice(Ring.ROOT_MINUS3) == \
             Lattice2(vec(1, 0), vec(0, QuadNum.sqrt3()))

