@@ -518,7 +518,8 @@ class SignHom:
     def __post_init__(self):
         if len(self.signs) != self.presentation.ngens:
             raise PresentationError("one sign per generator required")
-        if any(s not in (-1, 1) for s in self.signs):
+        # type() rather than isinstance: a bool is an int but no sign
+        if any(type(s) is not int or s not in (-1, 1) for s in self.signs):
             raise PresentationError("signs must be +1 or -1")
 
     def sign_of(self, gen_name: str) -> int:

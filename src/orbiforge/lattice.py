@@ -142,6 +142,13 @@ class QuadInt:
     n2: int
     ring: Ring
 
+    def __post_init__(self):
+        # type() rather than isinstance: a bool is an int but no coordinate
+        if type(self.n1) is not int or type(self.n2) is not int:
+            raise ValueError(f"coordinates must be ints, got {self.n1!r}, {self.n2!r}")
+        if not isinstance(self.ring, Ring):
+            raise ValueError(f"ring must be a Ring, got {self.ring!r}")
+
     def is_zero(self) -> bool:
         return self.n1 == 0 and self.n2 == 0
 

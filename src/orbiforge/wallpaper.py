@@ -7,22 +7,23 @@ generators by exact isometries, and a pair of words whose images span the
 translation lattice; all of that is machine-checked at construction time.
 
 Classification runs in machine integers.  Each model's generators are
-rewritten once, on first use, as integer affine maps in the basis of the
+rewritten once, when it is built, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
-translation in (1/N)Z^2.  One walk over such maps, `_walk`, fixes the order
-of the model's linear parts from its generators, and from the images of a
-subgroup's generating words (`_word_closure`) keeps one element of the
-subgroup per linear part and the translations that, by Schreier's lemma,
-span its translation lattice.  In the basis of that lattice, where it is Z^2
-and linear parts are integer matrices, those elements are its affine
-classes.  The coset table only cross-checks the result, through its index.
-One scan of the classes (`_class_orders`) gives the rotation orders and the
-mirror matrices, the det -1 linear parts whose class holds a reflection; the
-decision tree names the type from them, by their number and by how they act
-on Z^2/2Z^2 or, in a three-fold group with rotation R, on Z^2/(R - I)Z^2.
-Exact Cartesian Q(sqrt3) arithmetic only builds, validates and converts the
-models and serves the views `evaluate`, `schreier_images`, `classes`,
-`lattice` and `point_group`; every decision after that reads the kernel.
+translation in (1/N)Z^2, on which `ModelGroup.validate` checks the relators.
+One walk over such maps, `_walk`, fixes the order of the model's linear parts
+from its generators, and from the images of a subgroup's generating words
+(`_word_closure`) keeps one element of the subgroup per linear part and the
+translations that, by Schreier's lemma, span its translation lattice.  In the
+basis of that lattice, where it is Z^2 and linear parts are integer matrices,
+those elements are its affine classes.  The coset table only cross-checks the
+result, through its index.  One scan of the classes (`_class_orders`) gives
+the rotation orders and the mirror matrices, the det -1 linear parts whose
+class holds a reflection; the decision tree names the type from them, by
+their number and by how they act on Z^2/2Z^2 or, in a three-fold group with
+rotation R, on Z^2/(R - I)Z^2.  Cartesian Q(sqrt3) arithmetic only builds the
+generators, evaluates the translation words once, converts the generators to
+the lattice basis and serves the views `evaluate`, `schreier_images`,
+`classes`, `lattice` and `point_group`; all else reads the kernel.
 """
 from __future__ import annotations
 
@@ -205,6 +206,7 @@ def _mirror_through(linear: Mat2, px, py) -> Isometry:
 
 _ID_LINEAR: Linear = (1, 0, 0, 1)
 _ID_AFFINE: Affine = (1, 0, 0, 1, 0, 0)
+_IDENTITY = Isometry.identity()
 
 
 def _det(m: Linear) -> int:
@@ -272,6 +274,19 @@ class AffineKernel(NamedTuple):
     lifts: tuple[Affine, ...]         # one element of the model per linear part
 
 
+def _images(kernel: AffineKernel, words: Iterable[Word]) -> list[Affine]:
+    """Each word as an integer affine map over the kernel's generators."""
+    maps = dict(enumerate(kernel.gens, 1))
+    maps.update({-k: _ainv(gen) for k, gen in maps.items()})
+    images = []
+    for w in words:
+        f = _ID_AFFINE
+        for letter in w.letters:
+            f = _amul(f, maps[letter])
+        images.append(f)
+    return images
+
+
 @dataclass(frozen=True)
 class ModelGroup:
     presentation: Presentation
@@ -282,8 +297,7 @@ class ModelGroup:
     def image(self, gen_index: int) -> Isometry:
         return self.rep[gen_index - 1]
 
-    # The cached properties below are filled on first use, so building a
-    # model does no work it did not do before.
+    # Cached on first use; `validate` fills `kernel` and what it reads.
 
     @cached_property
     def inverse_rep(self) -> tuple[Isometry, ...]:
@@ -291,7 +305,7 @@ class ModelGroup:
         return tuple(g.inverse() for g in self.rep)
 
     def evaluate(self, w: Word) -> Isometry:
-        out = Isometry.identity()
+        out = _IDENTITY
         for letter in w.letters:
             out = out * (self.rep[letter - 1] if letter > 0
                          else self.inverse_rep[-letter - 1])
@@ -299,7 +313,11 @@ class ModelGroup:
 
     @cached_property
     def _lattice(self) -> Lattice2:
-        return Lattice2(*(self.evaluate(w).trans for w in self.translation_words))
+        """The translation words' images, each evaluated once, as a lattice."""
+        images = [self.evaluate(w) for w in self.translation_words]
+        if not all(img.linear.is_identity() for img in images):
+            raise InvariantError("translation word image is not a translation")
+        return Lattice2(*(img.trans for img in images))
 
     def translation_images(self) -> tuple[Vec2, Vec2]:
         return self._lattice.b1, self._lattice.b2
@@ -325,29 +343,21 @@ class ModelGroup:
         """The generators as integer affine maps in the basis
         B = (v1, v2) of `translation_images()`, and one lift per linear part.
 
-        Each generator's linear part L is conjugated to M = B^-1 L B
-        (`Lattice2.integer_matrix`), which must be integral with determinant
-        +-1 and keep the Gram matrix G = B^T B (M^T G M = G); its
-        translation must lie in (1/N)Z^2 for N the lcm of the translation
-        denominators.  Products and inverses keep all of that, so the whole
-        group does.  `_walk` over the inverses g^-1, each element inverted,
+        Each generator's linear part L becomes M = B^-1 L B, which must be
+        integral (`Lattice2.integer_matrix`); `Isometry` proved L orthogonal,
+        so M has L's determinant +-1 and keeps the Gram matrix G = B^T B.
+        Its translation must lie in (1/N)Z^2, N the lcm of the translation
+        denominators.  `_walk` over the inverses g^-1, each element inverted,
         gives the lifts in the order of a BFS f |-> g f, since
         (g f)^-1 = f^-1 g^-1; it also refuses a translation outside the
         lattice of the translation words."""
         lattice = self.lattice()
-        basis, inverse = lattice.basis_matrix(), lattice._inverse_basis
-        gram = basis.transpose() * basis
-        coords = [inverse * iso.trans for iso in self.rep]
-        n = lcm(*(x.a.denominator for v in coords for x in (v.x, v.y)))
+        coords = [lattice.coords(iso.trans) for iso in self.rep]
+        n = lcm(*(x.a.denominator for v in coords for x in v))
         gens = []
         for iso, v in zip(self.rep, coords):
             m = lattice.integer_matrix(iso.linear)
-            if _det(m) not in (1, -1):
-                raise InvariantError("lattice-basis linear part has determinant other than +-1")
-            c = mat(*m)
-            if c.transpose() * gram * c != gram:
-                raise InvariantError("lattice-basis linear part does not keep the Gram matrix")
-            scaled = (v.x * n, v.y * n)
+            scaled = [x * n for x in v]
             if not all(x.is_integer() for x in scaled):
                 raise InvariantError(f"generator translation of {self.presentation.name} "
                                      f"is not in (1/{n})Z^2 in the lattice basis")
@@ -356,17 +366,16 @@ class ModelGroup:
         return AffineKernel(n, tuple(gens), tuple(map(_ainv, held.values())))
 
     def validate(self) -> None:
-        for rel in self.presentation.relators:
-            if not self.evaluate(rel).is_identity():
+        """Build the kernel and check each relator on it: conjugation by B,
+        with translations scaled by N, is an injective homomorphism, so a
+        relator's integer image is the identity exactly when its Cartesian
+        image is."""
+        relators = self.presentation.relators
+        for rel, f in zip(relators, _images(self.kernel, relators)):
+            if f != _ID_AFFINE:
                 raise InvariantError(
                     f"relator {self.presentation.spell(rel)} does not act trivially "
                     f"in model {self.presentation.name}")
-        images = [self.evaluate(w) for w in self.translation_words]
-        for img in images:
-            if not img.linear.is_identity() or img.trans.is_zero():
-                raise InvariantError("translation word image is not a translation")
-        if images[0].trans.cross(images[1].trans).is_zero():
-            raise InvariantError("translation images are linearly dependent")
 
 
 def _build(name, gens, relators, images, twords) -> ModelGroup:
@@ -666,16 +675,7 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
     the order of the model's point-group walk."""
     kernel = model_group.kernel
     n = kernel.denominator
-    maps = {}
-    for k, gen in enumerate(kernel.gens, 1):
-        maps[k], maps[-k] = gen, _ainv(gen)
-    images = []
-    for w in words:
-        f = _ID_AFFINE
-        for letter in w.letters:
-            f = _amul(f, maps[letter])
-        images.append(f)
-    held, pairs = _walk(images, n)
+    held, pairs = _walk(_images(kernel, words), n)
     try:
         (a, b), (zero, g) = integer_lattice_basis(pairs)
     except InvalidLatticeError as exc:
@@ -799,8 +799,8 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
 
     For an orientable model this is the whole group; otherwise it is the
     kernel, which contains every translation, of the determinant sign map,
-    read from the kernel's generators (B^-1 L B has the determinant of L).
-    """
+    read from the kernel's generators (B^-1 L B has the determinant of L);
+    the table must hold the translation words, whose images have sign 1."""
     signs = tuple(_det(g[:4]) for g in model_group.kernel.gens)
     if all(s == 1 for s in signs):
         return whole_group(model_group), model_group.signature
@@ -809,6 +809,6 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
         raise InvariantError("determinant sign map violates a relator")
     handle = sign_kernel(model_group, hom)
     for w in model_group.translation_words:
-        if hom.evaluate(w) != 1 or not handle.table.contains(w):
+        if not handle.table.contains(w):
             raise InvariantError("translation fails to lift to the double cover")
     return handle, classify(handle)

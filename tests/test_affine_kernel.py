@@ -2,6 +2,7 @@
 translations in (1/N)Z^2 in the basis of the model's translation lattice, one
 lift per linear part of its point group, and the checks made once when it is
 built."""
+import collections
 import itertools
 import operator
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 
 from orbiforge import wallpaper
 from orbiforge.cosetenum import InvariantError
-from orbiforge.exactgeom import IDENTITY_MAT, Isometry, QuadNum, Vec2, _isometry, mat, vec
+from orbiforge.exactgeom import IDENTITY_MAT, Isometry, QuadNum, Vec2, mat, vec
 from orbiforge.lattice import Lattice2
 from orbiforge.wallpaper import MODEL_NAMES, model
 from oracle import closure, model_lifts
@@ -77,10 +78,31 @@ def test_point_group_is_the_closure_of_the_generator_linear_parts(name):
     assert set(m.point_group) == set(linear)
 
 
-def test_building_a_model_does_not_build_its_kernel():
+def test_building_a_model_builds_its_kernel():
+    # validating a model builds its kernel and reads the relators on it
     m = wallpaper._BUILDERS["p6"]()
-    assert "kernel" not in vars(m)
+    assert "kernel" in vars(m)
     assert m.kernel is m.kernel
+
+
+def test_building_the_models_evaluates_each_translation_word_once(monkeypatch):
+    # Q(sqrt3) builds and converts the generators and evaluates each model's
+    # two translation words once; the relators are read in integers
+    counts = collections.Counter()
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(wallpaper.ModelGroup, "evaluate",
+                        counting("evaluate", wallpaper.ModelGroup.evaluate))
+    monkeypatch.setattr(QuadNum, "__mul__", counting("mul", QuadNum.__mul__))
+    for build in wallpaper._BUILDERS.values():
+        build().kernel
+    assert counts["evaluate"] == 2 * len(MODEL_NAMES) == 34
+    assert counts["mul"] < 3000
 
 
 # -- the checks made when the kernel is built ---------------------------------
@@ -99,29 +121,19 @@ def test_linear_part_must_be_integral_in_the_lattice_basis():
         fake.kernel
 
 
-def _with_first_linear_part(name, linear):
-    """A copy of a model whose first generator has the given linear part,
-    built without the orthogonality check of `Isometry`."""
-    m = model(name)
-    return replace(m, rep=(_isometry(linear, m.rep[0].trans),) + m.rep[1:])
-
-
-def test_linear_part_must_have_determinant_one():
-    fake = _with_first_linear_part("p1", mat(2, 0, 0, 1))
-    with pytest.raises(InvariantError, match="determinant other than"):
-        fake.kernel
-
-
-def test_linear_part_must_keep_the_gram_matrix():
-    # a shear is unimodular but not an isometry of the square lattice
-    fake = _with_first_linear_part("p1", mat(1, 1, 0, 1))
-    with pytest.raises(InvariantError, match="does not keep the Gram matrix"):
-        fake.kernel
+@pytest.mark.parametrize("linear", [mat(2, 0, 0, 1), mat(1, 1, 0, 1)])
+def test_generators_must_be_isometries(linear):
+    # the kernel leaves the determinant and the Gram matrix of B^-1 L B to
+    # the orthogonality of L, which `Isometry` proves: a stretch of
+    # determinant 2 and a unimodular shear are refused there
+    with pytest.raises(ValueError, match="^linear part is not orthogonal: "):
+        Isometry(linear, vec(1, 0))
 
 
 def test_point_group_walk_is_bounded(monkeypatch):
-    # the checks above keep the point group finite; were they to fail, the
-    # walk stops at 12 linear parts instead of running on
+    # orthogonal generators that are integral in the lattice basis keep the
+    # point group finite; were that to fail, the walk stops at 12 linear
+    # parts instead of running on
     shears = itertools.count(1)
     monkeypatch.setattr(wallpaper, "_amul", lambda p, q: (1, next(shears), 0, 1, 0, 0))
     with pytest.raises(InvariantError, match="point group larger than 12"):
@@ -130,14 +142,14 @@ def test_point_group_walk_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "pm", "pmm"])
 def test_translations_must_lie_in_the_lattice_of_the_translation_words(name):
-    # t1^2 and t2 span a sublattice of index 2: the model still validates,
-    # but its own translation t1 is half a basis vector of that lattice
+    # t1^2 and t2 span a sublattice of index 2, in which the model's own
+    # translation t1 is half a basis vector: the kernel, and so validate,
+    # refuses it
     t1, t2 = model(name).translation_words
     fake = replace(model(name), translation_words=(t1 ** 2, t2))
-    fake.validate()
     with pytest.raises(InvariantError,
                        match="^translation of the subgroup is not a lattice translation$"):
-        fake.kernel
+        fake.validate()
 
 
 def test_generator_translation_must_be_rational_in_the_lattice_basis():

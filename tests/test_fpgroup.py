@@ -355,10 +355,15 @@ FREE2 = Presentation("t", ("a", "b"), ())
     (lambda: IntMatrix(1, 2, [1, 2]).det(), ValueError, "^determinant of a non-square matrix$"),
     (lambda: SignHom(FREE2, (-1,)), PresentationError, "^one sign per generator required$"),
     (lambda: SignHom(FREE2, (-1, 0)), PresentationError, r"^signs must be \+1 or -1$"),
+    # type() rather than equality: -1.0, 1.0 and True equal a sign but are no int
+    (lambda: SignHom(FREE2, (-1.0, 1)), PresentationError, r"^signs must be \+1 or -1$"),
+    (lambda: SignHom(FREE2, (-1, 1.0)), PresentationError, r"^signs must be \+1 or -1$"),
+    (lambda: SignHom(FREE2, (-1, True)), PresentationError, r"^signs must be \+1 or -1$"),
     (lambda: SignHom(FREE2, (1, 1)).kernel_words(), PresentationError,
      "^trivial sign map has no index-2 kernel$"),
 ], ids=["duplicate-generator", "unknown-generator", "entry-count", "shape", "non-square",
-        "sign-count", "sign-value", "trivial-sign-map"])
+        "sign-count", "sign-value", "sign-float-minus", "sign-float-plus", "sign-bool",
+        "trivial-sign-map"])
 def test_input_errors(call, exc, message):
     with pytest.raises(exc, match=message):
         call()

@@ -162,6 +162,18 @@ class TestNormFormIndices:
         with pytest.raises(ValueError, match=r"^S2\(2,3,6\) needs ring .*, got gaussian$"):
             rigid_abelian_index("S2(2,3,6)", QuadInt(1, 0, Ring.GAUSSIAN))
 
+    @pytest.mark.parametrize("n1, n2", [(1.5, 0), (2.0, 1), (1, True), (False, 1)])
+    def test_coordinates_must_be_ints(self, n1, n2):
+        # a float gave a float index, as 2.25 for 1.5; a bool passed as 0 or 1
+        with pytest.raises(ValueError, match="^coordinates must be ints, got "):
+            QuadInt(n1, n2, Ring.GAUSSIAN)
+
+    @pytest.mark.parametrize("ring", ["gaussian", "root_minus3", None])
+    def test_ring_must_be_a_ring(self, ring):
+        # a string was read as root_minus3 by norm and missed every ring table
+        with pytest.raises(ValueError, match="^ring must be a Ring, got "):
+            QuadInt(1, 1, ring)
+
 
 class TestRotationIdentities:
     def test_order_4_on_square_lattice_vectors(self):

@@ -246,6 +246,27 @@ def test_one_coordinate_system_for_decisions():
     assert _names(_parse("wallpaper.py")).isdisjoint({"classify_isometry", "Translation"})
 
 
+def test_one_model_proof():
+    # a model is proved once, in its lattice basis: validate reads the
+    # relators on the kernel's integer maps, the kernel leaves determinant
+    # and Gram matrix to the orthogonality that Isometry proved, and
+    # _images is the one loop that multiplies a word's letters as integer
+    # affine maps, for validate and the word closure alike
+    tree = _parse("wallpaper.py")
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    functions.update((f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                     if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef))
+    validate, kernel = functions["ModelGroup.validate"], functions["ModelGroup.kernel"]
+    assert "evaluate" not in _names(validate)
+    assert _names(kernel).isdisjoint({"gram", "transpose", "_det"})
+    word_loops = [name for name, fn in functions.items() for loop in ast.walk(fn)
+                  if isinstance(loop, ast.For) and "letters" in _names(loop.iter)
+                  and "_amul" in _calls(loop)]
+    assert word_loops == ["_images"]
+    assert "_images" in _calls(validate) and "_images" in _calls(functions["_word_closure"])
+
+
 def _holds_word(value) -> bool:
     from orbiforge.fpgroup import Word
 

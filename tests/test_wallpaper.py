@@ -7,9 +7,8 @@ import pytest
 
 from orbiforge import wallpaper
 from orbiforge.cosetenum import InvariantError
-from orbiforge.exactgeom import (IDENTITY_MAT, Isometry, QuadNum, Translation,
-                                 classify_isometry, vec)
-from orbiforge.fpgroup import Presentation, Word, sign_homs
+from orbiforge.exactgeom import QuadNum, Translation, classify_isometry, vec
+from orbiforge.fpgroup import Presentation, PresentationError, Word, sign_homs
 from orbiforge.lattice import InvalidLatticeError
 from orbiforge.verify import _COVER_EXPECTATION
 from orbiforge.wallpaper import (MODEL_NAMES, Names, OrbifoldSignature,
@@ -28,30 +27,42 @@ class TestModels:
 
     @pytest.mark.parametrize("name, words", [("p6", ((1,), (2, -1, -1))),
                                              ("pg", ((2,), (1,))),
-                                             ("p4m", ((1,), (2, 3, 2, 1))),
-                                             ("p1", ((1, 2, -1, -2), (2,)))])
+                                             ("p4m", ((1,), (2, 3, 2, 1)))])
     def test_translation_words_must_be_translations(self, name, words):
-        # a rotation of p6, the glide of pg, a mirror of p4m, the identity
+        # a rotation of p6, the glide of pg, a mirror of p4m
         fake = replace(model(name), translation_words=tuple(map(Word, words)))
         with pytest.raises(InvariantError, match="^translation word image is not a translation$"):
             fake.validate()
 
     @pytest.mark.parametrize("name", ["p1", "p6", "cmm"])
     def test_translation_words_must_be_independent(self, name):
+        # the lattice refuses dependent images, the zero translation among them
         t1, t2 = model(name).translation_words
-        for words in ((t1, t1), (t2, t2.inverse()), (t1 ** 2, t1 ** -3)):
+        for words in ((t1, t1), (t2, t2.inverse()), (t1 ** 2, t1 ** -3),
+                      (t1 * t2 * t1.inverse() * t2.inverse(), t2)):
             fake = replace(model(name), translation_words=words)
-            with pytest.raises(InvariantError,
-                               match="^translation images are linearly dependent$"):
+            with pytest.raises(InvalidLatticeError, match="^degenerate basis "):
                 fake.validate()
 
-    def test_relators_must_act_trivially(self):
-        # a translation in place of p2's half-turn w breaks the relator w^2
-        p2 = model("p2")
-        fake = replace(p2, rep=(Isometry(IDENTITY_MAT, vec(1, 0)),) + p2.rep[1:])
+    @pytest.mark.parametrize("name, extra, spelled", [("p1", (1,), "t"),
+                                                      ("p6", (1, 1, 1), "a a a"),
+                                                      ("pm", (1, 2), "s z")])
+    def test_relators_must_act_trivially(self, name, extra, spelled):
+        # a translation of p1, a rotation of p6 and a translation of pm made
+        # of two mirrors, each added as a relator, move the plane
+        m = model(name)
+        pres = m.presentation
+        bad = Presentation(pres.name, pres.generators, pres.relators + (Word(extra),))
         with pytest.raises(InvariantError,
-                           match="^relator .* does not act trivially in model p2$"):
-            fake.validate()
+                           match=f"^relator {spelled} does not act trivially in model {name}$"):
+            replace(m, presentation=bad).validate()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_relators_act_trivially_on_the_cartesian_isometries(self, name):
+        # validate reads the relators on the integer kernel; evaluating them
+        # as Q(sqrt3) isometries stays the oracle
+        m = model(name)
+        assert all(m.evaluate(r).is_identity() for r in m.presentation.relators)
 
     def test_p6_matches_required_images(self):
         p6 = model("p6")
@@ -137,6 +148,11 @@ class TestClassification:
         with pytest.raises(ValueError, match="^sign assignment violates a relator$"):
             sign_kernel(model("p6"), {"b": -1})  # b^3 forces b -> +1
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0, True])
+    def test_signs_must_be_ints(self, sign):
+        with pytest.raises(PresentationError, match=r"^signs must be \+1 or -1$"):
+            sign_kernel(model("p6"), {"a": sign})
+
 
 class TestPointGroupsAndLattices:
     def test_p6_point_group(self):
@@ -214,20 +230,14 @@ class TestOrientationDoubleCover:
         with pytest.raises(InvariantError, match="^determinant sign map violates a relator$"):
             orientation_double_cover(replace(pm, presentation=bad))
 
-    @pytest.mark.parametrize("name, error, pattern", [
-        ("pm", InvalidLatticeError, "^degenerate basis "),
-        ("pg", InvariantError, "^translation fails to lift to the double cover$"),
-        ("p4m", InvalidLatticeError, "^degenerate basis "),
-        ("p6m", InvalidLatticeError, "^degenerate basis ")])
-    def test_translation_words_must_lift_to_the_double_cover(self, name, error, pattern,
-                                                             monkeypatch):
-        # a generator that reverses orientation, as t1, is refused: a mirror
-        # through the origin gives no lattice to build the kernel on, and
-        # pg's glide, whose kernel builds, has sign -1
+    @pytest.mark.parametrize("name", ["pm", "pg", "p4m", "p6m"])
+    def test_translation_words_must_lift_to_the_double_cover(self, name, monkeypatch):
+        # a generator that reverses orientation, as t1, is refused before any
+        # cover is built: its image is no translation, so no kernel builds
         m = model(name)
         k = next(k for k, iso in enumerate(m.rep, 1) if iso.linear.det() == QuadNum.of(-1))
         fake = replace(m, translation_words=(Word((k,)), m.translation_words[1]))
-        with pytest.raises(error, match=pattern):
+        with pytest.raises(InvariantError, match="^translation word image is not a translation$"):
             orientation_double_cover(fake)
         # a cover that misses t1 is refused even when every sign is right
         t1, t2 = m.translation_words
