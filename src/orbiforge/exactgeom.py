@@ -12,12 +12,13 @@ The 2x2 kernels (`Mat2` times `Mat2` or `Vec2`, `Mat2.det`, `Vec2.dot` and
 `Vec2.cross`) are the textbook QuadNum expressions.  They run when a model
 or a lattice is built and converted to integer lattice coordinates, and in
 the display and oracle views; the decisions, and the rotation and norm-form
-identities of verify-paper, read the integer coordinates.  Results whose
-entries are already QuadNums are built by the private constructors
-`_make`, `_vec` and `_mat`, which skip the coercion in `__post_init__`.  The
-public `Isometry` constructor checks that the linear part is orthogonal with
-det +-1; products and inverses are built by `_isometry` without the check,
-since a product or a transpose of such matrices is one again.
+identities of verify-paper, read the integer coordinates.  QuadNum results
+are built from normalized triples by the private constructor `_make`, which
+skips `__init__`; every `Vec2` and `Mat2` is built by its public
+constructor.  The public `Isometry` constructor checks that the linear part
+is orthogonal with det +-1; products and inverses are built by `_isometry`
+without the check, since a product or a transpose of such matrices is one
+again.
 """
 from __future__ import annotations
 
@@ -327,17 +328,17 @@ class Vec2:
         object.__setattr__(self, "y", QuadNum.of(self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return _vec(self.x + other.x, self.y + other.y)
+        return Vec2(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return _vec(self.x - other.x, self.y - other.y)
+        return Vec2(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vec2":
-        return _vec(-self.x, -self.y)
+        return Vec2(-self.x, -self.y)
 
     def scale(self, k: _Raw) -> "Vec2":
         k = QuadNum.of(k)
-        return _vec(self.x * k, self.y * k)
+        return Vec2(self.x * k, self.y * k)
 
     def dot(self, other: "Vec2") -> QuadNum:
         return self.x * other.x + self.y * other.y
@@ -357,15 +358,6 @@ class Vec2:
 
 def vec(x: _Raw, y: _Raw) -> Vec2:
     return Vec2(QuadNum.of(x), QuadNum.of(y))
-
-
-def _vec(x: QuadNum, y: QuadNum) -> Vec2:
-    """Vec2 from two QuadNums, skipping the coercion in __post_init__."""
-    v = _new(Vec2)
-    d = v.__dict__
-    d["x"] = x
-    d["y"] = y
-    return v
 
 
 ZERO_VEC = vec(0, 0)
@@ -389,25 +381,25 @@ class Mat2:
         return Mat2(QuadNum(1), QuadNum(0), QuadNum(0), QuadNum(1))
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return _mat(self.m11 + other.m11, self.m12 + other.m12,
+        return Mat2(self.m11 + other.m11, self.m12 + other.m12,
                     self.m21 + other.m21, self.m22 + other.m22)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return _mat(self.m11 - other.m11, self.m12 - other.m12,
+        return Mat2(self.m11 - other.m11, self.m12 - other.m12,
                     self.m21 - other.m21, self.m22 - other.m22)
 
     def __mul__(self, other):
         a, b, c, d = self.m11, self.m12, self.m21, self.m22
         if other.__class__ is Mat2:
             e, f, g, h = other.m11, other.m12, other.m21, other.m22
-            return _mat(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         if other.__class__ is Vec2:
             x, y = other.x, other.y
-            return _vec(a * x + b * y, c * x + d * y)
+            return Vec2(a * x + b * y, c * x + d * y)
         return NotImplemented
 
     def transpose(self) -> "Mat2":
-        return _mat(self.m11, self.m21, self.m12, self.m22)
+        return Mat2(self.m11, self.m21, self.m12, self.m22)
 
     def det(self) -> QuadNum:
         return self.m11 * self.m22 - self.m12 * self.m21
@@ -418,7 +410,7 @@ class Mat2:
             raise ZeroDivisionError("singular matrix")
         k = d.inverse()
         minus_k = -k
-        return _mat(self.m22 * k, self.m12 * minus_k, self.m21 * minus_k, self.m11 * k)
+        return Mat2(self.m22 * k, self.m12 * minus_k, self.m21 * minus_k, self.m11 * k)
 
     def is_identity(self) -> bool:
         return self == IDENTITY_MAT
@@ -432,17 +424,6 @@ class Mat2:
 
 def mat(m11, m12, m21, m22) -> Mat2:
     return Mat2(QuadNum.of(m11), QuadNum.of(m12), QuadNum.of(m21), QuadNum.of(m22))
-
-
-def _mat(m11: QuadNum, m12: QuadNum, m21: QuadNum, m22: QuadNum) -> Mat2:
-    """Mat2 from four QuadNums, skipping the coercion in __post_init__."""
-    m = _new(Mat2)
-    d = m.__dict__
-    d["m11"] = m11
-    d["m12"] = m12
-    d["m21"] = m21
-    d["m22"] = m22
-    return m
 
 
 IDENTITY_MAT = Mat2.identity()

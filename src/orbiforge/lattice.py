@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 
 from .cosetenum import InvariantError
-from .exactgeom import Mat2, QuadNum, Vec2, _mat, vec
+from .exactgeom import Mat2, QuadNum, Vec2, vec
 from .fpgroup import _xgcd
 
 
@@ -69,15 +69,6 @@ class Lattice2:
         """Canonical representative of v modulo the lattice (coords in [0,1))."""
         a, b = self.coords(v)
         return v - self.b1.scale(a.floor()) - self.b2.scale(b.floor())
-
-    def index_in(self, larger: "Lattice2") -> int:
-        """[larger : self] for a sublattice, as an exact positive integer."""
-        if not (larger.contains(self.b1) and larger.contains(self.b2)):
-            raise InvalidLatticeError("not a sublattice")
-        ratio = abs(self.det() / larger.det())
-        if not ratio.is_integer():
-            raise InvalidLatticeError("determinant ratio is not an integer")
-        return ratio.p  # an integer QuadNum is p/1
 
     def gram(self) -> tuple[QuadNum, QuadNum, QuadNum]:
         """(|b1|^2, b1.b2, |b2|^2)."""
@@ -179,7 +170,7 @@ def multiplication_matrix(z: QuadInt) -> Mat2:
     """Real 2x2 matrix of complex multiplication by z on the plane."""
     n1 = QuadNum.of(z.n1)
     n2 = QuadNum.of(z.n2) if z.ring is Ring.GAUSSIAN else QuadNum.sqrt3() * z.n2
-    return _mat(n1, -n2, n2, n1)
+    return Mat2(n1, -n2, n2, n1)
 
 
 # tau's integer matrix in the basis of its ring lattice, converted once per ring
@@ -222,9 +213,10 @@ def rigid_abelian_index(cusp: str, z: QuadInt) -> int:
     return factor * sublattice_index(z)
 
 
-def integer_lattice_basis(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Hermite-form basis ((a, b), (0, g)) of the sublattice of Z^2 generated
-    by the given pairs; requires full rank.
+def integer_lattice_basis(pairs: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """Hermite triple (a, b, g), for the basis (a, b), (0, g) with a, g > 0
+    and 0 <= b < g, of the sublattice of Z^2 generated by the given pairs;
+    requires full rank.
 
     One pass folds each pair (x, y) into the first row (a, b) by the
     extended gcd step: with d = gcd(a, x) = s*a + t*x the row becomes
@@ -239,4 +231,4 @@ def integer_lattice_basis(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int]
             b %= g
     if a == 0 or g == 0:
         raise InvalidLatticeError("generators do not span a rank-2 sublattice")
-    return (a, b), (0, g)
+    return a, b, g

@@ -199,14 +199,9 @@ def _check_verdicts(seed: int) -> tuple[bool, str]:
             _expect(has4, f"{v.signature} excluded for 4-torsion without any", fails)
         if v.status == "realizable":
             _expect(not has4, f"{v.signature} realizable despite 4-torsion", fails)
-    # the supporting machine facts behind the exclusions, as `verdict` records
-    # them; the 2,4,4 certificates run once for the three 4-torsion types
-    certificates = kc._four_torsion_certificates()
+    # the supporting machine facts behind each exclusion, as its verdict runs them
     for v in excluded:
-        cryst = v.signature.names.crystallographic
-        checks = (kc._four_torsion_checks(cryst, certificates) if v.reason == "four_torsion"
-                  else kc._reflection_checks(cryst))
-        _expect(all(c.passed for c in checks),
+        _expect(all(c.passed for c in kc.verdict(v.signature).checks),
                 f"supporting checks failed for {v.signature}", fails)
     return not fails, "; ".join(fails) or \
         ("9 realizable / 8 excluded; the three 4-torsion types are excluded with "

@@ -665,8 +665,8 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
     kernel, and `_walk` over those maps keeps one element of the subgroup
     per linear part and gives its translations.  So t1^i t2^j lies in the
     subgroup exactly when (i, j) lies in the lattice with Hermite basis
-    (a, b), (0, g).  The table that proved the index finite proved that
-    lattice of rank 2.
+    (a, b), (0, g), whose triple `integer_lattice_basis` returns.  The table
+    that proved the index finite proved that lattice of rank 2.
 
     The subgroup lattice has basis H = [[a, 0], [b, g]] in the model's
     lattice basis and a g H^-1 = [[g, 0], [-b, a]], so a linear part M
@@ -677,11 +677,9 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
     n = kernel.denominator
     held, pairs = _walk(_images(kernel, words), n)
     try:
-        (a, b), (zero, g) = integer_lattice_basis(pairs)
+        a, b, g = integer_lattice_basis(pairs)
     except InvalidLatticeError as exc:
         raise InvariantError("translations of the subgroup do not span a rank-2 lattice") from exc
-    if zero != 0:
-        raise InvariantError("lattice basis is not in Hermite form")
     ag = a * g
     d = ag * n
     linear = tuple(f[:4] for f in kernel.lifts if f[:4] in held)
@@ -800,14 +798,15 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
     For an orientable model this is the whole group; otherwise it is the
     kernel, which contains every translation, of the determinant sign map,
     read from the kernel's generators (B^-1 L B has the determinant of L);
-    the table must hold the translation words, whose images have sign 1."""
+    the table must hold the translation words, whose images have sign 1.
+    The map respects every relator: `validate` proved each relator's integer
+    image the identity, and its determinant is the product of the letters'
+    signs.  `sign_kernel` refuses a model that skipped `validate` and breaks
+    a relator."""
     signs = tuple(_det(g[:4]) for g in model_group.kernel.gens)
     if all(s == 1 for s in signs):
         return whole_group(model_group), model_group.signature
-    hom = SignHom(model_group.presentation, signs)
-    if not hom.holds():
-        raise InvariantError("determinant sign map violates a relator")
-    handle = sign_kernel(model_group, hom)
+    handle = sign_kernel(model_group, SignHom(model_group.presentation, signs))
     for w in model_group.translation_words:
         if not handle.table.contains(w):
             raise InvariantError("translation fails to lift to the double cover")

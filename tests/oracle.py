@@ -8,7 +8,7 @@ from orbiforge.cosetenum import todd_coxeter
 from orbiforge.exactgeom import Isometry
 from orbiforge.fpgroup import Presentation, Word, abelianization, quotient, tietze_pass
 from orbiforge.knotcusp import AmalgamSpec, GluingDatum
-from orbiforge.lattice import Lattice2
+from orbiforge.lattice import InvalidLatticeError, Lattice2
 from orbiforge.wallpaper import model
 
 
@@ -27,6 +27,17 @@ def closure(gens, identity, mul):
                     nxt.append(prod)
         frontier = nxt
     return tuple(seen)
+
+
+def index_in(small, large):
+    """[large : small] for a sublattice, as an exact positive integer: the
+    ratio of the Q(sqrt3) determinants."""
+    if not (large.contains(small.b1) and large.contains(small.b2)):
+        raise InvalidLatticeError("not a sublattice")
+    ratio = abs(small.det() / large.det())
+    if not ratio.is_integer():
+        raise InvalidLatticeError("determinant ratio is not an integer")
+    return ratio.p  # an integer QuadNum is p/1
 
 
 def hermite(pairs):

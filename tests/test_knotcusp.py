@@ -407,10 +407,12 @@ class TestOrderTwoCertificate:
                            match="^cusp translations missing from the double cover$"):
             double_cover_cusp_244()
 
-    def test_double_cover_cusp_must_have_index_two(self, monkeypatch):
-        # the translation subgroup of p4 holds both translations at index 4
+    def test_double_cover_cusp_refuses_the_translation_subgroup(self, monkeypatch):
+        # the translation subgroup of p4 holds both translations, at index 4;
+        # its cusp is the torus, not the pillowcase that index 2 would give
         _translation_kernel(monkeypatch)
-        with pytest.raises(TheoremCheckError, match="^double cover has index 4, not 2$"):
+        with pytest.raises(TheoremCheckError,
+                           match=r"^double cover cusp is T2, not S2\(2,2,2,2\)$"):
             double_cover_cusp_244()
 
     def test_double_cover_cusp_must_be_the_pillowcase(self, monkeypatch):
@@ -485,6 +487,15 @@ def _three_torsion_everywhere(monkeypatch):
     monkeypatch.setattr(knotcusp, "peripheral_order_profile", lambda group: frozenset({2, 3}))
 
 
+def _failing_244_cover(monkeypatch):
+    from orbiforge import knotcusp
+
+    def fail():
+        raise TheoremCheckError("double cover cusp is S2(2,4,4), not S2(2,2,2,2)")
+
+    monkeypatch.setattr(knotcusp, "double_cover_cusp_244", fail)
+
+
 def _doubled_whole_groups(monkeypatch):
     # the table says two cosets where the whole group has one
     from orbiforge import verify
@@ -543,6 +554,10 @@ _REFLECTION_FAILURES = "; ".join(f"supporting checks failed for {SIGNATURES[name
                                  for name in SIGNATURES if name in REFLECTION_EXCLUDED)
 
 
+_FOUR_TORSION_FAILURES = "; ".join(f"supporting checks failed for {SIGNATURES[name]}"
+                                   for name in SIGNATURES if name in FOUR_TORSION_EXCLUDED)
+
+
 _COVER_FAILURES = "; ".join(
     f"{name} double cover is {SIGNATURES[name]}, expected {SIGNATURES[target]}"
     for name, target in [("p4m", "p4"), ("p4g", "p4"), ("pg", "p1"), ("pgg", "p2"),
@@ -556,8 +571,9 @@ _COVER_FAILURES = "; ".join(
      "b^-1 a^2 translates by (1, 0); b a^-2 translates by (1/2, 1/2*rt3)"),
     ("orientation-covers", _whole_group_as_cover, _COVER_FAILURES),
     ("double-cover-236", _translation_kernel,
-     "TheoremCheckError: double cover has index 6, not 2"),
+     "TheoremCheckError: double cover cusp is T2, not S2(3,3,3)"),
     ("verdict-table", _three_torsion_everywhere, _REFLECTION_FAILURES),
+    ("verdict-table", _failing_244_cover, _FOUR_TORSION_FAILURES),
     ("classifier-roundtrip", _doubled_whole_groups, "InvariantError: index identity violated"),
     ("lattice-identities", _norm_off_by_one,
      "InvariantError: determinant ratio differs from the norm"),

@@ -21,7 +21,7 @@ from orbiforge.wallpaper import (MODEL_NAMES, SIGNATURES, SubgroupHandle,
                                  _class_has_reflection, _det, _rotation_order,
                                  _word_closure, classify, crystallographic_type,
                                  model, subgroup, whole_group)
-from oracle import assert_matches_table_path, closure
+from oracle import assert_matches_table_path, closure, index_in
 
 
 # -- oracle: the Cartesian computation ----------------------------------------
@@ -250,7 +250,7 @@ def test_integer_point_group_and_lattice_index_match_cartesian(label):
     for m in handle.point_group:
         del reference[m]
     assert not reference
-    assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
+    assert handle.lattice_index == index_in(handle.lattice, handle.model.lattice())
 
 
 # -- the word closure against the table path ----------------------------------
@@ -416,7 +416,7 @@ def test_classification_reads_only_the_index_and_the_words_of_the_table():
 
 def test_point_group_must_preserve_the_lattice(monkeypatch):
     # a rectangular lattice is not preserved by the quarter-turns of p4
-    monkeypatch.setattr(wallpaper, "integer_lattice_basis", lambda pairs: ((1, 0), (0, 2)))
+    monkeypatch.setattr(wallpaper, "integer_lattice_basis", lambda pairs: (1, 0, 2))
     with pytest.raises(InvariantError, match="does not preserve the lattice"):
         wallpaper.whole_group(model("p4")).classes
 

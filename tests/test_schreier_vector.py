@@ -16,7 +16,7 @@ from orbiforge.lattice import Lattice2, integer_lattice_basis
 from orbiforge.exactgeom import IDENTITY_MAT, Isometry
 from orbiforge.wallpaper import (MODEL_NAMES, classify,
                                  model, subgroup, translation_lattice)
-from oracle import closure
+from oracle import closure, index_in
 
 
 # -- oracles: the direct computations ---------------------------------------
@@ -61,7 +61,7 @@ def reference_translation_lattice(handle):
     t1, t2 = handle.model.translation_words
     found = [(i, j) for i in range(k + 1) for j in range(k + 1)
              if (i or j) and handle.table.contains(t1 ** i * t2 ** j)]
-    (a, b), (_, g) = integer_lattice_basis(found)
+    a, b, g = integer_lattice_basis(found)
     v1, v2 = handle.model.translation_images()
     return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
 
@@ -274,17 +274,9 @@ def test_mirror_translation_words_are_rejected():
         fake.validate()
 
 
-def test_lattice_basis_shape_is_checked(monkeypatch):
-    monkeypatch.setattr(wallpaper, "integer_lattice_basis",
-                        lambda pairs: ((1, 0), (1, 1)))
-    with pytest.raises(InvariantError, match="^lattice basis is not in Hermite form$"):
-        translation_lattice(wallpaper.whole_group(model("p6")))
-
-
 def test_lattice_index_is_checked_against_the_coset_count(monkeypatch):
     # the whole group has one coset, so its lattice is the model's, of index 1
-    monkeypatch.setattr(wallpaper, "integer_lattice_basis",
-                        lambda pairs: ((2, 0), (0, 2)))
+    monkeypatch.setattr(wallpaper, "integer_lattice_basis", lambda pairs: (2, 0, 2))
     with pytest.raises(InvariantError, match="^index identity violated$"):
         translation_lattice(wallpaper.whole_group(model("p6")))
 
@@ -310,7 +302,7 @@ def test_integer_point_group_and_lattice_index_match_cartesian(label):
     for m in handle.point_group:
         del reference[m]
     assert not reference
-    assert handle.lattice_index == handle.lattice.index_in(handle.model.lattice())
+    assert handle.lattice_index == index_in(handle.lattice, handle.model.lattice())
 
 
 # -- growth in the index -----------------------------------------------------

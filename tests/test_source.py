@@ -216,6 +216,22 @@ def test_one_double_cover_certificate():
     assert not hasattr(CosetTable, "permutation")
 
 
+def test_each_exclusion_and_double_cover_proved_once():
+    # verdict() owns each exclusion's supporting checks and verify-paper reads
+    # them from it; a double cover's index is fixed by its translations, its
+    # signature and the index identity, and the determinant sign map by
+    # ModelGroup.validate, with sign_kernel's check behind it
+    trees = {name: _parse(f"{name}.py") for name in ("knotcusp", "verify", "wallpaper")}
+    functions = {fn.name: fn for tree in trees.values() for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert _names(trees["verify"]).isdisjoint(
+        {"_four_torsion_checks", "_four_torsion_certificates", "_reflection_checks"})
+    assert not any(isinstance(fn, ast.FunctionDef) and fn.name == "_four_torsion_certificates"
+                   for fn in trees["knotcusp"].body)
+    assert "index" not in _names(functions["_double_cover_cusp"])
+    assert "holds" not in _calls(functions["orientation_double_cover"])
+
+
 def test_one_order_two_proof():
     # the order-2 certificate returns the quotient map it proves, so h_map_244
     # neither builds its sign map nor checks it against the relators again
@@ -369,7 +385,6 @@ FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 # has a note in CHANGES.md proving that it cannot fire
 UNREACHABLE = [
     "exactgeom:determinant is not +-1",
-    "lattice:determinant ratio is not an integer",
 ]
 
 
