@@ -252,7 +252,8 @@ class _Enumerator:
         """Felsch's strategy with preferred definitions, as the module
         docstring describes, until no gap is left.
 
-        Each pass drains the deduction stack, then makes one definition.
+        Each pass drains the deduction stack, then makes one definition
+        through `define`.
         An edge a -x-> b lies on the cycles read forward from a and backward
         from b.  Each cycle is traced from both ends, defining nothing: a
         closed cycle that ends at two cosets merges them, a one-letter gap is
@@ -262,8 +263,8 @@ class _Enumerator:
         for w in subgroup:
             self.scan_and_fill(0, w)
         p, table, by_col, stack = self.p, self.table, self.by_col, self.deductions
-        preferred, ncols, limit = self.preferred, self.ncols, self.max_cosets
-        fill = (5 * (ncols + 2)) // 4  # ACE's default fill factor
+        preferred = self.preferred
+        fill = (5 * (self.ncols + 2)) // 4  # ACE's default fill factor
         alpha = 0
         while True:
             while stack:
@@ -323,14 +324,7 @@ class _Enumerator:
                     break
             else:
                 c, x = alpha, row.index(None)
-            if n >= limit:
-                self.define(c, x)  # raises CosetLimitError
-            new = [None] * ncols
-            new[x ^ 1] = c
-            table.append(new)
-            p.append(n)
-            table[c][x] = n
-            stack.append((c, x))
+            self.define(c, x)
 
     def standardized_rows(self) -> tuple[tuple[int, ...], ...]:
         """The live rows in standard form: cosets renumbered in the order a BFS

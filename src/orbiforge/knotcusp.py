@@ -188,13 +188,14 @@ def _double_cover_cusp(cusp_name: str, signs: dict[str, int],
     group: its kernel must hold both cusp translations and classify to the
     expected model's signature.
 
-    That proves its index is 2.  With both translations in the kernel H, its
-    lattice is the group's, and `classify` enforces the index identity
-    [G:H] |P_H| = [L_G:L_H] |P_G|, so [G:H] = |P_G|/|P_H|: 6/3 for p3 in p6
-    and 4/2 for p2 in p4."""
-    group = model(cusp_name)
-    handle = sign_kernel(group, signs)
-    if not all(handle.table.contains(t) for t in group.translation_words):
+    The kernel H holds both translations exactly when its lattice index is
+    1: their images are the basis of L_G, and the Hermite basis (a, b),
+    (0, g) of L_H holds (1, 0) and (0, 1) exactly when a = g = 1.  That
+    proves its index is 2: the handle enforced the index identity
+    [G:H] |P_H| = [L_G:L_H] |P_G| when it was built, so [G:H] = |P_G|/|P_H|:
+    6/3 for p3 in p6 and 4/2 for p2 in p4."""
+    handle = sign_kernel(model(cusp_name), signs)
+    if handle.lattice_index != 1:
         raise TheoremCheckError("cusp translations missing from the double cover")
     sig = classify(handle)
     if sig != SIGNATURES[expected]:

@@ -15,10 +15,12 @@ from its generators, and from the images of a subgroup's generating words
 (`_word_closure`) keeps one element of the subgroup per linear part and the
 translations that, by Schreier's lemma, span its translation lattice.  In the
 basis of that lattice, where it is Z^2 and linear parts are integer matrices,
-those elements are its affine classes.  The coset table only cross-checks the
-result, through its index.  One scan of the classes (`_class_orders`) gives
-the rotation orders and the mirror matrices, the det -1 linear parts whose
-class holds a reflection; the decision tree names the type from them, by
+those elements are its affine classes.  A `SubgroupHandle` runs that closure
+when it is built, and the coset table cross-checks it there, through its
+index alone; the double covers read translation membership from the same
+proof, as a lattice index of 1.  One scan of the classes (`_class_orders`)
+gives the rotation orders and the mirror matrices, the det -1 linear parts
+whose class holds a reflection; the decision tree names the type from them, by
 their number and by how they act on Z^2/2Z^2 or, in a three-fold group with
 rotation R, on Z^2/(R - I)Z^2.  Cartesian Q(sqrt3) arithmetic only builds the
 generators, evaluates the translation words once, converts the generators to
@@ -559,15 +561,32 @@ def model(name: str) -> ModelGroup:
 
 
 class SubgroupHandle:
-    """A finite-index subgroup of a model group, held as a coset table.  It
-    is classified from the table's subgroup words; the table's index
-    cross-checks the result."""
+    """A finite-index subgroup of a model group, held as a coset table and
+    proved when the handle is built: `_word_closure` of the table's subgroup
+    words gives its Hermite triple, `integer_classes` and linear parts, and
+    the table, which shares no code with it, checks them by the index
+    identity [G:H] |P_H| = [L_G:L_H] |P_G|.  A closure that missed an
+    element or a translation of the subgroup, or found one outside it,
+    breaks the identity, and so does a table that is not the subgroup's.
+
+    `integer_classes` is (D, classes): the finite quotient (subgroup mod its
+    translation lattice) as pairs (m, (x, y)) in the basis of `lattice`,
+    where the lattice is Z^2: m is an integer matrix and (x, y)/D,
+    0 <= x, y < D, the canonical translation representative.  One class per
+    linear part of the subgroup, in the order of the model's point-group
+    walk, with the identity first."""
 
     def __init__(self, model_group: ModelGroup, table: CosetTable):
         if table.parent != model_group.presentation:
             raise ValueError("table does not belong to this model")
         self.model = model_group
         self.table = table
+        self._hermite, self.integer_classes, self._linear = _word_closure(
+            model_group, table.subgroup_words)
+        a, _, g = self._hermite
+        self.lattice_index = a * g
+        if table.index * len(self._linear) != self.lattice_index * len(model_group.kernel.lifts):
+            raise InvariantError("index identity violated")
 
     @property
     def index(self) -> int:
@@ -582,39 +601,11 @@ class SubgroupHandle:
     def point_group(self) -> tuple[Mat2, ...]:
         """The linear parts of the subgroup, in the order of `integer_classes`."""
         cartesian = self.model._cartesian
-        return tuple(cartesian[m] for m in self._closure[2])
-
-    @cached_property
-    def _closure(self) -> Closure:
-        """`_word_closure` of the table's subgroup words, checked against the
-        table, which shares no code with it: [G:H] |P_H| = [L_G:L_H] |P_G|.
-        A closure that missed an element or a translation of the subgroup, or
-        found one outside it, breaks the identity, and so does a table that
-        is not the subgroup's."""
-        closure = _word_closure(self.model, self.table.subgroup_words)
-        a, _, g = closure[0]
-        if self.index * len(closure[2]) != a * g * len(self.model.kernel.lifts):
-            raise InvariantError("index identity violated")
-        return closure
+        return tuple(cartesian[m] for m in self._linear)
 
     @cached_property
     def lattice(self) -> Lattice2:
         return translation_lattice(self)
-
-    @cached_property
-    def lattice_index(self) -> int:
-        a, _, g = self._closure[0]
-        return a * g
-
-    @cached_property
-    def integer_classes(self) -> tuple[int, tuple[Class, ...]]:
-        """(D, classes): the finite quotient (subgroup mod its translation
-        lattice) as pairs (m, (x, y)) in the basis of `lattice`, where the
-        lattice is Z^2: m is an integer matrix and (x, y)/D, 0 <= x, y < D,
-        the canonical translation representative.  One class per linear part
-        of the subgroup, in the order of the model's point-group walk, with
-        the identity first; `_word_closure` finds them."""
-        return self._closure[1]
 
     @cached_property
     def classes(self) -> tuple[tuple[Mat2, Vec2], ...]:
@@ -651,7 +642,7 @@ def sign_kernel(model_group: ModelGroup,
 def translation_lattice(handle: SubgroupHandle) -> Lattice2:
     """Lattice of the translations lying in the subgroup: the images of
     t1^a t2^b and t2^g for its Hermite triple (a, b, g)."""
-    a, b, g = handle._closure[0]
+    a, b, g = handle._hermite
     v1, v2 = handle.model.translation_images()
     return Lattice2(v1.scale(a) + v2.scale(b), v2.scale(g))
 
@@ -787,8 +778,8 @@ def crystallographic_type(handle: SubgroupHandle) -> str:
 
 def classify(handle: SubgroupHandle) -> OrbifoldSignature:
     """Euclidean 2-orbifold signature of the subgroup's quotient orbifold;
-    the classes it reads are checked by the index identity
-    (`SubgroupHandle._closure`)."""
+    the handle checked the classes it reads by the index identity when it
+    was built."""
     return SIGNATURES[crystallographic_type(handle)]
 
 
@@ -798,16 +789,17 @@ def orientation_double_cover(model_group: ModelGroup) -> tuple[SubgroupHandle, O
     For an orientable model this is the whole group; otherwise it is the
     kernel, which contains every translation, of the determinant sign map,
     read from the kernel's generators (B^-1 L B has the determinant of L);
-    the table must hold the translation words, whose images have sign 1.
-    The map respects every relator: `validate` proved each relator's integer
-    image the identity, and its determinant is the product of the letters'
-    signs.  `sign_kernel` refuses a model that skipped `validate` and breaks
-    a relator."""
+    its lattice index must be 1.  The translation words' images are the
+    basis of L_G, and the Hermite basis (a, b), (0, g) of L_H holds (1, 0)
+    and (0, 1) exactly when a = g = 1; the index identity ties that lattice
+    to the table.  The map respects every relator: `validate` proved each
+    relator's integer image the identity, and its determinant is the
+    product of the letters' signs.  `sign_kernel` refuses a model that
+    skipped `validate` and breaks a relator."""
     signs = tuple(_det(g[:4]) for g in model_group.kernel.gens)
     if all(s == 1 for s in signs):
         return whole_group(model_group), model_group.signature
     handle = sign_kernel(model_group, SignHom(model_group.presentation, signs))
-    for w in model_group.translation_words:
-        if not handle.table.contains(w):
-            raise InvariantError("translation fails to lift to the double cover")
+    if handle.lattice_index != 1:
+        raise InvariantError("translation fails to lift to the double cover")
     return handle, classify(handle)

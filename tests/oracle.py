@@ -141,7 +141,7 @@ def assert_matches_table_path(handle):
     triple, classes, linear = table_path(handle)
     a, _, g = triple
     d, got = handle.integer_classes
-    assert handle._closure[0] == triple
+    assert handle._hermite == triple
     assert handle.lattice_index == a * g
     assert d == a * g * model_denominator(handle.model)
     assert tuple((m, (Fraction(x, d), Fraction(y, d))) for m, (x, y) in got) == classes

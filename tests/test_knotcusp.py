@@ -407,6 +407,22 @@ class TestOrderTwoCertificate:
                            match="^cusp translations missing from the double cover$"):
             double_cover_cusp_244()
 
+    def test_double_cover_cusp_reads_membership_from_the_lattice(self, monkeypatch):
+        # a table that claims every word refuses nothing; the kernel's lattice
+        # index, which the index identity ties to its table, still refuses
+        # <c, t1^2, t2^2> in p4
+        from orbiforge import knotcusp
+        from orbiforge.cosetenum import CosetTable
+
+        p4 = model("p4")
+        t1, t2 = p4.translation_words
+        monkeypatch.setattr(CosetTable, "contains", lambda self, w: True)
+        monkeypatch.setattr(knotcusp, "sign_kernel",
+                            lambda m, hom: subgroup(p4, [Word((1,)), t1 ** 2, t2 ** 2]))
+        with pytest.raises(TheoremCheckError,
+                           match="^cusp translations missing from the double cover$"):
+            double_cover_cusp_244()
+
     def test_double_cover_cusp_refuses_the_translation_subgroup(self, monkeypatch):
         # the translation subgroup of p4 holds both translations, at index 4;
         # its cusp is the torus, not the pillowcase that index 2 would give

@@ -372,16 +372,24 @@ def test_subgroup_walk_is_bounded():
 
 # -- the index identity: the closure against the coset table -----------------
 
-@pytest.mark.parametrize("reader", ["integer_classes", "point_group", "lattice_index",
-                                    "lattice", "classes"])
-def test_index_identity_is_checked(reader):
-    # the table says two cosets where the whole group has one; every reader
-    # of the closure meets the check, not only classify
-    m = model("p4")
-    table = whole_group(m).table
-    handle = SubgroupHandle(m, replace(table, rows=table.rows * 2))
+def _doubled_table(pres, words):
+    """The real table with every row twice: two cosets for each real one."""
+    table = todd_coxeter(pres, words)
+    return replace(table, rows=table.rows * 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: SubgroupHandle(m, _doubled_table(m.presentation, [Word((1,)), Word((2,))])),
+    whole_group,
+    lambda m: subgroup(m, [Word((1,)), *(t ** 2 for t in m.translation_words)]),
+    lambda m: wallpaper.sign_kernel(m, {"c": -1}),
+], ids=["SubgroupHandle", "whole_group", "subgroup", "sign_kernel"])
+def test_index_identity_is_checked(build, monkeypatch):
+    # the table says twice the cosets the subgroup has; every way of building
+    # a handle proves the identity then, before anything reads it
+    monkeypatch.setattr(wallpaper, "todd_coxeter", _doubled_table)
     with pytest.raises(InvariantError, match="^index identity violated$"):
-        getattr(handle, reader)
+        build(model("p4"))
 
 
 def test_index_identity_rejects_the_words_of_another_subgroup():
@@ -391,9 +399,8 @@ def test_index_identity_rejects_the_words_of_another_subgroup():
     t1, t2 = m.translation_words
     table = subgroup(m, [Word((1,)), t1 ** 2, t2 ** 2]).table
     assert table.index == 4
-    handle = SubgroupHandle(m, replace(table, subgroup_words=(t1 ** 2, t2 ** 2)))
     with pytest.raises(InvariantError, match="^index identity violated$"):
-        classify(handle)
+        SubgroupHandle(m, replace(table, subgroup_words=(t1 ** 2, t2 ** 2)))
 
 
 def test_classification_reads_only_the_index_and_the_words_of_the_table():

@@ -118,12 +118,20 @@ def test_one_deduction_scan():
 
 
 def test_one_felsch_loop():
-    # run drains the deductions and makes each definition itself, and
-    # coincidence does its own union step; neither step has a second home
+    # run drains the deductions itself and makes each definition through
+    # define, the one place the allowance is enforced, and coincidence does
+    # its own union step; no step has a second home
     from orbiforge.cosetenum import _Enumerator
 
     assert not hasattr(_Enumerator, "process_deductions")
     assert not hasattr(_Enumerator, "_merge")
+    run = next(fn for cls in _parse("cosetenum.py").body
+               if isinstance(cls, ast.ClassDef) and cls.name == "_Enumerator"
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "run")
+    assert "define" in _calls(run)
+    appended = {ast.unparse(node.func.value) for node in ast.walk(run)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".append")}
+    assert appended.isdisjoint({"table", "p", "self.table", "self.p"})
 
 
 def _parse(name: str) -> ast.Module:
@@ -232,6 +240,20 @@ def test_each_exclusion_and_double_cover_proved_once():
     assert "holds" not in _calls(functions["orientation_double_cover"])
 
 
+def test_each_subgroup_proved_once():
+    # a SubgroupHandle runs the word closure and the index identity when it
+    # is built, and both double covers read translation membership from that
+    # proof, as a lattice index of 1, instead of tracing words in the table
+    from orbiforge import wallpaper
+
+    assert not hasattr(wallpaper.SubgroupHandle, "_closure")
+    functions = {fn.name: fn for name in ("knotcusp", "wallpaper")
+                 for fn in _parse(f"{name}.py").body if isinstance(fn, ast.FunctionDef)}
+    for name in ("orientation_double_cover", "_double_cover_cusp"):
+        assert "contains" not in _calls(functions[name])
+        assert "lattice_index" in _names(functions[name])
+
+
 def test_one_order_two_proof():
     # the order-2 certificate returns the quotient map it proves, so h_map_244
     # neither builds its sign map nor checks it against the relators again
@@ -254,7 +276,7 @@ def test_one_coordinate_system_for_decisions():
             elif isinstance(node, ast.ClassDef):
                 functions.update((f"{node.name}.{fn.name}", fn) for fn in node.body
                                  if isinstance(fn, ast.FunctionDef))
-    deciding = ["orientation_double_cover", "_word_closure", "SubgroupHandle._closure",
+    deciding = ["orientation_double_cover", "_word_closure", "SubgroupHandle.__init__",
                 "_class_orders", "crystallographic_type", "_cmd_classify"]
     assert {name: sorted(_names(functions[name]) & {"det", "QuadNum", "cartesian",
                                                     "point_group", "rep"})

@@ -247,6 +247,19 @@ class TestOrientationDoubleCover:
                            match="^translation fails to lift to the double cover$"):
             orientation_double_cover(m)
 
+    def test_membership_is_read_from_the_lattice(self, monkeypatch):
+        # a table that claims every word refuses nothing; the kernel's lattice
+        # index, which the index identity ties to its table, still refuses
+        # <pq, t1^2, t2^2> in p4m, a quarter-turn with half the translations
+        m = model("p4m")
+        t1, t2 = m.translation_words
+        monkeypatch.setattr(wallpaper.CosetTable, "contains", lambda self, w: True)
+        monkeypatch.setattr(wallpaper, "sign_kernel",
+                            lambda m_, hom: subgroup(m, [Word((1, 2)), t1 ** 2, t2 ** 2]))
+        with pytest.raises(InvariantError,
+                           match="^translation fails to lift to the double cover$"):
+            orientation_double_cover(m)
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_kernel_signs_match_the_cartesian_determinants(self, name):
         # the signs were once read from Q(sqrt3) determinants of the
