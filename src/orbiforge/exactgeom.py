@@ -16,9 +16,9 @@ identities of verify-paper, read the integer coordinates.  QuadNum results
 are built from normalized triples by the private constructor `_make`, which
 skips `__init__`; every `Vec2` and `Mat2` is built by its public
 constructor.  The public `Isometry` constructor checks that the linear part
-is orthogonal with det +-1; products and inverses are built by `_isometry`
-without the check, since a product or a transpose of such matrices is one
-again.
+is orthogonal, which makes its determinant +-1; products and inverses are
+built by `_isometry` without the check, since a product or a transpose of
+such matrices is one again.
 """
 from __future__ import annotations
 
@@ -292,8 +292,8 @@ def render_quadnum(x: QuadNum) -> str:
 # would otherwise match `-1`, leaving `0*rt3`; after a rational part the rt3
 # term needs its sign, so `2rt3` is not read as 2+rt3
 _QN_RE = re.compile(
-    r"""^\s*(?P<rat>[+-]?\d+(?:/\d+)?(?![\d/]|\s*\*))?\s*
-        (?:(?(rat)(?=[+-]))(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?rt3)?\s*$""",
+    r"""^\s*(?P<rat>[+-]?[0-9]+(?:/[0-9]+)?(?![0-9/]|\s*\*))?\s*
+        (?:(?(rat)(?=[+-]))(?P<sign>[+-])?\s*(?:(?P<coef>[0-9]+(?:/[0-9]+)?)\s*\*\s*)?rt3)?\s*$""",
     re.VERBOSE,
 )
 
@@ -459,11 +459,9 @@ class Isometry:
     trans: Vec2
 
     def __post_init__(self):
+        # M^T M = I gives det(M)^2 = 1, so det M = +-1 in the field Q(sqrt3)
         if not self.linear.is_orthogonal():
             raise ValueError(f"linear part is not orthogonal: {self.linear}")
-        d = self.linear.det()
-        if d != QuadNum.of(1) and d != QuadNum.of(-1):
-            raise ValueError("determinant is not +-1")
 
     @staticmethod
     def identity() -> "Isometry":

@@ -1,16 +1,17 @@
 """Parser and renderer for the presentation file format.
 
-Format (UTF-8 text, `#` starts a comment):
+Format (UTF-8 text, lines broken at LF, CRLF or CR only, `#` starts a
+comment):
 
     group <name>
     gens <id> <id> ...
     rel <word>        # one line per relator
 
 Word grammar: whitespace-separated terms; a term is a generator identifier
-or a parenthesized word.  A power ^<signed integer>, its digits required,
-applies to the term just before it.  Example: `rel (a b)^2`.  A `^` without
-digits, or with no term before it, is an error.  Parentheses may nest to any
-depth; only the letter cap, MAX_WORD_LETTERS, bounds a word.
+or a parenthesized word.  A power ^<signed integer>, its ASCII digits
+required, applies to the term just before it.  Example: `rel (a b)^2`.  A
+`^` without digits, or with no term before it, is an error.  Parentheses may
+nest to any depth; only the letter cap, MAX_WORD_LETTERS, bounds a word.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ MAX_WORD_LETTERS = 1_000_000
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # a word's tokens; any other non-space character is an unexpected token
 _TOKEN_RE = re.compile(
-    rf"(?P<name>{_NAME})|\^(?P<sign>-?)0*(?P<digits>\d+)|(?P<open>\()|(?P<close>\))|\S")
+    rf"(?P<name>{_NAME})|\^(?P<sign>-?)0*(?P<digits>[0-9]+)|(?P<open>\()|(?P<close>\))|\S")
 
 
 def _letters(text: str, col0: int, line: int, gen_index: dict[str, int]) -> list[int]:
@@ -107,7 +108,7 @@ def parse_presentation(text: str) -> Presentation:
     name: str | None = None
     gens: list[str] | None = None
     relator_lines: list[tuple[int, int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         body = raw.split("#", 1)[0]
         stripped = body.strip()
         if not stripped:

@@ -10,12 +10,13 @@ Classification runs in machine integers.  Each model's generators are
 rewritten once, when it is built, as integer affine maps in the basis of the
 model's translation lattice (`ModelGroup.kernel`): an integer matrix and a
 translation in (1/N)Z^2, on which `ModelGroup.validate` checks the relators.
-One walk over such maps, `_walk`, fixes the order of the model's linear parts
-from its generators, and from the images of a subgroup's generating words
-(`_word_closure`) keeps one element of the subgroup per linear part and the
-translations that, by Schreier's lemma, span its translation lattice.  In the
-basis of that lattice, where it is Z^2 and linear parts are integer matrices,
-those elements are its affine classes.  A `SubgroupHandle` runs that closure
+One walk over such maps, `_walk`, gives the model's linear parts from its
+generators, which the kernel keeps as its one record of the point group, and
+from the images of a subgroup's generating words (`_word_closure`) keeps one
+element of the subgroup per linear part and the translations that, by
+Schreier's lemma, span its translation lattice.  In the basis of that
+lattice, where it is Z^2 and linear parts are integer matrices, those
+elements are its affine classes.  A `SubgroupHandle` runs that closure
 when it is built, and the coset table cross-checks it there, through its
 index alone; the double covers read translation membership from the same
 proof, as a lattice index of 1.  One scan of the classes (`_class_orders`)
@@ -25,7 +26,8 @@ their number and by how they act on Z^2/2Z^2 or, in a three-fold group with
 rotation R, on Z^2/(R - I)Z^2.  Cartesian Q(sqrt3) arithmetic only builds the
 generators, evaluates the translation words once, converts the generators to
 the lattice basis and serves the views `evaluate`, `schreier_images`,
-`classes`, `lattice` and `point_group`; all else reads the kernel.
+`lattice`, and `classes` and `point_group`, which it derives from the integer
+records when they are read; all else reads the kernel.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .lattice import InvalidLatticeError, Lattice2, integer_lattice_basis
 Linear = tuple[int, int, int, int]            # [[a, b], [c, d]] as (a, b, c, d)
 Affine = tuple[int, int, int, int, int, int]  # v |-> [[a, b], [c, d]] v + (x, y)/N
 Class = tuple[Linear, tuple[int, int]]        # v |-> m v + (x, y)/D modulo Z^2
-Closure = tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]], tuple[Linear, ...]]
+Closure = tuple[tuple[int, int, int], tuple[int, tuple[Class, ...]]]
 
 
 class UnknownModelError(LookupError):
@@ -267,13 +269,13 @@ def _walk(maps: list[Affine], n: int) -> tuple[dict[Linear, Affine], list[tuple[
 
 class AffineKernel(NamedTuple):
     """A model's generators as integer affine maps in the basis B of its
-    translation lattice (`lattice().basis_matrix()`), and one lift per
-    linear part of its point group, walked once from them
+    translation lattice (`lattice().basis_matrix()`), and the linear parts
+    of its point group in that basis, walked once from them
     (`ModelGroup.kernel`)."""
 
     denominator: int                  # N
     gens: tuple[Affine, ...]
-    lifts: tuple[Affine, ...]         # one element of the model per linear part
+    linear: tuple[Linear, ...]        # the point group, identity first
 
 
 def _images(kernel: AffineKernel, words: Iterable[Word]) -> list[Affine]:
@@ -329,28 +331,23 @@ class ModelGroup:
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
-        """The linear parts, in the order of the kernel's walk."""
-        return tuple(self._cartesian.values())
-
-    @cached_property
-    def _cartesian(self) -> Mapping[Linear, Mat2]:
-        """B M B^-1 for each linear part M of the kernel's lifts, in their
-        order: the Cartesian view that only the `point_group` displays read,
-        so it is built on first read, not with the kernel."""
+        """B M B^-1 for each linear part M of the kernel, in its order: a
+        Cartesian view that only displays read."""
         basis, inverse = self.lattice().basis_matrix(), self.lattice()._inverse_basis
-        return {f[:4]: basis * mat(*f[:4]) * inverse for f in self.kernel.lifts}
+        return tuple(basis * mat(*m) * inverse for m in self.kernel.linear)
 
     @cached_property
     def kernel(self) -> AffineKernel:
         """The generators as integer affine maps in the basis
-        B = (v1, v2) of `translation_images()`, and one lift per linear part.
+        B = (v1, v2) of `translation_images()`, and the point group's
+        linear parts.
 
         Each generator's linear part L becomes M = B^-1 L B, which must be
         integral (`Lattice2.integer_matrix`); `Isometry` proved L orthogonal,
         so M has L's determinant +-1 and keeps the Gram matrix G = B^T B.
         Its translation must lie in (1/N)Z^2, N the lcm of the translation
         denominators.  `_walk` over the inverses g^-1, each element inverted,
-        gives the lifts in the order of a BFS f |-> g f, since
+        gives the linear parts in the order of a BFS f |-> g f, since
         (g f)^-1 = f^-1 g^-1; it also refuses a translation outside the
         lattice of the translation words."""
         lattice = self.lattice()
@@ -365,7 +362,7 @@ class ModelGroup:
                                      f"is not in (1/{n})Z^2 in the lattice basis")
             gens.append(m + tuple(int(x.a) for x in scaled))
         held, _ = _walk([_ainv(g) for g in gens], n)
-        return AffineKernel(n, tuple(gens), tuple(map(_ainv, held.values())))
+        return AffineKernel(n, tuple(gens), tuple(_ainv(f)[:4] for f in held.values()))
 
     def validate(self) -> None:
         """Build the kernel and check each relator on it: conjugation by B,
@@ -563,9 +560,9 @@ def model(name: str) -> ModelGroup:
 class SubgroupHandle:
     """A finite-index subgroup of a model group, held as a coset table and
     proved when the handle is built: `_word_closure` of the table's subgroup
-    words gives its Hermite triple, `integer_classes` and linear parts, and
-    the table, which shares no code with it, checks them by the index
-    identity [G:H] |P_H| = [L_G:L_H] |P_G|.  A closure that missed an
+    words gives its Hermite triple and `integer_classes`, one class per
+    linear part, and the table, which shares no code with it, checks them by
+    the index identity [G:H] |P_H| = [L_G:L_H] |P_G|.  A closure that missed an
     element or a translation of the subgroup, or found one outside it,
     breaks the identity, and so does a table that is not the subgroup's.
 
@@ -581,11 +578,11 @@ class SubgroupHandle:
             raise ValueError("table does not belong to this model")
         self.model = model_group
         self.table = table
-        self._hermite, self.integer_classes, self._linear = _word_closure(
-            model_group, table.subgroup_words)
+        self._hermite, self.integer_classes = _word_closure(model_group, table.subgroup_words)
         a, _, g = self._hermite
         self.lattice_index = a * g
-        if table.index * len(self._linear) != self.lattice_index * len(model_group.kernel.lifts):
+        if (table.index * len(self.integer_classes[1])
+                != self.lattice_index * len(model_group.kernel.linear)):
             raise InvariantError("index identity violated")
 
     @property
@@ -599,9 +596,11 @@ class SubgroupHandle:
 
     @cached_property
     def point_group(self) -> tuple[Mat2, ...]:
-        """The linear parts of the subgroup, in the order of `integer_classes`."""
-        cartesian = self.model._cartesian
-        return tuple(cartesian[m] for m in self._linear)
+        """B_H m B_H^-1 for each class matrix m of `integer_classes`, in its
+        order, B_H the basis of `lattice`: with B_H = B H and m = H^-1 M H,
+        that is the model's B M B^-1."""
+        basis, inverse = self.lattice.basis_matrix(), self.lattice._inverse_basis
+        return tuple(basis * mat(*m) * inverse for m, _ in self.integer_classes[1])
 
     @cached_property
     def lattice(self) -> Lattice2:
@@ -648,9 +647,8 @@ def translation_lattice(handle: SubgroupHandle) -> Lattice2:
 
 
 def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
-    """((a, b, g), (D, classes), linear) of the subgroup the words generate:
-    its Hermite triple, its `integer_classes` and its linear parts in the
-    model's lattice basis, from the words alone.
+    """((a, b, g), (D, classes)) of the subgroup the words generate: its
+    Hermite triple and its `integer_classes`, from the words alone.
 
     Each word is evaluated once as an integer affine map of the model's
     kernel, and `_walk` over those maps keeps one element of the subgroup
@@ -663,7 +661,7 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
     lattice basis and a g H^-1 = [[g, 0], [-b, a]], so a linear part M
     becomes H^-1 M H = ([[g, 0], [-b, a]] M H) / (a g) and a translation
     (x, y)/N becomes (g x, a y - b x)/D with D = a g N.  The classes follow
-    the order of the model's point-group walk."""
+    the order of the kernel's linear parts, skipping those it did not hold."""
     kernel = model_group.kernel
     n = kernel.denominator
     held, pairs = _walk(_images(kernel, words), n)
@@ -673,15 +671,16 @@ def _word_closure(model_group: ModelGroup, words: Iterable[Word]) -> Closure:
         raise InvariantError("translations of the subgroup do not span a rank-2 lattice") from exc
     ag = a * g
     d = ag * n
-    linear = tuple(f[:4] for f in kernel.lifts if f[:4] in held)
     classes = []
-    for m in linear:
+    for m in kernel.linear:
+        if m not in held:
+            continue
         scaled = _mmul(_mmul((g, 0, -b, a), m), (a, 0, b, g))
         if any(v % ag for v in scaled):
             raise InvariantError("point group does not preserve the lattice")
         x, y = held[m][4:]
         classes.append((tuple(v // ag for v in scaled), ((g * x) % d, (a * y - b * x) % d)))
-    return (a, b, g), (d, tuple(classes)), linear
+    return (a, b, g), (d, tuple(classes))
 
 
 # --------------------------------------------------------------------------

@@ -137,7 +137,9 @@ def table_path(handle):
 
 def assert_matches_table_path(handle):
     """The handle's Hermite triple, lattice index, integer classes and point
-    group equal the table path's, value for value and in lift order."""
+    group equal the table path's, value for value and in lift order.  The
+    handle derives its point group from its class matrices in the basis of
+    its lattice, so that last check reads those matrices by a second route."""
     triple, classes, linear = table_path(handle)
     a, _, g = triple
     d, got = handle.integer_classes

@@ -1,6 +1,6 @@
 """Each model's integer affine kernel: its generators as integer matrices plus
-translations in (1/N)Z^2 in the basis of the model's translation lattice, one
-lift per linear part of its point group, and the checks made once when it is
+translations in (1/N)Z^2 in the basis of the model's translation lattice, the
+integer linear parts of its point group, and the checks made once when it is
 built."""
 import collections
 import itertools
@@ -41,31 +41,33 @@ def test_linear_parts_are_integral_unimodular_isometries(name):
         (m.lattice().b1.x, m.lattice().b1.y, m.lattice().b2.x, m.lattice().b2.y)
     gram = basis.transpose() * basis
     assert kernel.denominator in (1, 2)
-    assert tuple(m._cartesian.values()) == m.point_group
-    for key, cartesian in m._cartesian.items():
-        assert all(isinstance(x, int) for x in key)
+    # one linear part per element of the point group, identity first, and
+    # the Cartesian view matrix for matrix in the same order
+    assert len(set(kernel.linear)) == len(kernel.linear) == len(m.point_group)
+    assert kernel.linear[0] == IDENTITY_AFFINE[:4]
+    for key, cartesian in zip(kernel.linear, m.point_group):
+        assert len(key) == 4 and all(isinstance(x, int) for x in key)
         a, b, c, d = key
         assert a * d - b * c in (1, -1)
         integer = mat(*key)
         assert integer.transpose() * gram * integer == gram
         assert basis * integer == cartesian * basis
-    lifts = kernel.lifts
-    for f in kernel.gens + lifts:
+    for f in kernel.gens:
         assert len(f) == 6 and all(isinstance(x, int) for x in f)
-        assert f[:4] in m._cartesian
-    # one lift per linear part, in the point group's order, identity first
-    assert [f[:4] for f in lifts] == list(m._cartesian)
-    assert lifts[0] == IDENTITY_AFFINE
+        assert f[:4] in kernel.linear
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_lifts_match_the_cartesian_walk(name):
+def test_linear_parts_match_the_cartesian_walk(name):
     # the oracle walks the generator isometries in the same order and keeps
     # a word for each lift, which evaluates to it
     m = model(name)
     assert tuple(_cartesian(m, f) for f in m.kernel.gens) == m.rep
     reference = model_lifts(m)
-    assert tuple(_cartesian(m, f) for f in m.kernel.lifts) == tuple(f for f, _ in reference)
+    assert m.point_group == tuple(f.linear for f, _ in reference)
+    inverse, basis = m.lattice()._inverse_basis, m.lattice().basis_matrix()
+    assert tuple(mat(*key) for key in m.kernel.linear) == \
+        tuple(inverse * f.linear * basis for f, _ in reference)
     for f, w in reference:
         assert m.evaluate(w) == f, (f, w)
 

@@ -129,12 +129,23 @@ class TestParser:
         ("group t\ngens a\nrel a)\n", r"unbalanced '\)'", 3, 6),
         ("group t\ngens a\nrel (a\n", "missing closing parenthesis", 3, 7),
         ("group t\ngens a\nrel a^\n", r"unexpected token '\^'", 3, 6),
+        # lines break at \n, \r\n and \r alone: \x85, U+2028 and the other
+        # separators that str.splitlines() knows are whitespace in their line
+        ("group t\r\ngens a\r\nrel a c\r\n", "unknown generator 'c'", 3, 7),
+        ("group t\rgens a\rrel a c\r", "unknown generator 'c'", 3, 7),
+        ("group t\ngens a\nrel a\u2028b\n", "unknown generator 'b'", 3, 7),
+        ("group t\ngens a\nrel a\x85b\n", "unknown generator 'b'", 3, 7),
     ], ids=["duplicate-group", "group-name", "duplicate-gens", "directive", "no-group",
-            "unbalanced", "unclosed", "bare-power"])
+            "unbalanced", "unclosed", "bare-power", "crlf", "cr", "u2028", "x85"])
     def test_file_errors(self, text, message, line, col):
         with pytest.raises(ParseError, match=f"{message}$") as err:
             parse_presentation(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_texts_parse_as_lf_texts(self, newline):
+        text = fixture_text("p6")
+        assert parse_presentation(text.replace("\n", newline)) == parse_presentation(text)
 
     def test_unknown_fixture(self):
         with pytest.raises(KeyError, match="no bundled fixture 'p5'; have "):
@@ -297,6 +308,13 @@ class TestExitCodes:
         bad.write_text("group t\ngens a\nrel a c\n")
         assert main(["abelianize", str(bad)]) == 2
 
+    def test_non_ascii_power_digits_are_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "digits.txt"
+        bad.write_text("group t\ngens a\nrel a^\u0663\n", encoding="utf-8")
+        assert main(["abelianize", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 3, column 6: unexpected token '^'\n"
+
     def test_duplicate_generator_name_is_a_positioned_input_error(self, tmp_path, capsys):
         bad = tmp_path / "dup.txt"
         bad.write_text("group t\ngens a a\n")
@@ -342,6 +360,14 @@ class TestExitCodes:
     def test_zero_denominator_is_input_error(self, v1, capsys):
         assert main(["rhombic", v1, "0,1"]) == 2
         assert "zero denominator in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v1, v2", [("\u0661,0", "0,\u0661"), ("1,0", "0,\uff11"),
+                                        ("1,0", "0,1/\u0662*rt3")])
+    def test_non_ascii_digits_are_input_error(self, v1, v2, capsys):
+        # a component's digits are ASCII, so ARABIC-INDIC and FULLWIDTH
+        # digits are not read as 1 and 2
+        assert main(["rhombic", v1, v2]) == 2
+        assert "cannot parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize("v2", ["1/2,1/2rt3", "1/2,1/2 rt3", "0,2rt3"])
     def test_rt3_term_without_operator_is_input_error(self, v2, capsys):

@@ -323,7 +323,7 @@ def test_word_closure_past_the_coset_allowance():
     p6 = model("p6")
     t1, t2 = p6.translation_words
     n = 1000
-    triple, (d, classes), _ = _word_closure(p6, [t1 ** n, t2 ** n])
+    triple, (d, classes) = _word_closure(p6, [t1 ** n, t2 ** n])
     assert triple == (n, 0, n)
     assert classes == (((1, 0, 0, 1), (0, 0)),)
     assert d == n * n * p6.kernel.denominator
@@ -337,7 +337,7 @@ def test_word_closure_of_translation_subgroups():
         t1, t2 = m.translation_words
         for _ in range(3):
             a, b, c = rng.randint(1, 1000), rng.randint(-1000, 1000), rng.randint(1, 1000)
-            triple, (_, classes), _ = _word_closure(m, [t1 ** a * t2 ** b, t2 ** c])
+            triple, (_, classes) = _word_closure(m, [t1 ** a * t2 ** b, t2 ** c])
             assert triple == (a, b % c, c), (name, a, b, c)
             assert len(classes) == 1
 

@@ -141,14 +141,20 @@ def _parse(name: str) -> ast.Module:
 
 def test_one_point_group_walk():
     # one BFS, wallpaper._walk, closes integer affine maps over their point
-    # group: the model's kernel runs it instead of a loop of its own, a
-    # subgroup's point group is a lookup in the kernel's Cartesian view, and
-    # knotcusp reads element orders from the decision tree's own scan.  The
-    # kernel holds no inverses and no second Cartesian view.
-    from orbiforge.wallpaper import AffineKernel
+    # group: the model's kernel runs it instead of a loop of its own, and
+    # knotcusp reads element orders from the decision tree's own scan.  Each
+    # point group is stored once, as the integer linear parts that decisions
+    # read: the kernel holds no inverses and no lifts, and both Cartesian
+    # point_group views are derived from the integer record when read.
+    from orbiforge import wallpaper
 
-    assert "invs" not in AffineKernel._fields
-    assert not hasattr(AffineKernel, "isometry")
+    assert wallpaper.AffineKernel._fields == ("denominator", "gens", "linear")
+    assert not hasattr(wallpaper.AffineKernel, "isometry")
+    assert not hasattr(wallpaper.ModelGroup, "_cartesian")
+    for name in wallpaper.MODEL_NAMES:
+        handle = wallpaper.whole_group(wallpaper.model(name))
+        handle.point_group
+        assert not hasattr(handle, "_linear")
     tree = _parse("wallpaper.py")
     functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     # a BFS is a for loop over a list that the loop appends to
@@ -356,6 +362,20 @@ def test_presfile_imports_only_fpgroup():
     assert local == ["fpgroup"] and absolute == []
 
 
+def test_no_regex_spells_digits_as_backslash_d():
+    # in a str pattern \d matches every Unicode decimal digit, so `a^\u0663`
+    # would read as a cube; the grammars spell digits [0-9].  No string
+    # literal in the package holds \d, so no pattern built from one does
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert sources, "package source not found"
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "\\d" in node.value]
+    assert found == []
+
+
 def test_no_unused_module_imports():
     # `__init__.py` imports to re-export, so it is exempt
     sources = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -405,9 +425,7 @@ FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # raise sites that no input can reach, as "module:message skeleton"; each
 # has a note in CHANGES.md proving that it cannot fire
-UNREACHABLE = [
-    "exactgeom:determinant is not +-1",
-]
+UNREACHABLE = []
 
 
 def _parameter_rows(fn: ast.FunctionDef) -> list[list[dict[str, ast.AST]]]:
