@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import verify
-from .cosetenum import CosetLimitError, default_max_cosets, todd_coxeter
+from .cosetenum import CosetLimitError, ascii_int, default_max_cosets, todd_coxeter
 from .exactgeom import Vec2, parse_quadnum
 from .fpgroup import PresentationError, abelianization
 from .knotcusp import verdict
@@ -35,8 +35,8 @@ class InputError(ValueError):
 def _positive_int(text: str) -> int:
     """argparse type of --max-cosets: anything but a positive integer exits 2."""
     try:
-        if int(text) >= 1:
-            return int(text)
+        if ascii_int(text) >= 1:
+            return ascii_int(text)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper",
                        help="run the full verification suite of classification claims")
     p.add_argument("--only", help="comma-separated check ids")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true",
                    help="include wall times in JSON output (breaks byte-stability)")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,12 +60,20 @@ DEFAULT_MAX_COSETS = 1_000_000
 _MAX_COSETS_ENV = "ORBIFORGE_MAX_COSETS"
 
 
+def ascii_int(text: str) -> int:
+    """The integer that text spells as [+-]?[0-9]+, unlike int(), which also
+    reads other Unicode digits, `_` and spaces; else ValueError."""
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 def default_max_cosets() -> int:
     raw = os.environ.get(_MAX_COSETS_ENV)
     if raw is None:
         return DEFAULT_MAX_COSETS
     try:
-        value = int(raw)
+        value = ascii_int(raw)
     except ValueError:
         raise ValueError(f"{_MAX_COSETS_ENV} must be an integer, got {raw!r}") from None
     if value < 1:

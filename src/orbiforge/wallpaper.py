@@ -2,9 +2,10 @@
 representations, translation-lattice extraction, the full classification
 decision tree, orientation double covers, and orbifold Euler characteristics.
 
-Each model carries a presentation, a faithful representation of its
-generators by exact isometries, and a pair of words whose images span the
-translation lattice; all of that is machine-checked at construction time.
+Each model is one row of the `_MODELS` table: a presentation, a faithful
+representation of its generators by exact isometries, and a pair of words
+whose images span the translation lattice; `model` builds it from that row
+and machine-checks all of it, once per group.
 
 Classification runs in machine integers.  Each model's generators are
 rewritten once, when it is built, as integer affine maps in the basis of the
@@ -156,20 +157,22 @@ def _alias_map() -> dict[str, str]:
 _ALIASES = _alias_map()
 
 
-def signature_by_name(name: str) -> OrbifoldSignature:
-    """Look up a signature by crystallographic, Thurston-style or orbifold
-    name (case-insensitive)."""
-    key = name.lower().replace(" ", "")
-    if key not in _ALIASES:
-        raise UnknownSignatureError(f"unknown 2-orbifold name {name!r}")
-    return SIGNATURES[_ALIASES[key]]
-
-
 def crystallographic_name(name: str) -> str:
+    """The one name lookup: the crystallographic name of any name of a type,
+    ignoring case and spaces."""
     key = name.lower().replace(" ", "")
     if key not in _ALIASES:
         raise UnknownModelError(f"unknown plane-group name {name!r}")
     return _ALIASES[key]
+
+
+def signature_by_name(name: str) -> OrbifoldSignature:
+    """Look up a signature by crystallographic, Thurston-style or orbifold
+    name (case-insensitive)."""
+    try:
+        return SIGNATURES[crystallographic_name(name)]
+    except UnknownModelError:
+        raise UnknownSignatureError(f"unknown 2-orbifold name {name!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -377,180 +380,88 @@ class ModelGroup:
                     f"in model {self.presentation.name}")
 
 
-def _build(name, gens, relators, images, twords) -> ModelGroup:
-    pres = Presentation(name, tuple(gens), tuple(Word(tuple(r)) for r in relators))
-    model = ModelGroup(pres, tuple(images),
-                       (Word(tuple(twords[0])), Word(tuple(twords[1]))),
-                       SIGNATURES[name])
+# One row per model, in MODEL_NAMES order: its generator names, its
+# relators, one isometry per generator and two words whose images span its
+# translation lattice.  `_build` turns a row into a validated `ModelGroup`.
+_MODELS = {
+    "p1": (["t", "u"], [(1, 2, -1, -2)],
+           [_iso(IDENTITY_MAT, 1, 0), _iso(IDENTITY_MAT, 0, 1)], [(1,), (2,)]),
+    # four half-turns with product 1 (corners of half a unit cell)
+    "p2": (["w", "x", "y", "z"], [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2, 3, 4)],
+           [_halfturn(0, 0), _halfturn(_H, 0), _halfturn(_H, _H), _halfturn(0, _H)],
+           [(2, 1), (4, 1)]),
+    "p3": (["x", "y"], [(1, 1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)],
+           [_iso(ROT_CW_120), Isometry(ROT_CW_120, Vec2(QuadNum.of(_H), _RT3_H))],
+           [(2, -1), (-2, 1)]),
+    # order-4 rotation about (1,0); half-turn about (1/2,0)
+    "p4": (["c", "d"], [(1, 1, 1, 1), (2, 2), (1, 2, 1, 2, 1, 2, 1, 2)],
+           [_iso(ROT_CW_90, 1, 1), _iso(ROT_180, 1, 0)], [(1, 1, -2), (1, -2, 1)]),
+    "p6": (["a", "b"], [(1,) * 6, (2,) * 3, (1, 2, 1, 2)],
+           [_iso(ROT_CW_60), Isometry(ROT_CW_120, Vec2(QuadNum.of(_H), _RT3_H))],
+           [(2, -1, -1), (-2, 1, 1)]),
+    "pm": (["s", "z", "t"], [(1, 1), (2, 2), (1, 3, -1, -3), (2, 3, -2, -3)],
+           [_iso(MIRROR_X), _iso(MIRROR_X, 0, 1), _iso(IDENTITY_MAT, 1, 0)], [(3,), (2, 1)]),
+    # Klein-bottle group: vertical translation a, horizontal glide b
+    "pg": (["a", "b"], [(1, 2, 1, -2)],
+           [_iso(IDENTITY_MAT, 0, 1), _iso(MIRROR_X, _H, 0)], [(2, 2), (1,)]),
+    "cm": (["s", "p", "q"], [(1, 1), (2, 3, -2, -3), (1, 2, -1, -3)],
+           [_iso(MIRROR_X), _iso(IDENTITY_MAT, _H, _H), _iso(IDENTITY_MAT, _H, -_H)],
+           [(2,), (3,)]),
+    # reflection group of the rectangle [0,1/2] x [0,1/2]
+    "pmm": (["p", "q", "r", "s"], [(1, 1), (2, 2), (3, 3), (4, 4),
+                                   (1, 2, 1, 2), (2, 3, 2, 3), (3, 4, 3, 4), (4, 1, 4, 1)],
+            [_iso(MIRROR_Y), _iso(MIRROR_X), _iso(MIRROR_Y, 1, 0), _iso(MIRROR_X, 0, 1)],
+            [(3, 1), (4, 2)]),
+    "pmg": (["r", "g", "t"], [(1, 1), (2, 3, -2, 3), (1, 2, -1, 2), (1, 3, -1, 3)],
+            [_iso(ROT_180), _iso(MIRROR_X, _H, 0), _iso(IDENTITY_MAT, 0, 1)], [(2, 2), (3,)]),
+    "pgg": (["r", "g", "v"], [(1, 1), (2, 3, -2, 3), (1, 2, -1, 2, 3), (1, 3, -1, 3)],
+            [_iso(ROT_180), _iso(MIRROR_X, _H, _H), _iso(IDENTITY_MAT, 0, 1)], [(2, 2), (3,)]),
+    "cmm": (["x", "y", "p", "q"], [(1, 1), (2, 2), (1, 2, 1, 2), (3, 4, -3, -4),
+                                   (1, 3, -1, -4), (1, 4, -1, -3), (2, 3, -2, 4), (2, 4, -2, 3)],
+            [_iso(MIRROR_X), _iso(MIRROR_Y),
+             _iso(IDENTITY_MAT, _H, _H), _iso(IDENTITY_MAT, _H, -_H)], [(3,), (4,)]),
+    # reflection group of the (pi/4, pi/2, pi/4) triangle
+    "p4m": (["p", "q", "r"], [(1, 1), (2, 2), (3, 3),
+                              (1, 2, 1, 2, 1, 2, 1, 2), (2, 3, 2, 3, 2, 3, 2, 3), (3, 1, 3, 1)],
+            [_iso(MIRROR_X), _iso(MIRROR_DIAG), _iso(MIRROR_Y, 1, 0)],
+            [(3, 2, 1, 2), (2, 3, 2, 1)]),
+    "p4g": (["c", "s", "u", "v"], [(1, 1, 1, 1), (2, 2), (1, 2, 1, 2, -4), (3, 4, -3, -4),
+                                   (1, 3, -1, -4), (1, 4, -1, 3), (2, 3, -2, -4), (2, 4, -2, -3)],
+            [_iso(ROT_CCW_90), _mirror_through(MIRROR_DIAG, _H, 0),
+             _iso(IDENTITY_MAT, 1, 0), _iso(IDENTITY_MAT, 0, 1)], [(3,), (4,)]),
+    # reflection group of the equilateral triangle (0,0), (1,0), (1/2, rt3/2)
+    "p3m1": (["p", "q", "r"], [(1, 1), (2, 2), (3, 3),
+                               (1, 2, 1, 2, 1, 2), (2, 3, 2, 3, 2, 3), (3, 1, 3, 1, 3, 1)],
+             [_iso(MIRROR_X), _iso(MIRROR_60), _mirror_through(MIRROR_120, 1, 0)],
+             [(2, 3, -2, -1), (1, 2, 2, 3, -2, -1, -2, -1)]),
+    "p31m": (["x", "p", "u", "v"], [(1, 1, 1), (2, 2), (2, 1, 2, 1), (3, 4, -3, -4),
+                                    (1, 3, -1, 4), (1, 4, -1, 4, -3), (2, 3, -2, -3),
+                                    (2, 4, -2, 4, -3)],
+             [_iso(ROT_CW_120), _iso(MIRROR_X), _iso(IDENTITY_MAT, 1, 0),
+              Isometry(IDENTITY_MAT, Vec2(QuadNum.of(_H), _RT3_H))], [(3,), (4,)]),
+    # mirrors of the (pi/2, pi/3, pi/6) triangle, right angle at the origin:
+    # a = y-axis leg, c = x-axis leg, b = hypotenuse through (1/2, 0)
+    "p6m": (["a", "b", "c"], [(1, 1), (2, 2), (3, 3), (1, 2) * 6, (2, 3) * 3, (3, 1) * 2],
+            [_iso(MIRROR_Y), _mirror_through(MIRROR_120, _H, 0), _iso(MIRROR_X)],
+            [(1, 2, 1, 2, -1, -2, -1, 3), (1, 2, 1, 2, 1, 2, -1, -2, -1, 3, -2, -1)]),
+}
+
+
+def _build(name: str) -> ModelGroup:
+    """A fresh model from row `name` of `_MODELS`, validated."""
+    gens, relators, images, twords = _MODELS[name]
+    pres = Presentation(name, tuple(gens), tuple(map(Word, relators)))
+    model = ModelGroup(pres, tuple(images), tuple(map(Word, twords)), SIGNATURES[name])
     model.validate()
     return model
 
 
-def _model_p1():
-    return _build(
-        "p1", ["t", "u"], [(1, 2, -1, -2)],
-        [_iso(IDENTITY_MAT, 1, 0), _iso(IDENTITY_MAT, 0, 1)],
-        [(1,), (2,)])
-
-
-def _model_p2():
-    # four half-turns with product 1 (corners of half a unit cell)
-    return _build(
-        "p2", ["w", "x", "y", "z"],
-        [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2, 3, 4)],
-        [_halfturn(0, 0), _halfturn(_H, 0), _halfturn(_H, _H), _halfturn(0, _H)],
-        [(2, 1), (4, 1)])
-
-
-def _model_pm():
-    return _build(
-        "pm", ["s", "z", "t"],
-        [(1, 1), (2, 2), (1, 3, -1, -3), (2, 3, -2, -3)],
-        [_iso(MIRROR_X), _iso(MIRROR_X, 0, 1), _iso(IDENTITY_MAT, 1, 0)],
-        [(3,), (2, 1)])
-
-
-def _model_pg():
-    # Klein-bottle group: vertical translation a, horizontal glide b
-    return _build(
-        "pg", ["a", "b"], [(1, 2, 1, -2)],
-        [_iso(IDENTITY_MAT, 0, 1), _iso(MIRROR_X, _H, 0)],
-        [(2, 2), (1,)])
-
-
-def _model_cm():
-    return _build(
-        "cm", ["s", "p", "q"],
-        [(1, 1), (2, 3, -2, -3), (1, 2, -1, -3)],
-        [_iso(MIRROR_X), _iso(IDENTITY_MAT, _H, _H), _iso(IDENTITY_MAT, _H, -_H)],
-        [(2,), (3,)])
-
-
-def _model_pmm():
-    # reflection group of the rectangle [0,1/2] x [0,1/2]
-    return _build(
-        "pmm", ["p", "q", "r", "s"],
-        [(1, 1), (2, 2), (3, 3), (4, 4),
-         (1, 2, 1, 2), (2, 3, 2, 3), (3, 4, 3, 4), (4, 1, 4, 1)],
-        [_iso(MIRROR_Y), _iso(MIRROR_X), _iso(MIRROR_Y, 1, 0), _iso(MIRROR_X, 0, 1)],
-        [(3, 1), (4, 2)])
-
-
-def _model_pmg():
-    return _build(
-        "pmg", ["r", "g", "t"],
-        [(1, 1), (2, 3, -2, 3), (1, 2, -1, 2), (1, 3, -1, 3)],
-        [_iso(ROT_180), _iso(MIRROR_X, _H, 0), _iso(IDENTITY_MAT, 0, 1)],
-        [(2, 2), (3,)])
-
-
-def _model_pgg():
-    return _build(
-        "pgg", ["r", "g", "v"],
-        [(1, 1), (2, 3, -2, 3), (1, 2, -1, 2, 3), (1, 3, -1, 3)],
-        [_iso(ROT_180), _iso(MIRROR_X, _H, _H), _iso(IDENTITY_MAT, 0, 1)],
-        [(2, 2), (3,)])
-
-
-def _model_cmm():
-    return _build(
-        "cmm", ["x", "y", "p", "q"],
-        [(1, 1), (2, 2), (1, 2, 1, 2), (3, 4, -3, -4),
-         (1, 3, -1, -4), (1, 4, -1, -3), (2, 3, -2, 4), (2, 4, -2, 3)],
-        [_iso(MIRROR_X), _iso(MIRROR_Y),
-         _iso(IDENTITY_MAT, _H, _H), _iso(IDENTITY_MAT, _H, -_H)],
-        [(3,), (4,)])
-
-
-def _model_p3():
-    return _build(
-        "p3", ["x", "y"],
-        [(1, 1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)],
-        [_iso(ROT_CW_120), Isometry(ROT_CW_120, Vec2(QuadNum.of(_H), _RT3_H))],
-        [(2, -1), (-2, 1)])
-
-
-def _model_p4():
-    # order-4 rotation about (1,0); half-turn about (1/2,0)
-    return _build(
-        "p4", ["c", "d"],
-        [(1, 1, 1, 1), (2, 2), (1, 2, 1, 2, 1, 2, 1, 2)],
-        [_iso(ROT_CW_90, 1, 1), _iso(ROT_180, 1, 0)],
-        [(1, 1, -2), (1, -2, 1)])
-
-
-def _model_p4m():
-    # reflection group of the (pi/4, pi/2, pi/4) triangle
-    return _build(
-        "p4m", ["p", "q", "r"],
-        [(1, 1), (2, 2), (3, 3),
-         (1, 2, 1, 2, 1, 2, 1, 2), (2, 3, 2, 3, 2, 3, 2, 3), (3, 1, 3, 1)],
-        [_iso(MIRROR_X), _iso(MIRROR_DIAG), _iso(MIRROR_Y, 1, 0)],
-        [(3, 2, 1, 2), (2, 3, 2, 1)])
-
-
-def _model_p4g():
-    return _build(
-        "p4g", ["c", "s", "u", "v"],
-        [(1, 1, 1, 1), (2, 2), (1, 2, 1, 2, -4), (3, 4, -3, -4),
-         (1, 3, -1, -4), (1, 4, -1, 3), (2, 3, -2, -4), (2, 4, -2, -3)],
-        [_iso(ROT_CCW_90), _mirror_through(MIRROR_DIAG, _H, 0),
-         _iso(IDENTITY_MAT, 1, 0), _iso(IDENTITY_MAT, 0, 1)],
-        [(3,), (4,)])
-
-
-def _model_p3m1():
-    # reflection group of the equilateral triangle (0,0), (1,0), (1/2, rt3/2)
-    return _build(
-        "p3m1", ["p", "q", "r"],
-        [(1, 1), (2, 2), (3, 3),
-         (1, 2, 1, 2, 1, 2), (2, 3, 2, 3, 2, 3), (3, 1, 3, 1, 3, 1)],
-        [_iso(MIRROR_X), _iso(MIRROR_60), _mirror_through(MIRROR_120, 1, 0)],
-        [(2, 3, -2, -1), (1, 2, 2, 3, -2, -1, -2, -1)])
-
-
-def _model_p31m():
-    return _build(
-        "p31m", ["x", "p", "u", "v"],
-        [(1, 1, 1), (2, 2), (2, 1, 2, 1), (3, 4, -3, -4),
-         (1, 3, -1, 4), (1, 4, -1, 4, -3), (2, 3, -2, -3), (2, 4, -2, 4, -3)],
-        [_iso(ROT_CW_120), _iso(MIRROR_X),
-         _iso(IDENTITY_MAT, 1, 0), Isometry(IDENTITY_MAT, Vec2(QuadNum.of(_H), _RT3_H))],
-        [(3,), (4,)])
-
-
-def _model_p6():
-    return _build(
-        "p6", ["a", "b"],
-        [(1,) * 6, (2,) * 3, (1, 2, 1, 2)],
-        [_iso(ROT_CW_60), Isometry(ROT_CW_120, Vec2(QuadNum.of(_H), _RT3_H))],
-        [(2, -1, -1), (-2, 1, 1)])
-
-
-def _model_p6m():
-    # mirrors of the (pi/2, pi/3, pi/6) triangle, right angle at the origin:
-    # a = y-axis leg, c = x-axis leg, b = hypotenuse through (1/2, 0)
-    return _build(
-        "p6m", ["a", "b", "c"],
-        [(1, 1), (2, 2), (3, 3),
-         (1, 2) * 6, (2, 3) * 3, (3, 1) * 2],
-        [_iso(MIRROR_Y), _mirror_through(MIRROR_120, _H, 0), _iso(MIRROR_X)],
-        [(1, 2, 1, 2, -1, -2, -1, 3), (1, 2, 1, 2, 1, 2, -1, -2, -1, 3, -2, -1)])
-
-
-_BUILDERS = {
-    "p1": _model_p1, "p2": _model_p2, "pm": _model_pm, "pg": _model_pg,
-    "cm": _model_cm, "pmm": _model_pmm, "pmg": _model_pmg, "pgg": _model_pgg,
-    "cmm": _model_cmm, "p3": _model_p3, "p4": _model_p4, "p4m": _model_p4m,
-    "p4g": _model_p4g, "p3m1": _model_p3m1, "p31m": _model_p31m,
-    "p6": _model_p6, "p6m": _model_p6m,
-}
-
-
 @lru_cache(maxsize=None)
 def model(name: str) -> ModelGroup:
-    """The standard model of a plane group, accepted by any of its names."""
-    return _BUILDERS[crystallographic_name(name)]()
+    """The standard model of a plane group, built from its row of `_MODELS`
+    once and accepted by any of its names: every name gives the same object."""
+    cryst = crystallographic_name(name)
+    return _build(cryst) if name == cryst else model(cryst)
 
 
 # --------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_point_group_is_the_closure_of_the_generator_linear_parts(name):
 
 def test_building_a_model_builds_its_kernel():
     # validating a model builds its kernel and reads the relators on it
-    m = wallpaper._BUILDERS["p6"]()
+    m = wallpaper._build("p6")
     assert "kernel" in vars(m)
     assert m.kernel is m.kernel
 
@@ -101,8 +101,8 @@ def test_building_the_models_evaluates_each_translation_word_once(monkeypatch):
     monkeypatch.setattr(wallpaper.ModelGroup, "evaluate",
                         counting("evaluate", wallpaper.ModelGroup.evaluate))
     monkeypatch.setattr(QuadNum, "__mul__", counting("mul", QuadNum.__mul__))
-    for build in wallpaper._BUILDERS.values():
-        build().kernel
+    for name in wallpaper._MODELS:
+        wallpaper._build(name).kernel
     assert counts["evaluate"] == 2 * len(MODEL_NAMES) == 34
     assert counts["mul"] < 3000
 

@@ -340,7 +340,11 @@ class TestExitCodes:
         assert "after defining 5 rows, 5 still live; index unknown" in err
         assert err.rstrip().endswith("(current allowance 5)")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    # int() reads these too, but the integer options take ASCII digits only,
+    # and no more of them than int() reads
+    NOT_ASCII_INTEGERS = ["\u0663", "\uff15\uff10", "1_0", " 3 ", "1" * 4301]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"] + NOT_ASCII_INTEGERS)
     def test_bad_allowance_environment_is_input_error(self, value, p6_file, capsys,
                                                       monkeypatch):
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", value)
@@ -349,12 +353,19 @@ class TestExitCodes:
         assert main(["verify-paper", "--only", "rigid-index"]) == 2
         assert "ORBIFORGE_MAX_COSETS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"] + NOT_ASCII_INTEGERS)
     def test_bad_max_cosets_flag_is_input_error(self, value, p6_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cosets", p6_file, "--max-cosets", value])
         assert exc.value.code == 2
-        assert "must be a positive integer" in capsys.readouterr().err
+        assert "argument --max-cosets: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x"] + NOT_ASCII_INTEGERS)
+    def test_bad_seed_is_input_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--only", "rigid-index", "--seed", value])
+        assert exc.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("v1", ["1/0,0", "0,1+1/0*rt3"])
     def test_zero_denominator_is_input_error(self, v1, capsys):

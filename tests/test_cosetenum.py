@@ -709,11 +709,30 @@ class TestTietzePass:
 @pytest.mark.parametrize("env, call, message", [
     ("abc", cosetenum.default_max_cosets, "^ORBIFORGE_MAX_COSETS must be an integer, got 'abc'$"),
     ("0", cosetenum.default_max_cosets, "^ORBIFORGE_MAX_COSETS must be positive$"),
+    ("\u0663", cosetenum.default_max_cosets,
+     "^ORBIFORGE_MAX_COSETS must be an integer, got '\u0663'$"),
     (None, lambda: TestTraceAndContains.table.trace(Word(()), 6), "^coset 6 out of range$"),
     (None, lambda: TestTraceAndContains.table.trace(Word(()), -1), "^coset -1 out of range$"),
-], ids=["allowance-not-int", "allowance-not-positive", "coset-past-end", "negative-coset"])
+], ids=["allowance-not-int", "allowance-not-positive", "allowance-not-ascii",
+        "coset-past-end", "negative-coset"])
 def test_input_errors(env, call, message, monkeypatch):
     if env is not None:
         monkeypatch.setenv("ORBIFORGE_MAX_COSETS", env)
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("+7", 7), ("-12", -12), ("007", 7)])
+def test_ascii_int_reads_signed_ascii_digits(text, value):
+    assert cosetenum.ascii_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "+", "3.0", "\u0663", "\uff15\uff10", "1_0", " 3 ", "3\n"])
+def test_ascii_int_refuses_what_int_alone_reads(text):
+    with pytest.raises(ValueError, match="^not an integer in ASCII digits: "):
+        cosetenum.ascii_int(text)
+
+
+def test_ascii_int_keeps_the_digit_limit_of_int():
+    with pytest.raises(ValueError):
+        cosetenum.ascii_int("1" * 4301)

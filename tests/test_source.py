@@ -311,6 +311,20 @@ def test_one_model_proof():
     assert "_images" in _calls(validate) and "_images" in _calls(functions["_word_closure"])
 
 
+def test_each_model_declared_once():
+    # each model is one row of _MODELS, in MODEL_NAMES order, and model()
+    # builds it through _build; no builder function or registry repeats the
+    # seventeen names
+    from orbiforge import wallpaper
+
+    functions = {fn.name: fn for fn in _parse("wallpaper.py").body
+                 if isinstance(fn, ast.FunctionDef)}
+    assert not hasattr(wallpaper, "_BUILDERS")
+    assert [name for name in functions if name.startswith("_model_")] == []
+    assert tuple(wallpaper._MODELS) == wallpaper.MODEL_NAMES
+    assert "_build" in _calls(functions["model"])
+
+
 def _holds_word(value) -> bool:
     from orbiforge.fpgroup import Word
 
@@ -374,6 +388,22 @@ def test_no_regex_spells_digits_as_backslash_d():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and "\\d" in node.value]
     assert found == []
+
+
+def test_integer_options_read_through_one_reader():
+    # int() also reads other Unicode digits, `_` and spaces; --max-cosets,
+    # --seed and ORBIFORGE_MAX_COSETS read ASCII digits only, so the one
+    # function of cli and cosetenum that calls int() is the ASCII reader
+    trees = {name: _parse(f"{name}.py") for name in ("cli", "cosetenum")}
+    parser = next(fn for fn in trees["cli"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "build_parser")
+    assert [ast.unparse(kw) for node in ast.walk(parser) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "type" and ast.unparse(kw.value) == "int"] == []
+    callers = sorted({f"{name}.{fn.name}" for name, tree in trees.items()
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "int"})
+    assert callers == ["cosetenum.ascii_int"]
 
 
 def test_no_unused_module_imports():

@@ -96,6 +96,17 @@ class TestModels:
                            match=r"^unknown 2-orbifold name 'S2\(5,5,5\)'$"):
             signature_by_name("S2(5,5,5)")
 
+    def test_every_name_gives_the_one_cached_model(self):
+        # model() builds each row of _MODELS once, whatever name reaches it;
+        # a fresh build of the row is the same group, kernel and all
+        for alias, cryst in wallpaper._ALIASES.items():
+            assert model(alias) is model(cryst)
+        for name in MODEL_NAMES:
+            fresh, cached = wallpaper._build(name), model(name)
+            assert fresh is not cached
+            for field in ("presentation", "rep", "translation_words", "signature", "kernel"):
+                assert getattr(fresh, field) == getattr(cached, field), (name, field)
+
     def test_faithfulness_spot_check(self):
         # a short word acts trivially iff it traces trivially through the
         # point-group table and carries no translation
